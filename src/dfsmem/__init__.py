@@ -36,7 +36,7 @@ from .protocol import (
     remote_transfer,
     write_memory,
 )
-from .source import SourceParams, dualrail_emit, pc_from_physical, raman_pair_state, retrieve
+from .source import dualrail_emit, pc_from_physical, retrieve
 from .trials import RunConfig, RunStats, oracle_check, run_remote_trials, run_write_trials
 
 __version__ = "0.1.0"

@@ -205,10 +205,6 @@ class MixedState:
             if abs(s.norm() - 1.0) > 1e-9:
                 raise ValueError("mixture component is not normalized")
 
-    @staticmethod
-    def pure(state: PureState) -> "MixedState":
-        return MixedState(((1.0, state),))
-
 
 class OpticalElement:
     """A named single-particle unitary over a labeled subset of modes.
@@ -403,6 +399,30 @@ def born_probabilities(
         key = tuple(pattern[i] for i in idx)
         probs[key] = probs.get(key, 0.0) + a.real * a.real + a.imag * a.imag
     return probs
+
+
+def split_by_pattern(
+    state: PureState, modes: Sequence[ModeLabel], keep: ModeRegistry
+) -> dict[tuple[int, ...], tuple[float, PureState]]:
+    """Split a state by its joint occupation pattern on ``modes`` in one pass.
+
+    Returns pattern -> (probability, normalized component restricted to
+    ``keep``): the numbers :func:`project_occupation` on each mode followed
+    by :func:`restrict_state` gives, for every pattern
+    :func:`born_probabilities` lists (its sums agree up to the last bit).
+    """
+    reg = state.registry
+    idx = [reg.index(m) for m in modes]
+    probs: dict[tuple[int, ...], float] = {}
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
+    for pattern, a in state.items():
+        key = tuple(pattern[i] for i in idx)
+        probs[key] = probs.get(key, 0.0) + (a.real * a.real + a.imag * a.imag)
+        groups.setdefault(key, {})[pattern] = a
+    return {
+        key: (probs[key], restrict_state(PureState(reg, amp).normalize(), keep))
+        for key, amp in groups.items()
+    }
 
 
 def product_state(a: PureState, b: PureState) -> PureState:

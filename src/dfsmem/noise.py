@@ -18,6 +18,7 @@ and channel efficiency.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,7 +38,7 @@ from .fock import (
     register_modes,
     restrict_state,
 )
-from .optics import OpticalElement
+from .optics import OpticalElement, check_amplitude_pair
 
 WEIGHT_TOL = 1e-12
 
@@ -158,21 +159,6 @@ def dF_vs_eta(
     return out
 
 
-def build_mixed_state(
-    p0: float,
-    p1: float,
-    po_components: Sequence[tuple[float, PureState]],
-    ideal: PureState,
-    vac: PureState,
-) -> MixedState:
-    """Assemble the heralded mixture p0*vac + p1*ideal + sum of extras."""
-    total = p0 + p1 + sum(w for w, _ in po_components)
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise ValueError(f"mixture weights sum to {total}, not 1")
-    components = [(p0, vac), (p1, ideal)] + list(po_components)
-    return MixedState(tuple((w, s) for w, s in components if w > 0.0))
-
-
 def apply_loss(
     state: PureState | MixedState, mode: ModeLabel, survival: float
 ) -> MixedState:
@@ -241,18 +227,12 @@ def end_to_end_fidelity(
     bounds the stored-qubit fidelity for every (alpha, beta), which enter
     only the downstream analyzer and are validated here for interface parity.
     """
-    from .protocol import build_write_setup, ideal_entangled_state, joint_emission_state
-    from .fock import apply_elements
+    from .protocol import build_write_setup, entangled_state, ideal_entangled_state
 
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
-        raise ValueError("(alpha, beta) not normalized")
-    params = NoiseParams(
-        pc=pc, chi=noise.chi, eta_d=noise.eta_d, p_dc=noise.p_dc,
-        L0=noise.L0, L_att=noise.L_att, f_p=noise.f_p,
-    )
+    check_amplitude_pair(alpha, beta)
+    params = dataclasses.replace(noise, pc=pc)
     setup = build_write_setup()
-    state = joint_emission_state(pc, setup)
-    state = apply_elements(state, setup.entangle_elements())
+    state = entangled_state(pc, setup)
     survive = params.channel_survival
     mixed = apply_loss(state, setup.photon("H", "fiber"), survive)
     mixed = apply_loss(mixed, setup.photon("V", "fiber"), survive)

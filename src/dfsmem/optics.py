@@ -20,6 +20,13 @@ from .fock import ModeLabel, OpticalElement
 AMPLITUDE_PAIR_TOL = 1e-9
 
 
+def check_amplitude_pair(alpha: complex, beta: complex) -> None:
+    """Reject a qubit (alpha, beta) whose weights do not sum to one."""
+    total = abs(alpha) ** 2 + abs(beta) ** 2
+    if abs(total - 1.0) > AMPLITUDE_PAIR_TOL:
+        raise ValueError(f"(alpha, beta) not normalized: |a|^2+|b|^2 = {total}")
+
+
 def qwp(
     in_rcirc: ModeLabel,
     in_lcirc: ModeLabel,
@@ -85,10 +92,7 @@ def mz_split(
     (alpha, beta) must be normalized; the caller applies one copy per
     polarization so the split is polarization independent.
     """
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > AMPLITUDE_PAIR_TOL:
-        raise ValueError(
-            f"split amplitudes not normalized: |a|^2+|b|^2 = {abs(alpha)**2 + abs(beta)**2}"
-        )
+    check_amplitude_pair(alpha, beta)
     modes = (in_mode, out_a, out_b)
     m = np.zeros((3, 3), dtype=complex)
     m[1, 0] = alpha

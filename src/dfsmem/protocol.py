@@ -42,14 +42,22 @@ from .fock import (
     born_probabilities,
     embed_state,
     photon_mode,
+    product_state,
     project_occupation,
     project_total_occupation,
     register_modes,
-    restrict_state,
+    split_by_pattern,
 )
-from .optics import bs50, hwp, mz_split, pbs, phase_shifter, pol_rotator, qwp
-
-AMPLITUDE_PAIR_TOL = 1e-9
+from .optics import (
+    bs50,
+    check_amplitude_pair,
+    hwp,
+    mz_split,
+    pbs,
+    phase_shifter,
+    pol_rotator,
+    qwp,
+)
 
 
 class BellOutcome(Enum):
@@ -87,6 +95,10 @@ def pauli_mark(outcome: BellOutcome) -> PauliMark:
     if outcome is BellOutcome.FAILURE:
         raise ValueError("a failed analysis carries no correction mark")
     return _MARK_OF_OUTCOME[outcome]
+
+
+def _single_click(detector_index: int) -> tuple[int, ...]:
+    return tuple(1 if i == detector_index else 0 for i in range(4))
 
 
 def classify_clicks(clicks: Sequence[bool]) -> BellOutcome:
@@ -234,12 +246,6 @@ def build_write_setup(d: int = 3) -> WriteSetup:
     return WriteSetup(d)
 
 
-def _check_amplitude_pair(alpha: complex, beta: complex):
-    total = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(total - 1.0) > AMPLITUDE_PAIR_TOL:
-        raise ValueError(f"(alpha, beta) not normalized: |a|^2+|b|^2 = {total}")
-
-
 def joint_emission_state(
     pc: float, setup: WriteSetup, max_total: int = 2
 ) -> PureState:
@@ -267,6 +273,11 @@ def joint_emission_state(
     return PureState(reg, amp).normalize()
 
 
+def entangled_state(pc: float, setup: WriteSetup) -> PureState:
+    """Emission state after the which-path eraser, before any herald."""
+    return apply_elements(joint_emission_state(pc, setup), setup.entangle_elements())
+
+
 def generate_entanglement(
     pc: float, setup: WriteSetup | None = None
 ) -> tuple[PureState | None, float]:
@@ -281,8 +292,7 @@ def generate_entanglement(
     if not 0.0 <= pc < 0.5:
         raise ValueError(f"pc={pc} outside [0, 0.5)")
     setup = setup or build_write_setup()
-    state = joint_emission_state(pc, setup)
-    state = apply_elements(state, setup.entangle_elements())
+    state = entangled_state(pc, setup)
     component, prob = project_total_occupation(state, setup.output_modes(), 1)
     if prob <= 0.0:
         return None, 0.0
@@ -315,7 +325,6 @@ def encode_spatial(
     The split acts identically on both polarization copies; the target path
     modes must start empty.
     """
-    _check_amplitude_pair(alpha, beta)
     setup = setup or build_write_setup()
     for pol in ("H", "V"):
         for spot in ("path-a", "path-b"):
@@ -334,8 +343,7 @@ class BsmResult:
     detectors: tuple[ModeLabel, ...]
 
     def single_click_probability(self, detector_index: int) -> float:
-        pattern = tuple(1 if i == detector_index else 0 for i in range(4))
-        return self.detector_probs.get(pattern, 0.0)
+        return self.detector_probs.get(_single_click(detector_index), 0.0)
 
 
 def bsm(state: PureState, setup: WriteSetup | None = None) -> BsmResult:
@@ -344,6 +352,21 @@ def bsm(state: PureState, setup: WriteSetup | None = None) -> BsmResult:
     out = apply_elements(state, setup.bsm_elements())
     probs = born_probabilities(out, setup.detectors)
     return BsmResult(out, probs, setup.detectors)
+
+
+def write_events(
+    state: PureState, alpha: complex, beta: complex, setup: WriteSetup
+) -> dict[tuple[int, ...], tuple[float, PureState]]:
+    """Encode (alpha, beta) on the photon, run the analyzer, split on the
+    detectors.
+
+    Returns each detector occupation pattern with its exact probability and
+    the normalized, uncorrected atomic state it leaves behind. Fed the
+    heralded state this is the heralded write; fed :func:`entangled_state`
+    it is the raw per-round event table.
+    """
+    analyzed = bsm(encode_spatial(state, alpha, beta, setup), setup)
+    return split_by_pattern(analyzed.state, setup.detectors, setup.atomic_registry)
 
 
 @dataclass(frozen=True)
@@ -371,18 +394,20 @@ class WriteBranch:
     mark: PauliMark
 
 
-def _conditional_atomic_state(
-    state: PureState, detector_pattern: Sequence[int], setup: WriteSetup
-) -> tuple[PureState | None, float]:
-    """Project onto a detector occupation pattern and keep the atomic part."""
-    component = state
-    prob = None
-    for det, n in zip(setup.detectors, detector_pattern):
-        component, prob = project_occupation(component, det, n)
-    prob = component.norm_squared()
-    if prob <= 0.0:
-        return None, 0.0
-    return restrict_state(component.normalize(), setup.atomic_registry), prob
+def _heralded_write(
+    alpha: complex, beta: complex, pc: float, setup: WriteSetup
+) -> tuple[float, dict[BellOutcome, WriteBranch]]:
+    """Herald probability and the single-click branches of one write."""
+    heralded, p_herald = generate_entanglement(pc, setup)
+    if heralded is None:
+        raise ValueError("herald probability is zero; nothing to write")
+    events = write_events(heralded, alpha, beta, setup)
+    branches: dict[BellOutcome, WriteBranch] = {}
+    for k, outcome in enumerate(_OUTCOME_OF_DETECTOR):
+        event = events.get(_single_click(k))
+        if event is not None:
+            branches[outcome] = WriteBranch(*event, pauli_mark(outcome))
+    return p_herald, branches
 
 
 def write_branches(
@@ -397,21 +422,7 @@ def write_branches(
     conditional atomic state (uncorrected; the mark says what read-out must
     apply).
     """
-    _check_amplitude_pair(alpha, beta)
-    setup = setup or build_write_setup()
-    heralded, p_herald = generate_entanglement(pc, setup)
-    if heralded is None:
-        raise ValueError("herald probability is zero; nothing to write")
-    encoded = encode_spatial(heralded, alpha, beta, setup)
-    analyzed = bsm(encoded, setup)
-    branches: dict[BellOutcome, WriteBranch] = {}
-    for k, outcome in enumerate(_OUTCOME_OF_DETECTOR):
-        pattern = tuple(1 if i == k else 0 for i in range(4))
-        atomic, prob = _conditional_atomic_state(analyzed.state, pattern, setup)
-        if atomic is None:
-            continue
-        branches[outcome] = WriteBranch(prob, atomic, pauli_mark(outcome))
-    return branches
+    return _heralded_write(alpha, beta, pc, setup or build_write_setup())[1]
 
 
 def write_memory(
@@ -427,12 +438,8 @@ def write_memory(
     herald probability); the analyzer outcome is drawn from the exact Born
     weights. The record stores the uncorrected atomic state plus its mark.
     """
-    setup = setup or build_write_setup()
-    _, p_herald = generate_entanglement(pc, setup)
-    if p_herald <= 0.0:
-        raise ValueError("herald probability is zero; nothing to write")
+    p_herald, branches = _heralded_write(alpha, beta, pc, setup or build_write_setup())
     rounds = int(rng.geometric(p_herald))
-    branches = write_branches(alpha, beta, pc, setup)
     outcomes = list(branches.keys())
     weights = np.array([branches[o].probability for o in outcomes])
     weights = weights / weights.sum()
@@ -471,6 +478,8 @@ class ReadSetup:
         )
         self.out_h = self.photon("H", "out")
         self.out_v = self.photon("V", "out")
+        # the retrieved polarization qubit, |1> = H
+        self.out_logical = LogicalQubitMap(left=self.out_h, right=self.out_v)
 
     def photon(self, polarization: str, spatial: str) -> ModeLabel:
         return self._photon[(polarization, spatial)]
@@ -486,19 +495,6 @@ class ReadSetup:
 @lru_cache(maxsize=8)
 def build_read_setup(d: int = 3) -> ReadSetup:
     return ReadSetup(d)
-
-
-def _apply_photonic_mark(state: PureState, mark: PauliMark, setup: ReadSetup) -> PureState:
-    """The stored mark, acted on the retrieved polarization qubit (|1> = H)."""
-    if mark is PauliMark.I:
-        return state
-    swap = pol_rotator(setup.out_h, setup.out_v)
-    flip = phase_shifter([setup.out_h], [math.pi])
-    if mark is PauliMark.X:
-        return apply_unitary(state, swap)
-    if mark is PauliMark.Z:
-        return apply_unitary(state, flip)
-    return apply_unitary(apply_unitary(state, swap), flip)
 
 
 def read_memory(record: TrialRecord, retrieval_efficiency: float) -> MixedState:
@@ -521,7 +517,7 @@ def read_memory(record: TrialRecord, retrieval_efficiency: float) -> MixedState:
     out = []
     for w, s in mixed.components:
         s = apply_unitary(s, recombine)
-        s = _apply_photonic_mark(s, record.mark, setup)
+        s = apply_logical_pauli(s, record.mark, setup.out_logical)
         out.append((w, s))
     return MixedState(tuple(out))
 
@@ -631,7 +627,7 @@ def remote_transfer(
     probability 1/8 and leave the far pair in alpha|0> +/- beta|1>, the sign
     fixed by the click parity.
     """
-    _check_amplitude_pair(alpha, beta)
+    check_amplitude_pair(alpha, beta)
     from .source import retrieve
 
     setup = setup or build_remote_setup()
@@ -650,8 +646,6 @@ def remote_transfer(
             tuple(basis_state(reg, {setup.l2: 1, setup.r1: 1}).support()[0]): 1 / math.sqrt(2),
         },
     )
-    from .fock import product_state
-
     state = product_state(sender, resource)
     for atom, phot in (
         (setup.i1, setup.p_i1),
@@ -664,16 +658,12 @@ def remote_transfer(
     state = apply_unitary(state, bs50(setup.p_i1, setup.p_l1))
     state = apply_unitary(state, bs50(setup.p_i2, setup.p_l2))
 
-    pattern_probs = born_probabilities(state, setup.detectors)
+    events = split_by_pattern(state, setup.detectors, setup.r_registry)
+    pattern_probs = {pattern: prob for pattern, (prob, _) in events.items()}
     branches: dict[tuple[int, ...], RemoteBranch] = {}
     success_total = 0.0
-    for pattern, prob in pattern_probs.items():
-        component = state
-        for det, n in zip(setup.detectors, pattern):
-            component, _ = project_occupation(component, det, n)
-        r_state = restrict_state(component.normalize(), setup.r_registry)
-        clicks = tuple(n >= 1 for n in pattern)
-        success, mark = classify_remote_clicks(clicks)
+    for pattern, (prob, r_state) in events.items():
+        success, mark = classify_remote_clicks(tuple(n >= 1 for n in pattern))
         # bunched branches put two photons on one side; a non-resolving
         # detector still reports one click there and no cross-side partner
         branches[pattern] = RemoteBranch(prob, r_state, success, mark)

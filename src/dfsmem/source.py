@@ -2,8 +2,9 @@
 
 A short off-resonant Raman pulse leaves each ensemble in a number-correlated
 (two-mode-squeezed-form) state of the collective spin mode and the emitted
-Stokes mode: amplitudes proportional to pc^(n/2) on |n, n>. Retrieval swaps a
-stored collective excitation back onto an anti-Stokes photon mode through a
+Stokes mode: amplitudes proportional to pc^(n/2) on |n, n>; the two-ensemble
+write source is :func:`dfsmem.protocol.joint_emission_state`. Retrieval swaps
+a stored collective excitation back onto an anti-Stokes photon mode through a
 lossy channel.
 """
 
@@ -23,24 +24,6 @@ from .fock import (
     apply_unitary,
     project_occupation,
 )
-
-
-@dataclass(frozen=True)
-class SourceParams:
-    """Knobs of one Raman pair source.
-
-    pc: single-spin-flip excitation probability per pulse (dimensionless).
-    n_max: highest kept excitation order; must fit the truncation.
-    """
-
-    pc: float
-    n_max: int = 2
-
-    def __post_init__(self):
-        if not 0.0 <= self.pc < 0.5:
-            raise ValueError(f"pc={self.pc} outside the perturbative range [0, 0.5)")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -72,29 +55,6 @@ class PumpPhysical:
 def pc_from_physical(p: PumpPhysical) -> float:
     """Excitation probability 4 g_c^2 N L / c * |Omega|^2 / Delta^2 * t_p."""
     return 4.0 * p.g_c**2 * p.n_density * p.length / p.c * p.omega**2 / p.delta**2 * p.t_p
-
-
-def raman_pair_state(
-    params: SourceParams,
-    atomic: ModeLabel,
-    photon: ModeLabel,
-    registry: ModeRegistry,
-) -> PureState:
-    """Normalized number-correlated emission state on |n, n>, n = 0..n_max."""
-    if params.n_max >= registry.d:
-        raise ValueError(
-            f"n_max={params.n_max} does not fit truncation d={registry.d}"
-        )
-    ai = registry.index(atomic)
-    pi = registry.index(photon)
-    zero = registry.zero_pattern()
-    amp: dict[tuple[int, ...], complex] = {}
-    for n in range(params.n_max + 1):
-        pattern = list(zero)
-        pattern[ai] = n
-        pattern[pi] = n
-        amp[tuple(pattern)] = params.pc ** (n / 2.0)
-    return PureState(registry, amp).normalize()
 
 
 def dualrail_emit(

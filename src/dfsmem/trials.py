@@ -15,6 +15,7 @@ as looping round by round.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -23,23 +24,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import (
-    apply_elements,
-    born_probabilities,
-    fidelity_pure,
-    project_occupation,
-    restrict_state,
-)
+from .fock import fidelity_pure
 from .noise import NoiseParams
 from .protocol import (
     BellOutcome,
+    PauliMark,
     apply_logical_pauli,
     build_remote_setup,
     build_write_setup,
     classify_remote_clicks,
-    joint_emission_state,
+    entangled_state,
+    joint_emission_state,  # noqa: F401  kept in this namespace for bench/test_bench.py
     pauli_mark,
     remote_transfer,
+    write_events,
 )
 
 _OUTCOMES = (
@@ -119,29 +117,6 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     )
 
 
-def sample_detectors(
-    pattern_probs: dict[tuple[int, ...], float],
-    detectors: Sequence[DetectorSpec],
-    rng: np.random.Generator,
-) -> tuple[bool, ...]:
-    """Draw one detection round: Born-sample a photon pattern, thin each
-    photon through its detector's survival, OR in dark counts."""
-    patterns = sorted(pattern_probs)
-    probs = np.array([pattern_probs[p] for p in patterns])
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"pattern probabilities sum to {total}, not 1")
-    pattern = patterns[int(rng.choice(len(patterns), p=probs / total))]
-    if len(pattern) != len(detectors):
-        raise ValueError("one DetectorSpec per sampled mode required")
-    clicks = []
-    for n, det in zip(pattern, detectors):
-        detected = int(rng.binomial(n, det.efficiency)) if n else 0
-        dark = rng.random() < det.dark_prob
-        clicks.append(detected >= 1 or dark)
-    return tuple(clicks)
-
-
 @dataclass(frozen=True)
 class _EventTable:
     """Exact per-round outcome classes for fast, faithful trial sampling."""
@@ -169,32 +144,22 @@ def _one_click_weights(pattern: tuple[int, ...], dets: Sequence[DetectorSpec]) -
 
 def _write_event_table(cfg: RunConfig) -> _EventTable:
     setup = build_write_setup(cfg.truncation)
-    state = joint_emission_state(cfg.pc, setup)
-    state = apply_elements(state, setup.entangle_elements())
-    state = apply_elements(state, setup.encode_elements(cfg.alpha, cfg.beta))
-    state = apply_elements(state, setup.bsm_elements())
-    table = born_probabilities(state, setup.detectors)
-
-    det = DetectorSpec(cfg.noise.eta_prime, cfg.noise.p_dc)
-    dets = [det] * 4
+    events = write_events(entangled_state(cfg.pc, setup), cfg.alpha, cfg.beta, setup)
+    dets = [DetectorSpec(cfg.noise.eta_prime, cfg.noise.p_dc)] * 4
     target = setup.logical.logical_state(setup.atomic_registry, cfg.alpha, cfg.beta)
+    # |<t|P s>|^2 = |<P t|s>|^2 for the self-inverse (up to phase) marks;
+    # equal up to the last bit, since Z is the phase exp(i pi)
+    marked = [apply_logical_pauli(target, pauli_mark(o), setup.logical) for o in _OUTCOMES]
 
     probs, outcome_idx, fids = [], [], []
-    for pattern in sorted(table):
-        p_pattern = table[pattern]
-        component = state
-        for det, n in zip(setup.detectors, pattern):
-            component, _ = project_occupation(component, det, n)
-        atomic = restrict_state(component.normalize(), setup.atomic_registry)
+    for pattern in sorted(events):
+        p_pattern, atomic = events[pattern]
         for k, w in enumerate(_one_click_weights(pattern, dets)):
             if w <= 0.0:
                 continue
-            corrected = apply_logical_pauli(
-                atomic, pauli_mark(_OUTCOMES[k]), setup.logical
-            )
             probs.append(p_pattern * w)
             outcome_idx.append(k)
-            fids.append(fidelity_pure(corrected, target))
+            fids.append(fidelity_pure(atomic, marked[k]))
     herald = float(sum(probs))
     if herald > 0.0:
         cond = np.array(probs) / herald
@@ -218,6 +183,13 @@ def _remote_event_table(cfg: RunConfig) -> _EventTable:
     probs, success_flags, fids = [], [], []
     for pattern, branch in sorted(result.branches.items()):
         click_prob = [det.click_probability(n) for n in pattern]
+        # marks act on the branch state, once per branch and mark; on the
+        # target (as in the write table) Z's exp(i pi) phase would move these
+        # fidelities in the last bit, which the remote outputs show
+        fid_of = {
+            mark: fidelity_pure(apply_logical_pauli(branch.r_state, mark, setup.r_logical), target)
+            for mark in (PauliMark.I, PauliMark.Z)
+        }
         for clicks in iter_product((False, True), repeat=4):
             w = 1.0
             for c, q in zip(clicks, click_prob):
@@ -225,11 +197,7 @@ def _remote_event_table(cfg: RunConfig) -> _EventTable:
             if w <= 0.0:
                 continue
             success, mark = classify_remote_clicks(clicks)
-            if success:
-                corrected = apply_logical_pauli(branch.r_state, mark, setup.r_logical)
-                fid = fidelity_pure(corrected, target)
-            else:
-                fid = 0.0
+            fid = fid_of[mark] if success else 0.0
             probs.append(branch.probability * w)
             success_flags.append(1 if success else 0)
             fids.append(fid)
@@ -396,6 +364,16 @@ def run_remote_trials(cfg: RunConfig) -> RunStats:
     )
 
 
+def _fidelity_variance(table: _EventTable, success: np.ndarray) -> float:
+    """Exact variance of the per-trial fidelity over successful events."""
+    weights = table.probabilities[success]
+    total = weights.sum()
+    if total <= 0.0:
+        return 0.0
+    spread = table.fidelity[success] - table.exact_mean_fidelity
+    return float((weights * spread**2).sum() / total)
+
+
 @dataclass(frozen=True)
 class OracleEntry:
     name: str
@@ -424,6 +402,9 @@ def oracle_check(
 ) -> OracleReport:
     """Compare sampled frequencies against the exact event probabilities.
 
+    Each distance is in units of the standard error the exact event table
+    predicts for the sample size (the null hypothesis), so a rare event that
+    happens not to be sampled does not collapse the error to zero.
     ``expected_noise`` substitutes the parameters used on the exact side;
     passing deliberately wrong values is the negative control.
     """
@@ -431,43 +412,41 @@ def oracle_check(
         return OracleReport((), tolerance_sigmas, insufficient_data=True)
     expected_cfg = cfg
     if expected_noise is not None:
-        expected_cfg = RunConfig(
-            trial_count=cfg.trial_count, master_seed=cfg.master_seed, pc=cfg.pc,
-            alpha=cfg.alpha, beta=cfg.beta, noise=expected_noise,
-            round_cap=cfg.round_cap, threads=cfg.threads,
-        )
+        expected_cfg = dataclasses.replace(cfg, noise=expected_noise)
+    # (name, empirical, exact, exact per-draw variance, draws)
     if experiment == "write":
         stats = run_write_trials(cfg)
         table = _write_event_table(expected_cfg)
+        n = stats.success_count
         pairs = [
-            (f"outcome[{name}]", stats.outcome_frequencies[name],
-             stats.outcome_frequencies_se[name], exact)
+            (f"outcome[{name}]", stats.outcome_frequencies[name], exact,
+             exact * (1.0 - exact), n)
             for name, exact in table.exact_outcome_probs.items()
         ]
         pairs.append(
             ("mean_conditional_fidelity", stats.mean_conditional_fidelity,
-             stats.mean_conditional_fidelity_se, table.exact_mean_fidelity)
+             table.exact_mean_fidelity, _fidelity_variance(table, table.outcome_index >= 0), n)
         )
-        if table.herald_probability > 0.0:
+        h = table.herald_probability
+        if h > 0.0:
             # herald effort exposes the survival model, which the
-            # herald-conditioned frequencies cannot see
-            pairs.append(
-                ("mean_rounds", stats.mean_rounds, stats.mean_rounds_se,
-                 1.0 / table.herald_probability)
-            )
+            # herald-conditioned frequencies cannot see; rounds are geometric
+            pairs.append(("mean_rounds", stats.mean_rounds, 1.0 / h, (1.0 - h) / h**2, n))
     elif experiment == "remote":
         stats = run_remote_trials(cfg)
         table = _remote_event_table(expected_cfg)
+        p = table.herald_probability
         pairs = [
-            ("success_rate", stats.success_rate, stats.success_rate_se,
-             table.herald_probability),
+            ("success_rate", stats.success_rate, p, p * (1.0 - p), cfg.trial_count),
             ("mean_conditional_fidelity", stats.mean_conditional_fidelity,
-             stats.mean_conditional_fidelity_se, table.exact_mean_fidelity),
+             table.exact_mean_fidelity, _fidelity_variance(table, table.outcome_index == 1),
+             stats.success_count),
         ]
     else:
         raise ValueError(f"unknown experiment {experiment!r}")
     entries = []
-    for name, emp, se, exact in pairs:
+    for name, emp, exact, variance, draws in pairs:
+        se = math.sqrt(variance / draws) if draws else 0.0
         if se == 0.0:
             sigma = 0.0 if abs(emp - exact) < 1e-12 else math.inf
         else:

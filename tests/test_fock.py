@@ -1,7 +1,11 @@
 import math
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsmem.fock import (
     MixedState,
@@ -19,6 +23,8 @@ from dfsmem.fock import (
     photon_mode,
     project_occupation,
     register_modes,
+    restrict_state,
+    split_by_pattern,
     vacuum,
 )
 from dense_oracle import random_state, random_unitary, sparse_vs_dense
@@ -189,6 +195,41 @@ def test_born_probabilities_vacuum():
     reg = two_mode()
     probs = born_probabilities(vacuum(reg), [S_L, S_R])
     assert probs == {(0, 0): pytest.approx(1.0)}
+
+
+@st.composite
+def _split_cases(draw):
+    """A random small state, the modes to split on, and the rest to keep."""
+    k = draw(st.integers(2, 4))
+    d = draw(st.integers(2, 3))
+    labels = [photon_mode("stokes", "H", f"m{i}") for i in range(k)]
+    reg = register_modes(labels, d)
+    patterns = draw(st.lists(
+        st.sampled_from(list(itertools.product(range(d), repeat=k))),
+        min_size=1, max_size=8, unique=True,
+    ))
+    part = st.floats(-1.0, 1.0, allow_nan=False).filter(lambda x: abs(x) > 1e-3)
+    amps = {p: complex(draw(part), draw(part)) for p in patterns}
+    split = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=k - 1, unique=True))
+    keep = register_modes([lab for lab in labels if lab not in split], d)
+    return PureState(reg, amps).normalize(), split, keep
+
+
+@settings(deadline=None)
+@given(_split_cases())
+def test_split_by_pattern_matches_projection(case):
+    state, modes, keep = case
+    split = split_by_pattern(state, modes, keep)
+    born = born_probabilities(state, modes)
+    assert split.keys() == born.keys()
+    for pattern, (prob, component) in split.items():
+        assert prob == pytest.approx(born[pattern], abs=1e-12)
+        projected = state
+        for mode, n in zip(modes, pattern):
+            projected, p_proj = project_occupation(projected, mode, n)
+        assert prob == p_proj
+        expected = restrict_state(projected.normalize(), keep)
+        assert dict(component.items()) == dict(expected.items())
 
 
 def test_born_marginal_consistency():

@@ -19,7 +19,6 @@ from dfsmem.noise import (
     FidelityReport,
     NoiseParams,
     apply_loss,
-    build_mixed_state,
     dF_vs_eta,
     end_to_end_fidelity,
     fidelity_vs_T,
@@ -133,23 +132,6 @@ def test_analytic_probabilities_stay_in_range():
 
 PH = photon_mode("stokes", "H", "line")
 PV = photon_mode("stokes", "V", "line")
-
-
-def test_build_mixed_state_assembly():
-    reg = register_modes([PH, PV], 2)
-    psi = PureState(reg, {(1, 0): 1 / math.sqrt(2), (0, 1): 1 / math.sqrt(2)})
-    rho = build_mixed_state(0.1, 0.9, [], psi, vacuum(reg))
-    assert fidelity_mixed(rho, psi) == pytest.approx(0.9, abs=1e-12)
-    assert sum(w for w, _ in rho.components) == pytest.approx(1.0, abs=1e-12)
-    pure = build_mixed_state(0.0, 1.0, [], psi, vacuum(reg))
-    assert fidelity_mixed(pure, psi) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_build_mixed_state_rejects_bad_weights():
-    reg = register_modes([PH, PV], 2)
-    psi = basis_state(reg, {PH: 1})
-    with pytest.raises(ValueError, match="sum"):
-        build_mixed_state(0.2, 0.9, [], psi, vacuum(reg))
 
 
 def test_apply_loss_survival_one():

@@ -13,6 +13,7 @@ from dfsmem.fock import (
     fidelity_pure,
     project_total_occupation,
 )
+from dfsmem import protocol
 from dfsmem.optics import phase_shifter
 from dfsmem.protocol import (
     BellOutcome,
@@ -236,6 +237,15 @@ def test_write_memory_record_shape():
     assert record.rounds_until_herald >= 1
     assert sum(record.click_pattern) == 1
     assert record.mark is pauli_mark(record.outcome)
+
+
+def test_write_memory_emits_once(monkeypatch):
+    calls = []
+    emit = protocol.joint_emission_state
+    monkeypatch.setattr(protocol, "joint_emission_state",
+                        lambda *a, **k: calls.append(a) or emit(*a, **k))
+    write_memory(0.6, 0.8, 0.01, np.random.default_rng(7))
+    assert len(calls) == 1
 
 
 def test_write_memory_deterministic_given_stream():

@@ -12,17 +12,13 @@ from dfsmem.fock import (
     register_modes,
     vacuum,
 )
+from dfsmem.protocol import build_write_setup, joint_emission_state
 from dfsmem.source import (
     PumpPhysical,
-    SourceParams,
     dualrail_emit,
     pc_from_physical,
-    raman_pair_state,
     retrieve,
 )
-
-ATOM = atomic_mode("ensemble")
-PHOT = photon_mode("stokes", "Rcirc", "arm")
 
 
 def pump(**overrides):
@@ -48,59 +44,64 @@ def test_pump_rejects_nonpositive():
         pump(delta=0.0)
 
 
-def test_source_params_validation():
-    with pytest.raises(ValueError):
-        SourceParams(pc=0.5)
-    with pytest.raises(ValueError):
-        SourceParams(pc=0.01, n_max=0)
+# The write source: both ensembles emit Raman pairs, amplitude pc^((m+n)/2)
+# on m pairs from the left ensemble and n from the right.
+
+
+def _pairs(setup, m, n):
+    """Occupation pattern with m left pairs and n right pairs."""
+    occ = {
+        setup.s_l: m, setup.photon("Rcirc", "arm-L"): m,
+        setup.s_r: n, setup.photon("Rcirc", "arm-R"): n,
+    }
+    return basis_state(setup.registry, occ).support()[0]
 
 
 def test_raman_pair_state_zero_pc_is_vacuum():
-    reg = register_modes([ATOM, PHOT], 3)
-    state = raman_pair_state(SourceParams(pc=0.0), ATOM, PHOT, reg)
-    assert fidelity_pure(state, vacuum(reg)) == pytest.approx(1.0)
+    setup = build_write_setup(3)
+    state = joint_emission_state(0.0, setup)
+    assert fidelity_pure(state, vacuum(setup.registry)) == pytest.approx(1.0)
 
 
 def test_raman_pair_state_amplitude_ladder():
     # unnormalized amplitudes (1, 0.1, 0.01) at pc = 0.01
-    reg = register_modes([ATOM, PHOT], 3)
-    state = raman_pair_state(SourceParams(pc=0.01, n_max=2), ATOM, PHOT, reg)
-    a0 = state.amplitude((0, 0))
-    assert state.amplitude((1, 1)) / a0 == pytest.approx(0.1)
-    assert state.amplitude((2, 2)) / a0 == pytest.approx(0.01)
+    setup = build_write_setup(3)
+    state = joint_emission_state(0.01, setup)
+    a0 = state.amplitude(_pairs(setup, 0, 0))
+    assert state.amplitude(_pairs(setup, 1, 0)) / a0 == pytest.approx(0.1)
+    assert state.amplitude(_pairs(setup, 0, 1)) / a0 == pytest.approx(0.1)
+    assert state.amplitude(_pairs(setup, 2, 0)) / a0 == pytest.approx(0.01)
+    assert state.amplitude(_pairs(setup, 1, 1)) / a0 == pytest.approx(0.01)
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_raman_pair_state_emission_probability():
-    # P(n >= 1) = (pc + pc^2) / (1 + pc + pc^2)
+    # P(any pair) = (2 pc + 3 pc^2) / (1 + 2 pc + 3 pc^2) through total order 2
     pc = 0.03
-    reg = register_modes([ATOM, PHOT], 3)
-    state = raman_pair_state(SourceParams(pc=pc, n_max=2), ATOM, PHOT, reg)
-    probs = born_probabilities(state, [PHOT])
-    expected = (pc + pc**2) / (1 + pc + pc**2)
-    assert probs[(1,)] + probs[(2,)] == pytest.approx(expected, abs=1e-12)
+    setup = build_write_setup(3)
+    state = joint_emission_state(pc, setup)
+    stokes = [setup.photon("Rcirc", "arm-L"), setup.photon("Rcirc", "arm-R")]
+    probs = born_probabilities(state, stokes)
+    expected = (2 * pc + 3 * pc**2) / (1 + 2 * pc + 3 * pc**2)
+    assert 1.0 - probs[(0, 0)] == pytest.approx(expected, abs=1e-12)
 
 
 def test_raman_pair_state_number_correlation():
-    reg = register_modes([ATOM, PHOT], 4)
-    state = raman_pair_state(SourceParams(pc=0.2, n_max=3), ATOM, PHOT, reg)
-    probs = born_probabilities(state, [ATOM, PHOT])
-    assert all(a == p for (a, p) in probs)
+    setup = build_write_setup(4)
+    state = joint_emission_state(0.2, setup, max_total=3)
+    modes = [setup.s_l, setup.photon("Rcirc", "arm-L"),
+             setup.s_r, setup.photon("Rcirc", "arm-R")]
+    probs = born_probabilities(state, modes)
+    assert all(a_l == p_l and a_r == p_r for (a_l, p_l, a_r, p_r) in probs)
 
 
 def test_raman_pair_state_geometric_ratio():
     pc = 0.07
-    reg = register_modes([ATOM, PHOT], 4)
-    state = raman_pair_state(SourceParams(pc=pc, n_max=3), ATOM, PHOT, reg)
+    setup = build_write_setup(4)
+    state = joint_emission_state(pc, setup, max_total=3)
     for n in range(3):
-        ratio = state.amplitude((n + 1, n + 1)) / state.amplitude((n, n))
+        ratio = state.amplitude(_pairs(setup, n + 1, 0)) / state.amplitude(_pairs(setup, n, 0))
         assert ratio == pytest.approx(math.sqrt(pc), abs=1e-12)
-
-
-def test_raman_pair_state_rejects_overflow_order():
-    reg = register_modes([ATOM, PHOT], 3)
-    with pytest.raises(ValueError):
-        raman_pair_state(SourceParams(pc=0.01, n_max=3), ATOM, PHOT, reg)
 
 
 def _dualrail_registry():
