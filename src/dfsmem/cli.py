@@ -1,9 +1,11 @@
 """Command-line front end: experiment dispatch plus CSV/JSON emission.
 
-Every subcommand accepts the full flag set; values resolve as hard defaults,
-then a ``--config`` key=value file, then explicit flags. Amplitudes parse as
-"re,im" or "mag@degrees". Exit codes: 0 success, 1 simulation failure,
-2 configuration error.
+Each field ``foo_bar`` of :class:`CliConfig` is the flag ``--foo-bar`` and the
+config-file key ``foo_bar``; flags may come before or after the command, and
+every command accepts every flag. Values resolve as hard defaults, then
+``DFS_SIM_SEED`` (the seed only), then a ``--config`` key=value file, then
+explicit flags. Amplitudes parse as "re,im" or "mag@degrees". Exit codes:
+0 success, 1 simulation failure, 2 configuration error (every bad parameter).
 """
 
 from __future__ import annotations
@@ -79,6 +81,10 @@ def parse_float_list(text: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class CliConfig:
+    """One CLI invocation, validated on construction: ``RunConfig`` and
+    ``NoiseParams`` check the fields :meth:`run_config` hands them, and
+    ``__post_init__`` checks the rest."""
+
     command: str
     pc: float = 0.01
     alpha: complex = complex(1 / math.sqrt(2), 0.0)
@@ -104,16 +110,36 @@ class CliConfig:
     output: str = ""
     format: str = ""
 
-    def noise(self) -> NoiseParams:
-        return NoiseParams(
-            pc=self.pc, chi=self.chi, eta_d=self.eta_d, p_dc=self.p_dc,
-            L0=self.l0, L_att=self.l_att, f_p=self.f_p,
-        )
+    def __post_init__(self):
+        self.run_config()
+        if not 0.0 <= self.efficiency <= 1.0:
+            raise ValueError(f"efficiency={self.efficiency} outside [0, 1]")
+        if self.points < 1:
+            raise ValueError("points must be >= 1")
+        if not 0.0 < self.eta_prime <= 1.0:
+            raise ValueError(f"eta_prime={self.eta_prime} outside (0, 1]")
+        if self.t_min <= 0 or self.t_max < self.t_min:
+            raise ValueError("need 0 < t_min <= t_max")
+        if not 0.0 < self.eta_min <= self.eta_max <= 1.0:
+            raise ValueError("need 0 < eta_min <= eta_max <= 1")
+        if any(t <= 0 for t in self.t_list):
+            raise ValueError("t_list entries must be positive")
+        if self.resolved_format() not in ("csv", "json"):
+            raise ValueError(f"unknown output format {self.format!r}")
+        total = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        if abs(total - 1.0) > NORMALIZATION_GUARD:
+            raise ValueError(f"(alpha, beta) not normalized: |a|^2+|b|^2 = {total}")
+        if abs(total - 1.0) > 1e-12:
+            norm = math.sqrt(total)
+            object.__setattr__(self, "alpha", self.alpha / norm)
+            object.__setattr__(self, "beta", self.beta / norm)
 
     def run_config(self) -> RunConfig:
+        noise = NoiseParams(chi=self.chi, eta_d=self.eta_d, p_dc=self.p_dc,
+                            L0=self.l0, L_att=self.l_att, f_p=self.f_p)
         return RunConfig(
             trial_count=self.trials, master_seed=self.seed, pc=self.pc,
-            alpha=self.alpha, beta=self.beta, noise=self.noise(),
+            alpha=self.alpha, beta=self.beta, noise=noise,
             threads=self.threads, truncation=self.truncation,
         )
 
@@ -126,14 +152,22 @@ class CliConfig:
         return "csv" if self.command.startswith("curves") else "json"
 
 
-_FIELD_PARSERS = {
-    "pc": float, "chi": float, "eta_d": float, "p_dc": float, "l0": float,
-    "l_att": float, "f_p": float, "trials": int, "seed": int,
-    "truncation": int, "threads": int, "efficiency": float,
-    "eta_prime": float, "t_min": float, "t_max": float, "points": int,
-    "eta_min": float, "eta_max": float, "output": str, "format": str,
-    "alpha": parse_amplitude, "beta": parse_amplitude, "t_list": parse_float_list,
+# (parse, render) for each parameter, keyed by the type of its default
+_CODECS = {
+    float: (float, repr),
+    int: (int, repr),
+    str: (str, str),
+    complex: (parse_amplitude, render_amplitude),
+    tuple: (parse_float_list, lambda ts: ";".join(repr(t) for t in ts)),
 }
+_PARAMS = {
+    f.name: _CODECS[type(f.default)] for f in dataclasses.fields(CliConfig)
+    if f.name != "command"
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -141,14 +175,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dfsmem",
         description="decoherence-free atomic-ensemble quantum memory simulator",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="key=value parameter file")
-        for field in _FIELD_PARSERS:
-            flag = "--" + field.replace("_", "-")
-            p.add_argument(flag, dest=field, default=None, type=str)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="key=value parameter file")
+    for name in _PARAMS:
+        parser.add_argument(_flag(name), dest=name)
     return parser
+
+
+_PARSER = _build_parser()  # built once, at import: a build costs about ten parses
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -163,7 +197,7 @@ def _load_config_file(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{line_no}: expected key=value")
                 key, value = line.split("=", 1)
                 key = key.strip().replace("-", "_")
-                if key not in _FIELD_PARSERS:
+                if key not in _PARAMS:
                     raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
                 values[key] = value.strip()
     except OSError as exc:
@@ -171,74 +205,35 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _validate(cfg: CliConfig) -> CliConfig:
-    if not 0.0 <= cfg.pc < 0.5:
-        raise ConfigError(f"pc={cfg.pc} outside [0, 0.5)")
-    for name in ("chi", "eta_d", "efficiency"):
-        v = getattr(cfg, name)
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(f"{name}={v} outside [0, 1]")
-    if not 0.0 <= cfg.p_dc < 1.0:
-        raise ConfigError(f"p_dc={cfg.p_dc} outside [0, 1)")
-    if cfg.l_att <= 0 or cfg.f_p <= 0:
-        raise ConfigError("l_att and f_p must be positive")
-    if cfg.trials < 0 or cfg.points < 1 or cfg.threads < 1:
-        raise ConfigError("trials/points/threads out of range")
-    if cfg.truncation < 3:
-        raise ConfigError("truncation must be >= 3")
-    if not 0.0 < cfg.eta_prime <= 1.0:
-        raise ConfigError(f"eta_prime={cfg.eta_prime} outside (0, 1]")
-    if cfg.t_min <= 0 or cfg.t_max < cfg.t_min:
-        raise ConfigError("need 0 < t_min <= t_max")
-    if not 0.0 < cfg.eta_min <= cfg.eta_max <= 1.0:
-        raise ConfigError("need 0 < eta_min <= eta_max <= 1")
-    if any(t <= 0 for t in cfg.t_list):
-        raise ConfigError("t_list entries must be positive")
-    if cfg.resolved_format() not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {cfg.format!r}")
-    total = abs(cfg.alpha) ** 2 + abs(cfg.beta) ** 2
-    if abs(total - 1.0) > NORMALIZATION_GUARD:
-        raise ConfigError(f"(alpha, beta) not normalized: |a|^2+|b|^2 = {total}")
-    if abs(total - 1.0) > 1e-12:
-        norm = math.sqrt(total)
-        cfg = dataclasses.replace(cfg, alpha=cfg.alpha / norm, beta=cfg.beta / norm)
-    return cfg
-
-
 def parse_config(argv: list[str]) -> CliConfig:
-    """Resolve defaults < config file < flags into a validated CliConfig."""
-    ns = _build_parser().parse_args(argv)
-    values: dict[str, object] = {}
+    """Resolve defaults < DFS_SIM_SEED < config file < flags into a validated
+    CliConfig; any bad value raises ConfigError."""
+    ns = _PARSER.parse_args(argv)
+    texts: dict[str, str] = {}
+    if DEFAULT_SEED_ENV in os.environ:
+        texts["seed"] = os.environ[DEFAULT_SEED_ENV]
     if ns.config:
-        for key, raw in _load_config_file(ns.config).items():
-            values[key] = _FIELD_PARSERS[key](raw)
-    for fieldname, parse in _FIELD_PARSERS.items():
-        raw = getattr(ns, fieldname)
-        if raw is not None:
-            try:
-                values[fieldname] = parse(raw)
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"bad value for --{fieldname}: {exc}") from None
-    return _validate(CliConfig(command=ns.command, **values))
+        texts.update(_load_config_file(ns.config))
+    texts.update((k, v) for k, v in vars(ns).items() if k in _PARAMS and v is not None)
+    values: dict[str, object] = {}
+    for name, text in texts.items():
+        try:
+            values[name] = _PARAMS[name][0](text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {name}: {exc}") from None
+    try:
+        return CliConfig(command=ns.command, **values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def render_args(cfg: CliConfig) -> list[str]:
     """Flags that parse back to an equal config (round-trip inverse)."""
     args = [cfg.command]
-    for fieldname in _FIELD_PARSERS:
-        value = getattr(cfg, fieldname)
-        flag = "--" + fieldname.replace("_", "-")
-        if fieldname in ("alpha", "beta"):
-            args += [flag, render_amplitude(value)]
-        elif fieldname == "t_list":
-            args += [flag, ";".join(repr(t) for t in value)]
-        elif fieldname in ("output", "format"):
-            if value:
-                args += [flag, value]
-        else:
-            args += [flag, repr(value)]
+    for name, (_, render) in _PARAMS.items():
+        value = getattr(cfg, name)
+        if value != "":  # an empty output/format means "derive it"
+            args += [_flag(name), render(value)]
     return args
 
 
@@ -409,21 +404,13 @@ def run(cfg: CliConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if (
-        DEFAULT_SEED_ENV in os.environ
-        and argv
-        and argv[0] in COMMANDS
-        and not any(a.startswith("--seed") for a in argv)
-    ):
-        argv += ["--seed", os.environ[DEFAULT_SEED_ENV]]
     try:
-        cfg = parse_config(argv)
+        cfg = parse_config(sys.argv[1:] if argv is None else argv)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:  # argparse rejection (unknown flag, bad command)
-        return int(exc.code) if exc.code else 2
+    except SystemExit as exc:  # --help (0) or argparse rejection (2)
+        return int(exc.code or 0)
     try:
         return run(cfg)
     except ConfigError as exc:

@@ -397,7 +397,7 @@ def born_probabilities(
     probs: dict[tuple[int, ...], float] = {}
     for pattern, a in state.items():
         key = tuple(pattern[i] for i in idx)
-        probs[key] = probs.get(key, 0.0) + a.real * a.real + a.imag * a.imag
+        probs[key] = probs.get(key, 0.0) + (a.real * a.real + a.imag * a.imag)
     return probs
 
 
@@ -409,7 +409,7 @@ def split_by_pattern(
     Returns pattern -> (probability, normalized component restricted to
     ``keep``): the numbers :func:`project_occupation` on each mode followed
     by :func:`restrict_state` gives, for every pattern
-    :func:`born_probabilities` lists (its sums agree up to the last bit).
+    :func:`born_probabilities` lists.
     """
     reg = state.registry
     idx = [reg.index(m) for m in modes]

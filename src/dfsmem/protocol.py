@@ -365,8 +365,8 @@ def write_events(
     heralded state this is the heralded write; fed :func:`entangled_state`
     it is the raw per-round event table.
     """
-    analyzed = bsm(encode_spatial(state, alpha, beta, setup), setup)
-    return split_by_pattern(analyzed.state, setup.detectors, setup.atomic_registry)
+    analyzed = apply_elements(encode_spatial(state, alpha, beta, setup), setup.bsm_elements())
+    return split_by_pattern(analyzed, setup.detectors, setup.atomic_registry)
 
 
 @dataclass(frozen=True)

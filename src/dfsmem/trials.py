@@ -83,8 +83,12 @@ class RunConfig:
     records_csv: str | None = None
 
     def __post_init__(self):
+        # the run has one pc: NoiseParams carries (and range-checks) the run's
+        object.__setattr__(self, "noise", dataclasses.replace(self.noise, pc=self.pc))
         if self.trial_count < 0:
             raise ValueError("trial_count must be >= 0")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.truncation < 3:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dfsmem.cli import (
+    COMMANDS,
     CliConfig,
     ConfigError,
     main,
@@ -53,6 +54,40 @@ def test_main_exit_codes_for_bad_config(tmp_path):
     assert main(["teleport", "--beta", "2,0"]) == 2
     assert main(["teleport", "--no-such-flag", "1"]) == 2
     assert main(["teleport", "--pc", "0.9"]) == 2
+
+
+CONFIG_MISTAKES = [
+    pytest.param(["--l0=-1"], None, id="l0"),
+    pytest.param(["--pc", "0.7"], None, id="pc"),
+    pytest.param(["--trials", "-1"], None, id="trials"),
+    pytest.param(["--seed", "-1"], None, id="seed"),
+    pytest.param(["--truncation", "2"], None, id="truncation"),
+    pytest.param(["--threads", "0"], None, id="threads"),
+    pytest.param(["--points", "0"], None, id="points"),
+    pytest.param(["--format", "xml"], None, id="format"),
+    pytest.param([], "12.5", id="env-seed"),
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("flags, env_seed", CONFIG_MISTAKES)
+def test_every_config_mistake_exits_2(command, flags, env_seed, tmp_path, monkeypatch):
+    monkeypatch.delenv("DFS_SIM_SEED", raising=False)
+    if env_seed is not None:
+        monkeypatch.setenv("DFS_SIM_SEED", env_seed)
+    out = tmp_path / "out"
+    assert main([command, "--trials", "10", "--output", str(out), *flags]) == 2
+    assert not out.exists()
+
+
+def test_seed_precedence(tmp_path, monkeypatch):
+    monkeypatch.setenv("DFS_SIM_SEED", "31415")
+    conf = tmp_path / "seed.conf"
+    conf.write_text("seed=7\n")
+    assert parse_config(["teleport"]).seed == 31415
+    assert parse_config(["teleport", "--config", str(conf)]).seed == 7
+    # flags win over both, and may come before the command
+    assert parse_config(["--seed", "9", "teleport", "--config", str(conf)]).seed == 9
 
 
 def test_main_exit_code_on_simulation_failure(tmp_path):

@@ -149,6 +149,21 @@ def test_bsm_uniform_outcomes_for_teleport_input():
             assert result.single_click_probability(k) == pytest.approx(0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("pc", [0.01, 0.1, 0.2])
+def test_bsm_table_equals_write_branch_probabilities_exactly(pc):
+    # complex amplitudes: both Born sums must add |a|^2 as one term
+    alpha = 0.5 * cmath.exp(1j * math.radians(30))
+    beta = 0.8660254037844386 * cmath.exp(1j * math.radians(-70))
+    setup = build_write_setup()
+    heralded, _ = generate_entanglement(pc, setup)
+    table = bsm(encode_spatial(heralded, alpha, beta, setup), setup)
+    branches = write_branches(alpha, beta, pc, setup)
+    outcomes = (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS,
+                BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
+    for k, outcome in enumerate(outcomes):
+        assert table.single_click_probability(k) == branches[outcome].probability
+
+
 def test_bsm_photons_only_reach_click_modes():
     setup = build_write_setup()
     rng = np.random.default_rng(8)

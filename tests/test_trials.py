@@ -24,6 +24,13 @@ def test_detector_spec_validation():
         DetectorSpec(efficiency=0.5, dark_prob=1.0)
 
 
+def test_run_config_ties_noise_pc_to_run_pc():
+    assert RunConfig(10, 1, pc=0.02, noise=NoiseParams(pc=0.01)).noise.pc == 0.02
+    # the noise model range-checks the run's pc, not the one it was built with
+    with pytest.raises(ValueError, match="pc=0.7"):
+        run_write_trials(RunConfig(10, 1, pc=0.7, noise=NoiseParams(pc=0.01)))
+
+
 def test_thinning_consistency_every_detector():
     # closed form 1 - (1 - eta)^n (1 - p_dark) equals Bernoulli thinning of
     # n photons OR-ed with a dark count, summed over the binomial outcomes
