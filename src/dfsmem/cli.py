@@ -126,6 +126,9 @@ class CliConfig:
             raise ValueError("t_list entries must be positive")
         if self.resolved_format() not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.format!r}")
+        directory = os.path.dirname(self.output_path()) or "."
+        if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+            raise ValueError(f"output directory {directory!r} is missing or not writable")
         total = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(total - 1.0) > NORMALIZATION_GUARD:
             raise ValueError(f"(alpha, beta) not normalized: |a|^2+|b|^2 = {total}")

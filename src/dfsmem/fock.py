@@ -239,12 +239,26 @@ def vacuum(registry: ModeRegistry) -> PureState:
     return PureState(registry, {registry.zero_pattern(): 1.0})
 
 
+def superposition(
+    registry: ModeRegistry, terms: Iterable[tuple[Mapping[ModeLabel, int], complex]]
+) -> PureState:
+    """sum_k c_k |occupations_k> for (occupations_k, c_k) terms, unnormalized.
+
+    Unlisted modes are empty, and a repeated occupation adds its amplitudes.
+    """
+    table: dict[tuple[int, ...], complex] = {}
+    for occupations, amplitude in terms:
+        pattern = list(registry.zero_pattern())
+        for label, n in occupations.items():
+            pattern[registry.index(label)] = n
+        key = tuple(pattern)
+        table[key] = table.get(key, 0j) + amplitude
+    return PureState(registry, table)
+
+
 def basis_state(registry: ModeRegistry, occupations: Mapping[ModeLabel, int]) -> PureState:
     """Occupation eigenstate with the given per-mode counts (zero elsewhere)."""
-    pattern = list(registry.zero_pattern())
-    for label, n in occupations.items():
-        pattern[registry.index(label)] = n
-    return PureState(registry, {tuple(pattern): 1.0})
+    return superposition(registry, [(occupations, 1.0)])
 
 
 def apply_creation(state: PureState, mode: ModeLabel) -> PureState:

@@ -23,22 +23,19 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .fock import (
     MixedState,
     ModeLabel,
     PureState,
-    apply_unitary,
+    apply_elements,
     embed_state,
     fidelity_mixed,
     photon_mode,
-    project_occupation,
     project_total_occupation,
     register_modes,
-    restrict_state,
+    split_by_pattern,
 )
-from .optics import OpticalElement, check_amplitude_pair
+from .optics import check_amplitude_pair, loss_coupler
 
 WEIGHT_TOL = 1e-12
 
@@ -160,32 +157,23 @@ def dF_vs_eta(
 
 
 def apply_loss(
-    state: PureState | MixedState, mode: ModeLabel, survival: float
+    state: PureState, modes: Sequence[ModeLabel], survival: float
 ) -> MixedState:
-    """Photon loss on one mode via a beam splitter to a traced-out sink.
+    """Photon loss on each listed mode via a beam splitter to its own sink.
 
-    The mode is coupled to a fresh vacuum mode with transmissivity
-    sqrt(survival); the sink's occupation branches are then enumerated and
-    collected as mixture components. Trace (total weight) is preserved.
+    Every mode is coupled to a fresh vacuum sink mode with transmissivity
+    sqrt(survival) (:func:`dfsmem.optics.loss_coupler`), all couplers are
+    lifted on one enlarged registry, and the sinks are traced out in one
+    split: each sink occupation pattern is a mixture component, in sorted
+    pattern order, on the input registry. Trace (total weight) is preserved.
     """
-    if not 0.0 <= survival <= 1.0:
-        raise ValueError(f"survival {survival} outside [0, 1]")
-    components = state.components if isinstance(state, MixedState) else ((1.0, state),)
-    registry = components[0][1].registry
-    sink = photon_mode("loss-sink", "H", f"of-{registry.index(mode)}")
-    big = register_modes(list(registry.labels) + [sink], registry.d)
-    t = math.sqrt(survival)
-    r = math.sqrt(1.0 - survival)
-    coupler = OpticalElement("loss_coupler", (mode, sink), np.array([[t, -r], [r, t]]))
-    out: list[tuple[float, PureState]] = []
-    for w, s in components:
-        lossy = apply_unitary(embed_state(s, big), coupler)
-        for k in range(big.d):
-            branch, prob = project_occupation(lossy, sink, k)
-            if prob <= 0.0:
-                continue
-            out.append((w * prob, restrict_state(branch.normalize(), registry)))
-    return MixedState(tuple(out))
+    registry = state.registry
+    sinks = [photon_mode("loss-sink", "H", f"of-{registry.index(m)}") for m in modes]
+    couplers = [loss_coupler(m, sink, survival) for m, sink in zip(modes, sinks)]
+    big = register_modes(list(registry.labels) + sinks, registry.d)
+    lossy = apply_elements(embed_state(state, big), couplers)
+    events = split_by_pattern(lossy, sinks, registry)
+    return MixedState(tuple(events[pattern] for pattern in sorted(events)))
 
 
 @dataclass(frozen=True)
@@ -233,9 +221,8 @@ def end_to_end_fidelity(
     params = dataclasses.replace(noise, pc=pc)
     setup = build_write_setup()
     state = entangled_state(pc, setup)
-    survive = params.channel_survival
-    mixed = apply_loss(state, setup.photon("H", "fiber"), survive)
-    mixed = apply_loss(mixed, setup.photon("V", "fiber"), survive)
+    fibers = [setup.photon("H", "fiber"), setup.photon("V", "fiber")]
+    mixed = apply_loss(state, fibers, params.channel_survival)
 
     outputs = setup.output_modes()
     atomic_idx = (setup.registry.index(setup.s_l), setup.registry.index(setup.s_r))

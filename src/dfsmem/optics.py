@@ -74,10 +74,24 @@ def hwp(mode_h: ModeLabel, mode_v: ModeLabel) -> OpticalElement:
     return OpticalElement("hwp", (mode_h, mode_v), m)
 
 
+def swap(name: str, mode_a: ModeLabel, mode_b: ModeLabel) -> OpticalElement:
+    """Exchange the contents of two modes, named for the step it models."""
+    return OpticalElement(name, (mode_a, mode_b), np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
 def pol_rotator(mode_h: ModeLabel, mode_v: ModeLabel) -> OpticalElement:
     """90-degree polarization rotator: swaps the H and V amplitudes."""
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return OpticalElement("pol_rotator", (mode_h, mode_v), m)
+    return swap("pol_rotator", mode_h, mode_v)
+
+
+def loss_coupler(mode: ModeLabel, sink: ModeLabel, survival: float) -> OpticalElement:
+    """Beam splitter of transmissivity sqrt(survival) from ``mode`` into a
+    vacuum ``sink``; tracing the sink out leaves the lossy channel."""
+    if not 0.0 <= survival <= 1.0:
+        raise ValueError(f"survival {survival} outside [0, 1]")
+    t = math.sqrt(survival)
+    r = math.sqrt(1.0 - survival)
+    return OpticalElement("loss_coupler", (mode, sink), np.array([[t, -r], [r, t]]))
 
 
 def mz_split(

@@ -38,16 +38,16 @@ from .fock import (
     apply_elements,
     apply_unitary,
     atomic_mode,
-    basis_state,
     born_probabilities,
     embed_state,
     photon_mode,
     product_state,
-    project_occupation,
     project_total_occupation,
     register_modes,
     split_by_pattern,
+    superposition,
 )
+from .noise import apply_loss
 from .optics import (
     bs50,
     check_amplitude_pair,
@@ -57,6 +57,7 @@ from .optics import (
     phase_shifter,
     pol_rotator,
     qwp,
+    swap,
 )
 
 
@@ -128,14 +129,7 @@ class LogicalQubitMap:
     def logical_state(
         self, registry: ModeRegistry, alpha: complex, beta: complex
     ) -> PureState:
-        zero = basis_state(registry, {self.right: 1})
-        one = basis_state(registry, {self.left: 1})
-        table: dict[tuple[int, ...], complex] = {}
-        for p, a in zero.items():
-            table[p] = table.get(p, 0j) + alpha * a
-        for p, a in one.items():
-            table[p] = table.get(p, 0j) + beta * a
-        return PureState(registry, table)
+        return superposition(registry, [({self.right: 1}, alpha), ({self.left: 1}, beta)])
 
 
 def apply_logical_pauli(
@@ -145,15 +139,13 @@ def apply_logical_pauli(
     tracked (the mark is classical side information)."""
     if mark is PauliMark.I:
         return state
-    swap = OpticalElement(
-        "logical_x", (qmap.left, qmap.right), np.array([[0.0, 1.0], [1.0, 0.0]])
-    )
+    x = swap("logical_x", qmap.left, qmap.right)
     flip = phase_shifter([qmap.left], [math.pi])  # (-1)^(n_left): sign on |1>
     if mark is PauliMark.X:
-        return apply_unitary(state, swap)
+        return apply_unitary(state, x)
     if mark is PauliMark.Z:
         return apply_unitary(state, flip)
-    return apply_unitary(apply_unitary(state, swap), flip)  # ZX: X then Z
+    return apply_unitary(apply_unitary(state, x), flip)  # ZX: X then Z
 
 
 # ---------------------------------------------------------------------------
@@ -255,22 +247,15 @@ def joint_emission_state(
     right, m + n <= max_total; higher joint orders carry probability below
     pc^(max_total+1) and are outside the modeled order.
     """
-    reg = setup.registry
-    i_sl = reg.index(setup.s_l)
-    i_sr = reg.index(setup.s_r)
-    i_pl = reg.index(setup.photon("Rcirc", "arm-L"))
-    i_pr = reg.index(setup.photon("Rcirc", "arm-R"))
-    zero = reg.zero_pattern()
-    amp: dict[tuple[int, ...], complex] = {}
-    for m in range(min(max_total, reg.d - 1) + 1):
-        for n in range(min(max_total - m, reg.d - 1) + 1):
-            pattern = list(zero)
-            pattern[i_sl] = m
-            pattern[i_pl] = m
-            pattern[i_sr] = n
-            pattern[i_pr] = n
-            amp[tuple(pattern)] = pc ** ((m + n) / 2.0)
-    return PureState(reg, amp).normalize()
+    top = setup.d - 1
+    p_l = setup.photon("Rcirc", "arm-L")
+    p_r = setup.photon("Rcirc", "arm-R")
+    terms = [
+        ({setup.s_l: m, p_l: m, setup.s_r: n, p_r: n}, pc ** ((m + n) / 2.0))
+        for m in range(min(max_total, top) + 1)
+        for n in range(min(max_total - m, top) + 1)
+    ]
+    return superposition(setup.registry, terms).normalize()
 
 
 def entangled_state(pc: float, setup: WriteSetup) -> PureState:
@@ -302,16 +287,10 @@ def generate_entanglement(
 def ideal_entangled_state(setup: WriteSetup | None = None) -> PureState:
     """The target one-photon atom-photon state: (|H>|1>_a + |V>|0>_a)/sqrt(2)."""
     setup = setup or build_write_setup()
-    h_branch = basis_state(
-        setup.registry, {setup.s_l: 1, setup.photon("H", "fiber"): 1}
-    )
-    v_branch = basis_state(
-        setup.registry, {setup.s_r: 1, setup.photon("V", "fiber"): 1}
-    )
-    table = {p: a / math.sqrt(2) for p, a in h_branch.items()}
-    for p, a in v_branch.items():
-        table[p] = table.get(p, 0j) + a / math.sqrt(2)
-    return PureState(setup.registry, table)
+    return superposition(setup.registry, [
+        ({setup.s_l: 1, setup.photon("H", "fiber"): 1}, 1 / math.sqrt(2)),
+        ({setup.s_r: 1, setup.photon("V", "fiber"): 1}, 1 / math.sqrt(2)),
+    ])
 
 
 def encode_spatial(
@@ -326,11 +305,11 @@ def encode_spatial(
     modes must start empty.
     """
     setup = setup or build_write_setup()
-    for pol in ("H", "V"):
-        for spot in ("path-a", "path-b"):
-            _, p_vac = project_occupation(state, setup.photon(pol, spot), 0)
-            if abs(p_vac - state.norm_squared()) > 1e-9:
-                raise ValueError("spatial target modes are not empty")
+    paths = [setup.photon(pol, spot) for pol in ("H", "V") for spot in ("path-a", "path-b")]
+    weights = born_probabilities(state, paths)  # one pass over the support
+    for k in range(len(paths)):
+        if sum(w for pattern, w in weights.items() if pattern[k]) > 1e-9:
+            raise ValueError("spatial target modes are not empty")
     return apply_elements(state, setup.encode_elements(alpha, beta))
 
 
@@ -491,6 +470,14 @@ class ReadSetup:
             ph("H", "out"), ph("V", "out"), ph("H", "spill"), ph("V", "spill"),
         )
 
+    def read_elements(self) -> list[OpticalElement]:
+        """Lossless retrieval of both ensembles, then the recombining PBS."""
+        return [
+            swap("retrieval_swap", self.s_l, self.photon("H", "read-L")),
+            swap("retrieval_swap", self.s_r, self.photon("V", "read-R")),
+            self.recombine(),
+        ]
+
 
 @lru_cache(maxsize=8)
 def build_read_setup(d: int = 3) -> ReadSetup:
@@ -498,41 +485,33 @@ def build_read_setup(d: int = 3) -> ReadSetup:
 
 
 def read_memory(record: TrialRecord, retrieval_efficiency: float) -> MixedState:
-    """Retrieve both ensembles, recombine on the PBS, apply the stored mark.
+    """Retrieve both ensembles, recombine on the PBS, apply the stored mark,
+    and lose the photon with probability 1 - ``retrieval_efficiency``.
 
     At unit efficiency the output polarization qubit on the ``out`` port is
     alpha|V> + beta|H> for a stored alpha|0> + beta|1>; below unit efficiency
     the excitation survives with the given probability and is otherwise
-    replaced by vacuum.
+    replaced by vacuum. The state is lifted through
+    :meth:`ReadSetup.read_elements` once and traced once by
+    :func:`dfsmem.noise.apply_loss`.
     """
-    from .source import retrieve
-
     if not record.success:
         raise ValueError("cannot read an unsuccessful write record")
     setup = build_read_setup(record.atomic_state.registry.d)
-    state = embed_state(record.atomic_state, setup.registry)
-    mixed = retrieve(state, setup.s_l, setup.photon("H", "read-L"), retrieval_efficiency)
-    mixed = retrieve(mixed, setup.s_r, setup.photon("V", "read-R"), retrieval_efficiency)
-    recombine = setup.recombine()
-    out = []
-    for w, s in mixed.components:
-        s = apply_unitary(s, recombine)
-        s = apply_logical_pauli(s, record.mark, setup.out_logical)
-        out.append((w, s))
-    return MixedState(tuple(out))
+    state = apply_elements(
+        embed_state(record.atomic_state, setup.registry), setup.read_elements()
+    )
+    state = apply_logical_pauli(state, record.mark, setup.out_logical)
+    # Retrieval loss may act last: the PBS maps read-L H and read-R V one to
+    # one onto out H and out V, and every mark commutes with equal loss on
+    # that pair (X swaps the two modes, Z is a phase).
+    return apply_loss(state, [setup.out_h, setup.out_v], retrieval_efficiency)
 
 
 def read_target(alpha: complex, beta: complex, setup: ReadSetup | None = None) -> PureState:
     """The ideal read-out photon: alpha|V> + beta|H> on the output port."""
     setup = setup or build_read_setup()
-    v = basis_state(setup.registry, {setup.out_v: 1})
-    h = basis_state(setup.registry, {setup.out_h: 1})
-    table: dict[tuple[int, ...], complex] = {}
-    for p, a in v.items():
-        table[p] = alpha * a
-    for p, a in h.items():
-        table[p] = table.get(p, 0j) + beta * a
-    return PureState(setup.registry, table)
+    return superposition(setup.registry, [({setup.out_v: 1}, alpha), ({setup.out_h: 1}, beta)])
 
 
 def photon_present_probability(state: MixedState, modes: Sequence[ModeLabel]) -> float:
@@ -574,6 +553,18 @@ class RemoteSetup:
         self.detectors = (self.p_i1, self.p_l1, self.p_i2, self.p_l2)
         self.r_registry = register_modes([self.r1, self.r2], d)
         self.r_logical = LogicalQubitMap(left=self.r1, right=self.r2)
+
+    def transfer_elements(self) -> list[OpticalElement]:
+        """Lossless retrieval of the four near ensembles, then the two
+        balanced splitters."""
+        return [
+            swap("retrieval_swap", self.i1, self.p_i1),
+            swap("retrieval_swap", self.l1, self.p_l1),
+            swap("retrieval_swap", self.i2, self.p_i2),
+            swap("retrieval_swap", self.l2, self.p_l2),
+            bs50(self.p_i1, self.p_l1),
+            bs50(self.p_i2, self.p_l2),
+        ]
 
 
 @lru_cache(maxsize=8)
@@ -628,36 +619,13 @@ def remote_transfer(
     fixed by the click parity.
     """
     check_amplitude_pair(alpha, beta)
-    from .source import retrieve
-
     setup = setup or build_remote_setup()
-    reg = setup.registry
-    sender = PureState(
-        reg,
-        {
-            tuple(basis_state(reg, {setup.i2: 1}).support()[0]): alpha,
-            tuple(basis_state(reg, {setup.i1: 1}).support()[0]): beta,
-        },
-    )
-    resource = PureState(
-        reg,
-        {
-            tuple(basis_state(reg, {setup.l1: 1, setup.r2: 1}).support()[0]): 1 / math.sqrt(2),
-            tuple(basis_state(reg, {setup.l2: 1, setup.r1: 1}).support()[0]): 1 / math.sqrt(2),
-        },
-    )
-    state = product_state(sender, resource)
-    for atom, phot in (
-        (setup.i1, setup.p_i1),
-        (setup.l1, setup.p_l1),
-        (setup.i2, setup.p_i2),
-        (setup.l2, setup.p_l2),
-    ):
-        mixed = retrieve(state, atom, phot, 1.0)
-        (weight, state), = mixed.components
-    state = apply_unitary(state, bs50(setup.p_i1, setup.p_l1))
-    state = apply_unitary(state, bs50(setup.p_i2, setup.p_l2))
-
+    sender = superposition(setup.registry, [({setup.i2: 1}, alpha), ({setup.i1: 1}, beta)])
+    resource = superposition(setup.registry, [
+        ({setup.l1: 1, setup.r2: 1}, 1 / math.sqrt(2)),
+        ({setup.l2: 1, setup.r1: 1}, 1 / math.sqrt(2)),
+    ])
+    state = apply_elements(product_state(sender, resource), setup.transfer_elements())
     events = split_by_pattern(state, setup.detectors, setup.r_registry)
     pattern_probs = {pattern: prob for pattern, (prob, _) in events.items()}
     branches: dict[tuple[int, ...], RemoteBranch] = {}

@@ -13,17 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fock import (
     MixedState,
     ModeLabel,
     ModeRegistry,
-    OpticalElement,
     PureState,
     apply_unitary,
     project_occupation,
+    superposition,
 )
+from .noise import apply_loss
+from .optics import swap
 
 
 @dataclass(frozen=True)
@@ -75,50 +75,33 @@ def dualrail_emit(
     """
     if not 0.0 <= pc < 1.0:
         raise ValueError(f"pc={pc} outside [0, 1)")
-    zero = registry.zero_pattern()
-
-    def one(atom: ModeLabel, phot: ModeLabel) -> tuple[int, ...]:
-        pattern = list(zero)
-        pattern[registry.index(atom)] = 1
-        pattern[registry.index(phot)] = 1
-        return tuple(pattern)
-
+    v_branch = {atomic0: 1, photon_v: 1}
+    h_branch = {atomic1: 1, photon_h: 1}
     branch = 1.0 / math.sqrt(2.0)
     if heralded:
-        amp = {one(atomic0, photon_v): branch, one(atomic1, photon_h): branch}
-        return PureState(registry, amp)
-    amp = {
-        zero: math.sqrt(1.0 - pc),
-        one(atomic0, photon_v): math.sqrt(pc) * branch,
-        one(atomic1, photon_h): math.sqrt(pc) * branch,
-    }
-    return PureState(registry, amp)
+        return superposition(registry, [(v_branch, branch), (h_branch, branch)])
+    return superposition(registry, [
+        ({}, math.sqrt(1.0 - pc)),
+        (v_branch, math.sqrt(pc) * branch),
+        (h_branch, math.sqrt(pc) * branch),
+    ])
 
 
 def retrieve(
-    state: PureState | MixedState,
+    state: PureState,
     atomic: ModeLabel,
     anti_stokes: ModeLabel,
     efficiency: float,
 ) -> MixedState:
     """Convert a stored collective excitation into an anti-Stokes photon.
 
-    Swaps the atomic occupation onto the (initially empty) anti-Stokes mode,
-    then passes it through a loss channel with the given survival
-    probability. Returns the resulting ensemble.
+    Swaps the atomic occupation onto the anti-Stokes mode, which must start
+    in vacuum, then passes it through a loss channel with the given survival
+    probability (:func:`dfsmem.noise.apply_loss`). Returns the resulting
+    ensemble.
     """
-    from .noise import apply_loss  # late import, noise builds on this module's types
-
-    if not 0.0 <= efficiency <= 1.0:
-        raise ValueError(f"efficiency {efficiency} outside [0, 1]")
-    components = state.components if isinstance(state, MixedState) else ((1.0, state),)
-    swap = OpticalElement(
-        "retrieval_swap", (atomic, anti_stokes), np.array([[0.0, 1.0], [1.0, 0.0]])
-    )
-    swapped = []
-    for w, s in components:
-        _, p_vac = project_occupation(s, anti_stokes, 0)
-        if abs(p_vac - 1.0) > 1e-9:
-            raise ValueError(f"anti-Stokes mode {anti_stokes} is not in vacuum")
-        swapped.append((w, apply_unitary(s, swap)))
-    return apply_loss(MixedState(tuple(swapped)), anti_stokes, efficiency)
+    _, p_vac = project_occupation(state, anti_stokes, 0)
+    if abs(p_vac - 1.0) > 1e-9:
+        raise ValueError(f"anti-Stokes mode {anti_stokes} is not in vacuum")
+    swapped = apply_unitary(state, swap("retrieval_swap", atomic, anti_stokes))
+    return apply_loss(swapped, [anti_stokes], efficiency)

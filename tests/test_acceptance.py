@@ -12,15 +12,20 @@ from dfsmem.fock import (
     PureState,
     apply_unitary,
     basis_state,
+    embed_state,
     fidelity_pure,
+    photon_mode,
     product_state,
+    register_modes,
+    superposition,
 )
 from dfsmem.noise import NoiseParams, end_to_end_fidelity
-from dfsmem.optics import bs50, phase_shifter
+from dfsmem.optics import loss_coupler, phase_shifter
 from dfsmem.protocol import (
     BellOutcome,
     apply_logical_pauli,
     bsm,
+    build_read_setup,
     build_remote_setup,
     build_write_setup,
     joint_emission_state,
@@ -30,8 +35,6 @@ from dfsmem.protocol import (
 from dfsmem.trials import RunConfig, oracle_check, run_remote_trials
 from dfsmem.cli import main
 from dense_oracle import sparse_vs_dense
-
-from dfsmem.fock import OpticalElement
 
 
 def random_qubit(rng) -> tuple[complex, complex]:
@@ -200,54 +203,27 @@ def test_criterion_7_oracle_equivalence():
             worst = max(worst, sparse_vs_dense(state, el))
             state = apply_unitary(state, el)
 
+    # the remote and read networks exactly as remote_transfer and
+    # read_memory lift them, then one loss coupler into a sink mode
     remote = build_remote_setup()
-    sender = PureState(
-        remote.registry,
-        {
-            basis_state(remote.registry, {remote.i2: 1}).support()[0]: 0.6,
-            basis_state(remote.registry, {remote.i1: 1}).support()[0]: 0.8,
-        },
-    )
-    resource = PureState(
-        remote.registry,
-        {
-            basis_state(remote.registry, {remote.l1: 1, remote.r2: 1}).support()[0]: 1 / math.sqrt(2),
-            basis_state(remote.registry, {remote.l2: 1, remote.r1: 1}).support()[0]: 1 / math.sqrt(2),
-        },
-    )
+    sender = superposition(remote.registry, [({remote.i2: 1}, 0.6), ({remote.i1: 1}, 0.8)])
+    resource = superposition(remote.registry, [
+        ({remote.l1: 1, remote.r2: 1}, 1 / math.sqrt(2)),
+        ({remote.l2: 1, remote.r1: 1}, 1 / math.sqrt(2)),
+    ])
     state = product_state(sender, resource)
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    remote_elements = [
-        OpticalElement("swap_i1", (remote.i1, remote.p_i1), swap),
-        OpticalElement("swap_l1", (remote.l1, remote.p_l1), swap),
-        OpticalElement("swap_i2", (remote.i2, remote.p_i2), swap),
-        OpticalElement("swap_l2", (remote.l2, remote.p_l2), swap),
-        bs50(remote.p_i1, remote.p_l1),
-        bs50(remote.p_i2, remote.p_l2),
-    ]
-    for el in remote_elements:
+    for el in remote.transfer_elements():
         worst = max(worst, sparse_vs_dense(state, el))
         state = apply_unitary(state, el)
-
-    from dfsmem.protocol import build_read_setup
 
     read = build_read_setup()
-    stored = PureState(
-        read.registry,
-        {
-            basis_state(read.registry, {read.s_r: 1}).support()[0]: 0.6,
-            basis_state(read.registry, {read.s_l: 1}).support()[0]: 0.8,
-        },
-    )
-    read_elements = [
-        OpticalElement("swap_l", (read.s_l, read.photon("H", "read-L")), swap),
-        OpticalElement("swap_r", (read.s_r, read.photon("V", "read-R")), swap),
-        read.recombine(),
-    ]
-    state = stored
-    for el in read_elements:
+    state = superposition(read.registry, [({read.s_r: 1}, 0.6), ({read.s_l: 1}, 0.8)])
+    for el in read.read_elements():
         worst = max(worst, sparse_vs_dense(state, el))
         state = apply_unitary(state, el)
+    sink = photon_mode("loss-sink", "H", "read-out")
+    lossy = embed_state(state, register_modes(list(read.registry.labels) + [sink], read.d))
+    worst = max(worst, sparse_vs_dense(lossy, loss_coupler(read.out_h, sink, 0.37)))
     assert worst < 1e-12
 
     report = oracle_check(

@@ -65,6 +65,7 @@ CONFIG_MISTAKES = [
     pytest.param(["--threads", "0"], None, id="threads"),
     pytest.param(["--points", "0"], None, id="points"),
     pytest.param(["--format", "xml"], None, id="format"),
+    pytest.param(["--output", "/missing-dir/x.json"], None, id="output"),
     pytest.param([], "12.5", id="env-seed"),
 ]
 

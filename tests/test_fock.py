@@ -25,6 +25,7 @@ from dfsmem.fock import (
     register_modes,
     restrict_state,
     split_by_pattern,
+    superposition,
     vacuum,
 )
 from dense_oracle import random_state, random_unitary, sparse_vs_dense
@@ -189,6 +190,24 @@ def test_born_probabilities_bell_state():
     assert probs[(1, 0, 0, 1)] == pytest.approx(0.5)
     assert probs[(0, 1, 1, 0)] == pytest.approx(0.5)
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_superposition_adds_repeated_occupations():
+    reg = two_mode()
+    state = superposition(reg, [({S_L: 1}, 0.25), ({S_R: 1}, 0.5j), ({S_L: 1}, 0.5)])
+    assert dict(state.items()) == {(1, 0): 0.75, (0, 1): 0.5j}
+
+
+def test_superposition_empty_occupation_is_vacuum():
+    reg = two_mode()
+    assert dict(superposition(reg, [({}, 1.0)]).items()) == dict(vacuum(reg).items())
+
+
+def test_superposition_single_term_is_basis_state():
+    reg = register_modes([S_L, S_R, PH_H], 3)
+    occupations = {S_R: 2, PH_H: 1}
+    state = superposition(reg, [(occupations, 1.0)])
+    assert dict(state.items()) == dict(basis_state(reg, occupations).items())
 
 
 def test_born_probabilities_vacuum():

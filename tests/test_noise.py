@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsmem.fock import (
     MixedState,
@@ -137,7 +140,7 @@ PV = photon_mode("stokes", "V", "line")
 def test_apply_loss_survival_one():
     reg = register_modes([PH, PV], 3)
     state = PureState(reg, {(1, 0): 0.6, (0, 1): 0.8})
-    out = apply_loss(state, PH, 1.0)
+    out = apply_loss(state, [PH], 1.0)
     assert len(out.components) == 1
     assert fidelity_pure(out.components[0][1], state) == pytest.approx(1.0, abs=1e-12)
 
@@ -145,7 +148,7 @@ def test_apply_loss_survival_one():
 def test_apply_loss_single_photon_branching():
     reg = register_modes([PH, PV], 3)
     eta = 0.37
-    out = apply_loss(basis_state(reg, {PH: 1}), PH, eta)
+    out = apply_loss(basis_state(reg, {PH: 1}), [PH], eta)
     weights = {s.support()[0]: w for w, s in out.components}
     assert weights[(1, 0)] == pytest.approx(eta, abs=1e-12)
     assert weights[(0, 0)] == pytest.approx(1 - eta, abs=1e-12)
@@ -155,7 +158,7 @@ def test_apply_loss_two_photon_binomial():
     # independent oracle: n=2 photons thin binomially
     reg = register_modes([PH, PV], 3)
     eta = 0.6
-    out = apply_loss(basis_state(reg, {PH: 2}), PH, eta)
+    out = apply_loss(basis_state(reg, {PH: 2}), [PH], eta)
     weights = {s.support()[0]: w for w, s in out.components}
     assert weights[(2, 0)] == pytest.approx(eta**2, abs=1e-12)
     assert weights[(1, 0)] == pytest.approx(2 * eta * (1 - eta), abs=1e-12)
@@ -165,7 +168,7 @@ def test_apply_loss_two_photon_binomial():
 def test_apply_loss_vacuum_unchanged():
     reg = register_modes([PH, PV], 3)
     for eta in (0.0, 0.4, 1.0):
-        out = apply_loss(vacuum(reg), PH, eta)
+        out = apply_loss(vacuum(reg), [PH], eta)
         assert len(out.components) == 1
         assert fidelity_pure(out.components[0][1], vacuum(reg)) == pytest.approx(1.0)
 
@@ -177,16 +180,52 @@ def test_apply_loss_preserves_trace_and_commutes_with_disjoint_unitaries():
     for _ in range(10):
         state = random_state(reg, rng, max_total=2)
         eta = float(rng.uniform(0.1, 0.95))
-        lost = apply_loss(state, PH, eta)
+        lost = apply_loss(state, [PH], eta)
         assert sum(w for w, _ in lost.components) == pytest.approx(1.0, abs=1e-12)
         el = OpticalElement("disjoint", (PV, other), random_unitary(2, rng))
-        a = apply_loss(apply_unitary(state, el), PH, eta)
+        a = apply_loss(apply_unitary(state, el), [PH], eta)
         b = MixedState(
-            tuple((w, apply_unitary(s, el)) for w, s in apply_loss(state, PH, eta).components)
+            tuple((w, apply_unitary(s, el)) for w, s in apply_loss(state, [PH], eta).components)
         )
         probe = random_state(reg, rng, max_total=2)
         assert fidelity_mixed(a, probe) == pytest.approx(
             fidelity_mixed(b, probe), abs=1e-12
+        )
+
+
+@st.composite
+def _loss_cases(draw):
+    """A random small state, two modes to lose, a survival, and three probes."""
+    k = draw(st.integers(2, 4))
+    d = draw(st.integers(2, 3))
+    labels = [photon_mode("stokes", "H", f"m{i}") for i in range(k)]
+    reg = register_modes(labels, d)
+    basis = list(itertools.product(range(d), repeat=k))
+    part = st.floats(-1.0, 1.0, allow_nan=False).filter(lambda x: abs(x) > 1e-3)
+
+    def random_pure():
+        patterns = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=8, unique=True))
+        return PureState(reg, {p: complex(draw(part), draw(part)) for p in patterns}).normalize()
+
+    modes = draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True))
+    survival = draw(st.floats(0.0, 1.0))
+    return random_pure(), modes, survival, [random_pure() for _ in range(3)]
+
+
+@settings(deadline=None)
+@given(_loss_cases())
+def test_apply_loss_two_modes_equals_mode_by_mode(case):
+    state, (m1, m2), eta, probes = case
+    joint = apply_loss(state, [m1, m2], eta)
+    chained = MixedState(tuple(
+        (w1 * w2, s2)
+        for w1, s1 in apply_loss(state, [m1], eta).components
+        for w2, s2 in apply_loss(s1, [m2], eta).components
+    ))
+    assert sum(w for w, _ in joint.components) == pytest.approx(1.0, abs=1e-12)
+    for probe in probes:
+        assert fidelity_mixed(joint, probe) == pytest.approx(
+            fidelity_mixed(chained, probe), abs=1e-12
         )
 
 

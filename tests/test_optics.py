@@ -10,7 +10,9 @@ from dfsmem.fock import (
     register_modes,
     PureState,
 )
-from dfsmem.optics import bs50, hwp, mz_split, pbs, phase_shifter, pol_rotator, qwp
+from dfsmem.optics import (
+    bs50, hwp, loss_coupler, mz_split, pbs, phase_shifter, pol_rotator, qwp,
+)
 from dense_oracle import random_state
 
 IN_R = photon_mode("stokes", "Rcirc", "arm")
@@ -173,6 +175,12 @@ def test_phase_shifter_counts_quanta():
     assert out.amplitude((2, 0)) == pytest.approx(np.exp(2j * math.pi / 3))
 
 
+@pytest.mark.parametrize("survival", [-0.1, 1.5])
+def test_loss_coupler_rejects_survival_outside_unit_interval(survival):
+    with pytest.raises(ValueError, match="outside"):
+        loss_coupler(H, V, survival)
+
+
 def test_photon_number_conservation():
     rng = np.random.default_rng(17)
     reg = register_modes([IN_R, IN_L, H, V], 3)
@@ -181,6 +189,7 @@ def test_photon_number_conservation():
         hwp(H, V),
         pol_rotator(H, V),
         bs50(IN_R, IN_L),
+        loss_coupler(H, V, 0.37),
     ]
     for el in elements:
         state = random_state(reg, rng)

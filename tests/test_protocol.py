@@ -103,6 +103,13 @@ def test_encode_spatial_rejects_unnormalized():
         encode_spatial(state, 1.0, 0.5, setup)
 
 
+def test_encode_spatial_rejects_occupied_path():
+    setup = build_write_setup()
+    state = basis_state(setup.registry, {setup.s_l: 1, setup.photon("V", "path-a"): 1})
+    with pytest.raises(ValueError, match="not empty"):
+        encode_spatial(state, 0.6, 0.8, setup)
+
+
 def _bell_state(setup, kind: str) -> PureState:
     s = 1 / math.sqrt(2)
     h_b = basis_state(setup.registry, {setup.photon("H", "path-b"): 1}).support()[0]

@@ -1,0 +1,89 @@
+"""Run the CLI determinism grid of this checkout and write one file per output.
+
+Usage: python tools/cli_grid.py OUTDIR
+
+The grid is every pc in {0.01, 0.1, 0.2}, truncation in {3, 4}, three qubits
+and ideal or noisy detection, for bsm-stats, entangle, read, teleport,
+remote-transfer and oracle-check; the two curve commands at the README
+example flags; and end_to_end_fidelity at the three pc, ideal and noisy.
+Each file holds the output the command wrote, its exit code and its stdout
+with OUTDIR stripped. Run the script from two checkouts into two
+directories; ``diff -r`` between them then lists every output that changed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import io
+import itertools
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from dfsmem.cli import main  # noqa: E402
+from dfsmem.noise import NoiseParams, end_to_end_fidelity  # noqa: E402
+
+PCS = ("0.01", "0.1", "0.2")
+TRUNCATIONS = ("3", "4")
+QUBITS = (("0.6", "0,0.8"), ("1", "0"), ("0.5@30", "0.8660254037844386@-70"))
+NOISY = {"chi": 0.7, "eta_d": 0.8, "p_dc": 1e-3}
+DETECTION = {
+    "ideal": [],
+    "noisy": [arg for k, v in NOISY.items() for arg in ("--" + k.replace("_", "-"), repr(v))],
+}
+COMMANDS = {
+    "bsm-stats": [],
+    "entangle": [],
+    "read": ["--seed", "5", "--efficiency", "0.7"],
+    "teleport": ["--trials", "2000", "--seed", "9"],
+    "remote-transfer": ["--trials", "2000", "--seed", "9"],
+    "oracle-check": ["--trials", "2000", "--seed", "9"],
+}
+CURVES = {
+    "curves-fig4a": ["--eta-prime", "0.3333", "--t-min", "5e-6", "--t-max", "5e-5",
+                     "--points", "100"],
+    "curves-fig4b": ["--t-list", "2e-05;3e-05;4e-05", "--points", "50"],
+}
+
+
+def run_cli(outdir: Path, name: str, argv: list[str]) -> None:
+    """Run one command, then replace its output by output + exit code + stdout."""
+    path = outdir / name
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([*argv, "--output", str(path)])
+    written = path.read_text(encoding="utf-8") if path.exists() else ""
+    printed = stdout.getvalue().replace(f"{outdir}/", "")
+    path.write_text(f"{written}--- exit code\n{code}\n--- stdout\n{printed}", encoding="utf-8")
+
+
+def main_grid(outdir: Path) -> int:
+    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = outdir.resolve()
+    for command, flags in COMMANDS.items():
+        for pc, d, (k, (alpha, beta)), detection in itertools.product(
+            PCS, TRUNCATIONS, enumerate(QUBITS), DETECTION
+        ):
+            argv = [command, "--pc", pc, "--truncation", d, "--alpha", alpha,
+                    "--beta", beta, *DETECTION[detection], *flags]
+            run_cli(outdir, f"{command}_pc{pc}_d{d}_q{k}_{detection}.json", argv)
+    for command, flags in CURVES.items():
+        run_cli(outdir, f"{command}.csv", [command, *flags])
+    for pc, detection in itertools.product(PCS, DETECTION):
+        noise = NoiseParams(pc=float(pc), **(NOISY if detection == "noisy" else {}))
+        report = end_to_end_fidelity(float(pc), noise)
+        text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
+        (outdir / f"end_to_end_fidelity_pc{pc}_{detection}.json").write_text(
+            text + "\n", encoding="utf-8"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        print("usage: python tools/cli_grid.py OUTDIR", file=sys.stderr)
+        raise SystemExit(2)
+    raise SystemExit(main_grid(Path(sys.argv[1])))
