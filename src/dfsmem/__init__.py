@@ -27,8 +27,6 @@ from .protocol import (
     LogicalQubitMap,
     PauliMark,
     TrialRecord,
-    bsm,
-    classify_clicks,
     encode_spatial,
     generate_entanglement,
     pauli_mark,
@@ -36,7 +34,7 @@ from .protocol import (
     remote_transfer,
     write_memory,
 )
-from .source import dualrail_emit, pc_from_physical, retrieve
+from .source import pc_from_physical
 from .trials import RunConfig, RunStats, oracle_check, run_remote_trials, run_write_trials
 
 __version__ = "0.1.0"

@@ -181,9 +181,6 @@ class PureState:
             raise ValueError("cannot normalize the zero state")
         return PureState(self.registry, {p: a / n for p, a in self._amp.items()})
 
-    def scaled(self, factor: complex) -> "PureState":
-        return PureState(self.registry, {p: a * factor for p, a in self._amp.items()})
-
     def __repr__(self):
         terms = ", ".join(f"{p}: {a:.4g}" for p, a in sorted(self._amp.items()))
         return f"PureState({terms})"

@@ -93,6 +93,27 @@ class NoiseParams:
         return self.chi * self.attenuation
 
 
+@dataclass(frozen=True)
+class DetectorSpec:
+    """One non-number-resolving detector channel.
+
+    efficiency: per-photon click probability, already folded with collection
+    and channel survival; dark_prob: dark-count probability per window.
+    """
+
+    efficiency: float
+    dark_prob: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.efficiency <= 1.0:
+            raise ValueError(f"efficiency {self.efficiency} outside [0, 1]")
+        if not 0.0 <= self.dark_prob < 1.0:
+            raise ValueError(f"dark_prob {self.dark_prob} outside [0, 1)")
+
+    def click_probability(self, photons: int) -> float:
+        return 1.0 - (1.0 - self.efficiency) ** photons * (1.0 - self.dark_prob)
+
+
 def p1_analytic(n: NoiseParams) -> float:
     """Per-round probability of a true single-photon herald."""
     return 2.0 * n.pc * n.chi * n.eta_d * n.attenuation
@@ -167,6 +188,8 @@ def apply_loss(
     split: each sink occupation pattern is a mixture component, in sorted
     pattern order, on the input registry. Trace (total weight) is preserved.
     """
+    if not 0.0 <= survival <= 1.0:
+        raise ValueError(f"survival {survival} outside [0, 1]")
     registry = state.registry
     sinks = [photon_mode("loss-sink", "H", f"of-{registry.index(m)}") for m in modes]
     couplers = [loss_coupler(m, sink, survival) for m, sink in zip(modes, sinks)]
@@ -225,6 +248,7 @@ def end_to_end_fidelity(
     mixed = apply_loss(state, fibers, params.channel_survival)
 
     outputs = setup.output_modes()
+    herald_detector = DetectorSpec(params.eta_d, params.p_dc)
     atomic_idx = (setup.registry.index(setup.s_l), setup.registry.index(setup.s_r))
     herald_prob = 0.0
     kept: list[tuple[float, PureState, int, int]] = []  # weight, state, n_phot, n_atom
@@ -233,7 +257,7 @@ def end_to_end_fidelity(
             sector, prob = project_total_occupation(s, outputs, n)
             if prob <= 0.0:
                 continue
-            click = 1.0 - (1.0 - params.eta_d) ** n * (1.0 - params.p_dc)
+            click = herald_detector.click_probability(n)
             if click <= 0.0:
                 continue
             sector = sector.normalize()

@@ -102,19 +102,6 @@ def _single_click(detector_index: int) -> tuple[int, ...]:
     return tuple(1 if i == detector_index else 0 for i in range(4))
 
 
-def classify_clicks(clicks: Sequence[bool]) -> BellOutcome:
-    """Map a (D1, D2, D3, D4) click pattern to an outcome.
-
-    Exactly one click identifies a Bell state; anything else is a failure.
-    """
-    if len(clicks) != 4:
-        raise ValueError("expected four detector flags")
-    fired = [i for i, c in enumerate(clicks) if c]
-    if len(fired) != 1:
-        return BellOutcome.FAILURE
-    return _OUTCOME_OF_DETECTOR[fired[0]]
-
-
 @dataclass(frozen=True)
 class LogicalQubitMap:
     """Dual-rail logical encoding over an ensemble pair.
@@ -311,26 +298,6 @@ def encode_spatial(
         if sum(w for pattern, w in weights.items() if pattern[k]) > 1e-9:
             raise ValueError("spatial target modes are not empty")
     return apply_elements(state, setup.encode_elements(alpha, beta))
-
-
-@dataclass(frozen=True)
-class BsmResult:
-    """Analyzer output: final state plus exact detector-pattern weights."""
-
-    state: PureState
-    detector_probs: dict[tuple[int, ...], float]
-    detectors: tuple[ModeLabel, ...]
-
-    def single_click_probability(self, detector_index: int) -> float:
-        return self.detector_probs.get(_single_click(detector_index), 0.0)
-
-
-def bsm(state: PureState, setup: WriteSetup | None = None) -> BsmResult:
-    """Run the Bell-state analyzer and tabulate detector occupation weights."""
-    setup = setup or build_write_setup()
-    out = apply_elements(state, setup.bsm_elements())
-    probs = born_probabilities(out, setup.detectors)
-    return BsmResult(out, probs, setup.detectors)
 
 
 def write_events(

@@ -5,10 +5,12 @@ trial index through numpy's SeedSequence (``SeedSequence(master_seed,
 spawn_key=(trial_index,))``), so results are bit-identical regardless of
 thread count or scheduling.
 
-Detection is modeled by Bernoulli-thinning every photon of an exactly
-sampled occupation pattern with the overall survival probability and OR-ing
-in per-detector dark counts; rounds with anything other than exactly one
-click are repeated. The repeat loop is drawn as a single geometric variate
+Detection is folded into an exact event table before any sampling: each
+detector occupation pattern of the exact pipeline is weighted by the closed
+form :meth:`dfsmem.noise.DetectorSpec.click_probability` (overall survival
+and dark counts) of every click combination, and each trial draws one event
+from that table. For the write, rounds with anything other than exactly one
+click are repeated; the repeat loop is drawn as a single geometric variate
 in the exact per-round herald probability, which has the same distribution
 as looping round by round.
 """
@@ -20,12 +22,11 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import Sequence
 
 import numpy as np
 
 from .fock import fidelity_pure
-from .noise import NoiseParams
+from .noise import DetectorSpec, NoiseParams
 from .protocol import (
     BellOutcome,
     PauliMark,
@@ -46,27 +47,6 @@ _OUTCOMES = (
     BellOutcome.PHI_PLUS,
     BellOutcome.PHI_MINUS,
 )
-
-
-@dataclass(frozen=True)
-class DetectorSpec:
-    """One non-number-resolving detector channel.
-
-    efficiency: per-photon click probability, already folded with collection
-    and channel survival; dark_prob: dark-count probability per window.
-    """
-
-    efficiency: float
-    dark_prob: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"efficiency {self.efficiency} outside [0, 1]")
-        if not 0.0 <= self.dark_prob < 1.0:
-            raise ValueError(f"dark_prob {self.dark_prob} outside [0, 1)")
-
-    def click_probability(self, photons: int) -> float:
-        return 1.0 - (1.0 - self.efficiency) ** photons * (1.0 - self.dark_prob)
 
 
 @dataclass(frozen=True)
@@ -133,9 +113,9 @@ class _EventTable:
     exact_mean_fidelity: float
 
 
-def _one_click_weights(pattern: tuple[int, ...], dets: Sequence[DetectorSpec]) -> list[float]:
+def _one_click_weights(pattern: tuple[int, ...], det: DetectorSpec) -> list[float]:
     """P(only detector k clicks | photon pattern), for each k."""
-    click = [d.click_probability(n) for n, d in zip(pattern, dets)]
+    click = [det.click_probability(n) for n in pattern]
     out = []
     for k in range(len(pattern)):
         w = click[k]
@@ -149,7 +129,7 @@ def _one_click_weights(pattern: tuple[int, ...], dets: Sequence[DetectorSpec]) -
 def _write_event_table(cfg: RunConfig) -> _EventTable:
     setup = build_write_setup(cfg.truncation)
     events = write_events(entangled_state(cfg.pc, setup), cfg.alpha, cfg.beta, setup)
-    dets = [DetectorSpec(cfg.noise.eta_prime, cfg.noise.p_dc)] * 4
+    det = DetectorSpec(cfg.noise.eta_prime, cfg.noise.p_dc)
     target = setup.logical.logical_state(setup.atomic_registry, cfg.alpha, cfg.beta)
     # |<t|P s>|^2 = |<P t|s>|^2 for the self-inverse (up to phase) marks;
     # equal up to the last bit, since Z is the phase exp(i pi)
@@ -158,7 +138,7 @@ def _write_event_table(cfg: RunConfig) -> _EventTable:
     probs, outcome_idx, fids = [], [], []
     for pattern in sorted(events):
         p_pattern, atomic = events[pattern]
-        for k, w in enumerate(_one_click_weights(pattern, dets)):
+        for k, w in enumerate(_one_click_weights(pattern, det)):
             if w <= 0.0:
                 continue
             probs.append(p_pattern * w)

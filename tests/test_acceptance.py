@@ -10,8 +10,10 @@ import pytest
 
 from dfsmem.fock import (
     PureState,
+    apply_elements,
     apply_unitary,
     basis_state,
+    born_probabilities,
     embed_state,
     fidelity_pure,
     photon_mode,
@@ -24,7 +26,6 @@ from dfsmem.optics import loss_coupler, phase_shifter
 from dfsmem.protocol import (
     BellOutcome,
     apply_logical_pauli,
-    bsm,
     build_read_setup,
     build_remote_setup,
     build_write_setup,
@@ -137,11 +138,12 @@ def test_criterion_4_bsm_determinism():
              BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
     worst_off = 0.0
     for outcome, table in bells.items():
-        result = bsm(PureState(setup.registry, table), setup)
-        target = order.index(outcome)
-        assert result.single_click_probability(target) == pytest.approx(1.0, abs=1e-12)
-        for pattern, prob in result.detector_probs.items():
-            if pattern != tuple(1 if i == target else 0 for i in range(4)):
+        analyzed = apply_elements(PureState(setup.registry, table), setup.bsm_elements())
+        probs = born_probabilities(analyzed, setup.detectors)
+        target = tuple(1 if i == order.index(outcome) else 0 for i in range(4))
+        assert probs.get(target, 0.0) == pytest.approx(1.0, abs=1e-12)
+        for pattern, prob in probs.items():
+            if pattern != target:
                 worst_off = max(worst_off, math.sqrt(prob))
     assert worst_off < 1e-12
     print(f"[acceptance] criterion 4 PASS: each Bell state reaches its "

@@ -21,6 +21,7 @@ from dfsmem.fock import (
     fidelity_pure,
     inner,
     photon_mode,
+    product_state,
     project_occupation,
     register_modes,
     restrict_state,
@@ -165,6 +166,30 @@ def test_mixed_state_weight_validation():
     reg = two_mode()
     with pytest.raises(ValueError, match="weights"):
         MixedState(((0.5, vacuum(reg)),))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: PureState(two_mode(3), {(0,): 1}), "wrong length", id="wrong-length"),
+    pytest.param(lambda: PureState(two_mode(3), {(0, 3): 1}), "truncation d=3",
+                 id="above-truncation"),
+    pytest.param(lambda: PureState(two_mode(3), {(0, -1): 1}), "truncation d=3",
+                 id="negative-occupation"),
+    pytest.param(
+        lambda: restrict_state(
+            superposition(two_mode(3), [({S_L: 1}, 1.0), ({S_R: 1}, 1.0)]),
+            register_modes([S_L], 3),
+        ),
+        "does not factorize", id="restrict-entangled",
+    ),
+    pytest.param(
+        lambda: product_state(basis_state(two_mode(3), {S_L: 1}),
+                              basis_state(two_mode(3), {S_L: 1, S_R: 1})),
+        "both factors excite", id="product-shared-mode",
+    ),
+])
+def test_state_constructors_reject_invalid_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_project_occupation_cases():

@@ -137,6 +137,17 @@ PH = photon_mode("stokes", "H", "line")
 PV = photon_mode("stokes", "V", "line")
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: apply_loss(vacuum(register_modes([PH, PV], 3)), [], 1.5),
+                 r"survival 1.5 outside \[0, 1\]", id="loss-without-modes"),
+    pytest.param(lambda: end_to_end_fidelity(0.01, NoiseParams(eta_d=0.0)),
+                 "herald never fires", id="blind-herald-detector"),
+])
+def test_noise_rejects_invalid_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_apply_loss_survival_one():
     reg = register_modes([PH, PV], 3)
     state = PureState(reg, {(1, 0): 0.6, (0, 1): 0.8})

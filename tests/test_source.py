@@ -3,22 +3,21 @@ import math
 import pytest
 
 from dfsmem.fock import (
-    PureState,
-    atomic_mode,
     basis_state,
     born_probabilities,
     fidelity_pure,
-    photon_mode,
-    register_modes,
     vacuum,
 )
-from dfsmem.protocol import build_write_setup, joint_emission_state
-from dfsmem.source import (
-    PumpPhysical,
-    dualrail_emit,
-    pc_from_physical,
-    retrieve,
+from dfsmem.protocol import (
+    BellOutcome,
+    PauliMark,
+    TrialRecord,
+    build_read_setup,
+    build_write_setup,
+    joint_emission_state,
+    read_memory,
 )
+from dfsmem.source import PumpPhysical, pc_from_physical
 
 
 def pump(**overrides):
@@ -104,86 +103,41 @@ def test_raman_pair_state_geometric_ratio():
         assert ratio == pytest.approx(math.sqrt(pc), abs=1e-12)
 
 
-def _dualrail_registry():
-    a0 = atomic_mode("spin-0")
-    a1 = atomic_mode("spin-1")
-    ph = photon_mode("stokes", "H", "out")
-    pv = photon_mode("stokes", "V", "out")
-    return register_modes([a0, a1, ph, pv], 3), a0, a1, ph, pv
+# Retrieval swaps each stored excitation onto an anti-Stokes mode and loses
+# it with probability 1 - efficiency; read_memory runs it on both ensembles.
 
 
-def test_dualrail_emit_heralded_branches():
-    reg, a0, a1, ph, pv = _dualrail_registry()
-    state = dualrail_emit(0.1, a0, a1, pv, ph, reg)
-    assert state.amplitude((1, 0, 0, 1)) == pytest.approx(1 / math.sqrt(2))
-    assert state.amplitude((0, 1, 1, 0)) == pytest.approx(1 / math.sqrt(2))
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_dualrail_emit_matches_logical_target():
-    # same state as (|H>|1>_a + |V>|0>_a)/sqrt(2) once |h>_a is "spin-h excited"
-    reg, a0, a1, ph, pv = _dualrail_registry()
-    state = dualrail_emit(0.1, a0, a1, pv, ph, reg)
-    target = PureState(
-        reg,
-        {
-            tuple(basis_state(reg, {a1: 1, ph: 1}).support()[0]): 1 / math.sqrt(2),
-            tuple(basis_state(reg, {a0: 1, pv: 1}).support()[0]): 1 / math.sqrt(2),
-        },
-    )
-    assert fidelity_pure(state, target) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_dualrail_emit_unheralded_vacuum_weight():
-    reg, a0, a1, ph, pv = _dualrail_registry()
-    pc = 0.2
-    state = dualrail_emit(pc, a0, a1, pv, ph, reg, heralded=False)
-    assert abs(state.amplitude((0, 0, 0, 0))) ** 2 == pytest.approx(1 - pc)
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_dualrail_emit_is_maximally_entangled():
-    reg, a0, a1, ph, pv = _dualrail_registry()
-    probs = born_probabilities(dualrail_emit(0.1, a0, a1, pv, ph, reg), [a0])
-    assert probs[(0,)] == pytest.approx(0.5)
-    assert probs[(1,)] == pytest.approx(0.5)
-
-
-def _retrieval_registry():
-    atom = atomic_mode("ensemble")
-    anti = photon_mode("anti-stokes", "H", "out")
-    return register_modes([atom, anti], 3), atom, anti
+def _read(atomic_occupations, efficiency):
+    """Read a stored atomic basis state (mark I) and return the read setup
+    with the retrieved mixture."""
+    setup = build_read_setup()
+    stored = basis_state(build_write_setup().atomic_registry, atomic_occupations)
+    record = TrialRecord(1, (True, False, False, False), BellOutcome.PSI_PLUS,
+                         PauliMark.I, stored, True)
+    return setup, read_memory(record, efficiency)
 
 
 def test_retrieve_unit_efficiency():
-    reg, atom, anti = _retrieval_registry()
-    out = retrieve(basis_state(reg, {atom: 1}), atom, anti, 1.0)
+    setup, out = _read({build_write_setup().s_l: 1}, 1.0)
     assert len(out.components) == 1
     w, s = out.components[0]
     assert w == pytest.approx(1.0)
-    assert fidelity_pure(s, basis_state(reg, {anti: 1})) == pytest.approx(1.0)
+    assert fidelity_pure(s, basis_state(setup.registry, {setup.out_h: 1})) == pytest.approx(1.0)
 
 
 def test_retrieve_half_efficiency_mixture():
-    reg, atom, anti = _retrieval_registry()
-    out = retrieve(basis_state(reg, {atom: 1}), atom, anti, 0.5)
+    setup, out = _read({build_write_setup().s_l: 1}, 0.5)
     weights = {}
     for w, s in out.components:
         key = s.support()[0]
         weights[key] = weights.get(key, 0.0) + w
-    assert weights[(0, 1)] == pytest.approx(0.5)
-    assert weights[(0, 0)] == pytest.approx(0.5)
+    photon = basis_state(setup.registry, {setup.out_h: 1}).support()[0]
+    assert weights[photon] == pytest.approx(0.5)
+    assert weights[setup.registry.zero_pattern()] == pytest.approx(0.5)
 
 
 def test_retrieve_vacuum_unchanged():
-    reg, atom, anti = _retrieval_registry()
     for eff in (0.0, 0.3, 1.0):
-        out = retrieve(vacuum(reg), atom, anti, eff)
+        setup, out = _read({}, eff)
         assert len(out.components) == 1
-        assert fidelity_pure(out.components[0][1], vacuum(reg)) == pytest.approx(1.0)
-
-
-def test_retrieve_rejects_occupied_target():
-    reg, atom, anti = _retrieval_registry()
-    with pytest.raises(ValueError, match="vacuum"):
-        retrieve(basis_state(reg, {anti: 1}), atom, anti, 1.0)
+        assert fidelity_pure(out.components[0][1], vacuum(setup.registry)) == pytest.approx(1.0)

@@ -189,6 +189,11 @@ def test_oracle_check_zero_trials():
     assert report.passed
 
 
+def test_oracle_check_rejects_unknown_experiment():
+    with pytest.raises(ValueError, match="unknown experiment 'bogus'"):
+        oracle_check(RunConfig(trial_count=1, master_seed=1), experiment="bogus")
+
+
 def test_write_trials_streams_records(tmp_path):
     path = tmp_path / "records.csv"
     cfg = RunConfig(trial_count=50, master_seed=8, pc=0.01, noise=IDEAL,
