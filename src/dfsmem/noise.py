@@ -18,7 +18,6 @@ and channel efficiency.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -241,14 +240,15 @@ def end_to_end_fidelity(
     from .protocol import build_write_setup, entangled_state, ideal_entangled_state
 
     check_amplitude_pair(alpha, beta)
-    params = dataclasses.replace(noise, pc=pc)
+    if pc != noise.pc:
+        raise ValueError(f"pc={pc} differs from noise.pc={noise.pc}")
     setup = build_write_setup()
     state = entangled_state(pc, setup)
     fibers = [setup.photon("H", "fiber"), setup.photon("V", "fiber")]
-    mixed = apply_loss(state, fibers, params.channel_survival)
+    mixed = apply_loss(state, fibers, noise.channel_survival)
 
     outputs = setup.output_modes()
-    herald_detector = DetectorSpec(params.eta_d, params.p_dc)
+    herald_detector = DetectorSpec(noise.eta_d, noise.p_dc)
     atomic_idx = (setup.registry.index(setup.s_l), setup.registry.index(setup.s_r))
     herald_prob = 0.0
     kept: list[tuple[float, PureState, int, int]] = []  # weight, state, n_phot, n_atom
@@ -279,16 +279,16 @@ def end_to_end_fidelity(
         p0=p0,
         p1=p1,
         po=po,
-        eta_prime=params.eta_prime,
+        eta_prime=noise.eta_prime,
         herald_probability=herald_prob,
-        T_seconds=preparation_time(herald_prob, params.f_p),
+        T_seconds=preparation_time(herald_prob, noise.f_p),
         F=F,
         delta_F=1.0 - F,
         p0_analytic=(
-            p0_analytic(params)
-            if params.p_dc > 0 and params.pc * params.eta_prime > 0
+            p0_analytic(noise)
+            if noise.p_dc > 0 and noise.pc * noise.eta_prime > 0
             else 0.0
         ),
-        p1_analytic=p1_analytic(params),
-        po_analytic=po_analytic(params, 2),
+        p1_analytic=p1_analytic(noise),
+        po_analytic=po_analytic(noise, 2),
     )

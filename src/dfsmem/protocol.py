@@ -371,6 +371,20 @@ def write_branches(
     return _heralded_write(alpha, beta, pc, setup or build_write_setup())[1]
 
 
+def event_cdf(p: np.ndarray) -> np.ndarray:
+    """Normalised CDF of event probabilities ``p``: ``cdf.searchsorted(u,
+    side="right")`` on ``u = rng.random()`` draws the index numpy's
+    ``Generator.choice`` draws with ``p``, whose checks run here once per table."""
+    p = np.asarray(p, dtype=float)
+    # NaN fails both comparisons
+    if not ((p >= 0.0).all() and abs(p.sum() - 1.0) <= math.sqrt(np.finfo(float).eps)):
+        raise ValueError(f"event probabilities must be non-negative and sum to 1 "
+                         f"(sum {float(p.sum())!r})")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def write_memory(
     alpha: complex,
     beta: complex,
@@ -389,7 +403,7 @@ def write_memory(
     outcomes = list(branches.keys())
     weights = np.array([branches[o].probability for o in outcomes])
     weights = weights / weights.sum()
-    pick = outcomes[int(rng.choice(len(outcomes), p=weights))]
+    pick = outcomes[int(event_cdf(weights).searchsorted(rng.random(), side="right"))]
     clicks = tuple(o is pick for o in _OUTCOME_OF_DETECTOR)
     chosen = branches[pick]
     return TrialRecord(

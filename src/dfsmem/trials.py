@@ -2,8 +2,12 @@
 
 Each trial owns its own random stream, derived from the master seed and the
 trial index through numpy's SeedSequence (``SeedSequence(master_seed,
-spawn_key=(trial_index,))``), so results are bit-identical regardless of
-thread count or scheduling.
+spawn_key=(trial_index,))``). Trials run in index order in one thread; a
+write trial draws ``geometric(herald probability)`` and then, unless
+censored, one ``random()`` that picks its event through the table's CDF
+(:func:`dfsmem.protocol.event_cdf`); a remote trial draws one ``random()``.
+``RunConfig.threads`` is validated but starts no threads and changes no byte
+of the output.
 
 Detection is folded into an exact event table before any sampling: each
 detector occupation pattern of the exact pipeline is weighted by the closed
@@ -19,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
@@ -35,6 +38,7 @@ from .protocol import (
     build_write_setup,
     classify_remote_clicks,
     entangled_state,
+    event_cdf,
     joint_emission_state,  # noqa: F401  kept in this namespace for bench/test_bench.py
     pauli_mark,
     remote_transfer,
@@ -58,7 +62,7 @@ class RunConfig:
     beta: complex = 1 / math.sqrt(2)
     noise: NoiseParams = field(default_factory=NoiseParams)
     round_cap: int = 10_000_000
-    threads: int = 1
+    threads: int = 1  # validated only: trials run in index order in one thread
     truncation: int = 3
     records_csv: str | None = None
 
@@ -71,6 +75,8 @@ class RunConfig:
             raise ValueError("master_seed must be >= 0")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.round_cap < 1:
+            raise ValueError("round_cap must be >= 1")
         if self.truncation < 3:
             raise ValueError("truncation below 3 cannot hold the pair-emission terms")
 
@@ -204,24 +210,6 @@ def _remote_event_table(cfg: RunConfig) -> _EventTable:
     )
 
 
-def _run_indexed(cfg: RunConfig, worker, columns: int) -> np.ndarray:
-    """Fill one row per trial in index order, optionally across threads."""
-    out = np.zeros((cfg.trial_count, columns))
-    if cfg.threads == 1 or cfg.trial_count < 2:
-        for i in range(cfg.trial_count):
-            out[i] = worker(i)
-        return out
-    chunk = math.ceil(cfg.trial_count / cfg.threads)
-
-    def fill(start: int):
-        for i in range(start, min(start + chunk, cfg.trial_count)):
-            out[i] = worker(i)
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        list(pool.map(fill, range(0, cfg.trial_count, chunk)))
-    return out
-
-
 def _stream_records(cfg: RunConfig, header: list[str], rows) -> None:
     if cfg.records_csv is None:
         return
@@ -253,44 +241,40 @@ def run_write_trials(cfg: RunConfig) -> RunStats:
     round's detection event is drawn from the exact conditional event table.
     """
     table = _write_event_table(cfg)
-    n_events = len(table.probabilities)
-
-    def worker(i: int) -> tuple[float, float, float, float]:
+    h = table.herald_probability
+    cdf = event_cdf(table.probabilities) if h > 0.0 else None
+    rounds = np.full(cfg.trial_count, float(cfg.round_cap))
+    events = np.full(cfg.trial_count, -1)  # -1: censored
+    for i in range(cfg.trial_count):
         rng = trial_rng(cfg.master_seed, i)
-        if table.herald_probability <= 0.0:
-            return (0.0, float(cfg.round_cap), -1.0, 0.0)
-        rounds = int(rng.geometric(table.herald_probability))
-        if rounds > cfg.round_cap:
-            return (0.0, float(cfg.round_cap), -1.0, 0.0)
-        event = int(rng.choice(n_events, p=table.probabilities))
-        return (1.0, float(rounds), float(table.outcome_index[event]),
-                float(table.fidelity[event]))
-
-    rows = _run_indexed(cfg, worker, 4)
+        if cdf is None:
+            continue
+        r = int(rng.geometric(h))
+        if r <= cfg.round_cap:
+            rounds[i] = r
+            events[i] = cdf.searchsorted(rng.random(), side="right")
+    # index -1 reads the appended censored entry: no outcome, fidelity 0
+    outcome = np.append(table.outcome_index, -1)[events]
+    fidelity = np.append(table.fidelity, 0.0)[events]
+    ok = events >= 0
+    n_ok = int(ok.sum())
     _stream_records(
         cfg,
         ["trial", "rounds", "outcome", "fidelity", "censored"],
         (
-            (
-                i,
-                int(r[1]),
-                _OUTCOMES[int(r[2])].value if r[2] >= 0 else "censored",
-                repr(float(r[3])),
-                int(r[0] == 0.0),
-            )
-            for i, r in enumerate(rows)
+            (i, int(r), _OUTCOMES[k].value if k >= 0 else "censored", repr(f), int(k < 0))
+            for i, (r, k, f) in enumerate(zip(rounds.tolist(), outcome.tolist(),
+                                              fidelity.tolist()))
         ),
     )
-    ok = rows[:, 0] == 1.0
-    n_ok = int(ok.sum())
     success_rate = n_ok / cfg.trial_count if cfg.trial_count else 0.0
-    mean_rounds, rounds_se = _mean_se(rows[ok, 1])
+    mean_rounds, rounds_se = _mean_se(rounds[ok])
     freqs, freqs_se = {}, {}
-    for k, outcome in enumerate(_OUTCOMES):
-        f = float((rows[ok, 2] == k).sum() / n_ok) if n_ok else 0.0
-        freqs[outcome.value] = f
-        freqs_se[outcome.value] = _freq_se(f, n_ok)
-    fid_mean, fid_se = _mean_se(rows[ok, 3])
+    for k, name in enumerate(_OUTCOMES):
+        f = float((outcome[ok] == k).sum() / n_ok) if n_ok else 0.0
+        freqs[name.value] = f
+        freqs_se[name.value] = _freq_se(f, n_ok)
+    fid_mean, fid_se = _mean_se(fidelity[ok])
     return RunStats(
         trial_count=cfg.trial_count,
         success_count=n_ok,
@@ -311,26 +295,24 @@ def run_write_trials(cfg: RunConfig) -> RunStats:
 def run_remote_trials(cfg: RunConfig) -> RunStats:
     """Sample the two-splitter coincidence transfer, one attempt per trial."""
     table = _remote_event_table(cfg)
-    n_events = len(table.probabilities)
-
-    def worker(i: int) -> tuple[float, float, float, float]:
-        rng = trial_rng(cfg.master_seed, i)
-        event = int(rng.choice(n_events, p=table.probabilities))
-        success = table.outcome_index[event] == 1
-        return (1.0 if success else 0.0, 1.0, 1.0 if success else 0.0,
-                float(table.fidelity[event]))
-
-    rows = _run_indexed(cfg, worker, 4)
+    cdf = event_cdf(table.probabilities)
+    events = np.array(
+        [cdf.searchsorted(trial_rng(cfg.master_seed, i).random(), side="right")
+         for i in range(cfg.trial_count)],
+        dtype=int,
+    )
+    success = table.outcome_index[events]
+    fidelity = table.fidelity[events]
     _stream_records(
         cfg,
         ["trial", "success", "fidelity"],
-        ((i, int(r[0]), repr(float(r[3]))) for i, r in enumerate(rows)),
+        ((i, s, repr(f)) for i, (s, f) in enumerate(zip(success.tolist(), fidelity.tolist()))),
     )
     n = cfg.trial_count
-    successes = rows[:, 0] == 1.0
+    successes = success == 1
     n_ok = int(successes.sum())
     success_rate = n_ok / n if n else 0.0
-    fid_mean, fid_se = _mean_se(rows[successes, 3])
+    fid_mean, fid_se = _mean_se(fidelity[successes])
     return RunStats(
         trial_count=n,
         success_count=n_ok,

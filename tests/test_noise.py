@@ -142,6 +142,8 @@ PV = photon_mode("stokes", "V", "line")
                  r"survival 1.5 outside \[0, 1\]", id="loss-without-modes"),
     pytest.param(lambda: end_to_end_fidelity(0.01, NoiseParams(eta_d=0.0)),
                  "herald never fires", id="blind-herald-detector"),
+    pytest.param(lambda: end_to_end_fidelity(0.3, NoiseParams(pc=0.01)),
+                 r"pc=0.3 differs from noise.pc=0.01", id="pc-differs-from-noise"),
 ])
 def test_noise_rejects_invalid_input(call, message):
     with pytest.raises(ValueError, match=message):

@@ -5,6 +5,7 @@ import pytest
 
 from dfsmem import trials
 from dfsmem.noise import NoiseParams, p1_analytic, preparation_time
+from dfsmem.protocol import event_cdf
 from dfsmem.trials import (
     DetectorSpec,
     RunConfig,
@@ -15,6 +16,7 @@ from dfsmem.trials import (
 )
 
 IDEAL = NoiseParams(pc=0.01)
+NOISY = NoiseParams(pc=0.01, chi=0.7, eta_d=0.8, p_dc=1e-3)
 
 
 def test_detector_spec_validation():
@@ -101,6 +103,13 @@ def test_write_trials_censoring():
     stats = run_write_trials(cfg)
     assert stats.censored_count > 0
     assert stats.success_count + stats.censored_count == 200
+
+
+def test_run_config_rejects_round_cap_below_one():
+    with pytest.raises(ValueError, match="round_cap must be >= 1"):
+        RunConfig(5, 1, round_cap=0)
+    with pytest.raises(ValueError, match="round_cap must be >= 1"):
+        RunConfig(5, 1, round_cap=-3)
 
 
 def test_write_trials_no_censoring_at_default_cap():
@@ -220,3 +229,52 @@ def test_trial_rng_stream_independence():
     a2 = trial_rng(99, 0).random(4)
     assert np.array_equal(a, a2)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("p", [
+    pytest.param([0.5, 0.7, -0.2], id="negative"),
+    pytest.param([0.5, np.nan, 0.5], id="nan"),
+    pytest.param([0.3, 0.3, 0.3], id="sums-to-0.9"),
+])
+def test_event_cdf_rejects_invalid_probabilities(p):
+    with pytest.raises(ValueError, match="event probabilities"):
+        event_cdf(np.array(p))
+
+
+# the documented stream contract, drawn directly: trial_rng(seed, i), then
+# geometric(herald probability) for a write, then numpy's choice over the table
+_NAMES = ("PsiPlus", "PsiMinus", "PhiPlus", "PhiMinus")
+
+
+def test_write_records_match_stream_contract(tmp_path):
+    path = tmp_path / "write.csv"
+    cfg = RunConfig(trial_count=3000, master_seed=4, pc=0.01, alpha=0.6, beta=0.8j,
+                    noise=NOISY, round_cap=100, records_csv=str(path))
+    stats = run_write_trials(cfg)
+    table = trials._write_event_table(cfg)
+    lines = ["trial,rounds,outcome,fidelity,censored"]
+    for i in range(cfg.trial_count):
+        rng = trial_rng(cfg.master_seed, i)
+        rounds = int(rng.geometric(table.herald_probability))
+        if rounds > cfg.round_cap:
+            lines.append(f"{i},{cfg.round_cap},censored,0.0,1")
+            continue
+        e = rng.choice(len(table.probabilities), p=table.probabilities)
+        lines.append(f"{i},{rounds},{_NAMES[table.outcome_index[e]]},"
+                     f"{float(table.fidelity[e])!r},0")
+    assert 0 < stats.censored_count < cfg.trial_count
+    assert path.read_text().splitlines() == lines
+
+
+def test_remote_records_match_stream_contract(tmp_path):
+    path = tmp_path / "remote.csv"
+    cfg = RunConfig(trial_count=3000, master_seed=9, pc=0.01, alpha=0.6, beta=0.8j,
+                    noise=NOISY, records_csv=str(path))
+    run_remote_trials(cfg)
+    table = trials._remote_event_table(cfg)
+    lines = ["trial,success,fidelity"]
+    for i in range(cfg.trial_count):
+        e = trial_rng(cfg.master_seed, i).choice(len(table.probabilities),
+                                                 p=table.probabilities)
+        lines.append(f"{i},{table.outcome_index[e]},{float(table.fidelity[e])!r}")
+    assert path.read_text().splitlines() == lines

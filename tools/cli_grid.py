@@ -5,8 +5,10 @@ Usage: python tools/cli_grid.py OUTDIR
 The grid is every pc in {0.01, 0.1, 0.2}, truncation in {3, 4}, three qubits
 and ideal or noisy detection, for bsm-stats, entangle, read, teleport,
 remote-transfer and oracle-check; the two curve commands at the README
-example flags; and end_to_end_fidelity at the three pc, ideal and noisy.
-Each file holds the output the command wrote, its exit code and its stdout
+example flags; end_to_end_fidelity at the three pc, ideal and noisy; and, at
+the three pc with noisy detection, the records CSV and statistics of
+run_write_trials (with a round cap that censors trials) and run_remote_trials.
+Each CLI file holds the output the command wrote, its exit code and its stdout
 with OUTDIR stripped. Run the script from two checkouts into two
 directories; ``diff -r`` between them then lists every output that changed.
 """
@@ -25,6 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dfsmem.cli import main  # noqa: E402
 from dfsmem.noise import NoiseParams, end_to_end_fidelity  # noqa: E402
+from dfsmem.trials import RunConfig, run_remote_trials, run_write_trials  # noqa: E402
 
 PCS = ("0.01", "0.1", "0.2")
 TRUNCATIONS = ("3", "4")
@@ -42,6 +45,8 @@ COMMANDS = {
     "remote-transfer": ["--trials", "2000", "--seed", "9"],
     "oracle-check": ["--trials", "2000", "--seed", "9"],
 }
+RECORDS = {"write": run_write_trials, "remote": run_remote_trials}
+ROUND_CAP = 20  # censors some noisy write trials at every pc of the grid
 CURVES = {
     "curves-fig4a": ["--eta-prime", "0.3333", "--t-min", "5e-6", "--t-max", "5e-5",
                      "--points", "100"],
@@ -79,6 +84,13 @@ def main_grid(outdir: Path) -> int:
         (outdir / f"end_to_end_fidelity_pc{pc}_{detection}.json").write_text(
             text + "\n", encoding="utf-8"
         )
+    for pc, (kind, run) in itertools.product(PCS, RECORDS.items()):
+        records = outdir / f"records_{kind}_pc{pc}.csv"
+        cfg = RunConfig(trial_count=2000, master_seed=9, pc=float(pc), alpha=0.6, beta=0.8j,
+                        noise=NoiseParams(pc=float(pc), **NOISY), round_cap=ROUND_CAP,
+                        records_csv=str(records))
+        text = json.dumps(dataclasses.asdict(run(cfg)), indent=2, sort_keys=True)
+        (outdir / f"records_{kind}_pc{pc}_stats.json").write_text(text + "\n", encoding="utf-8")
     return 0
 
 
