@@ -27,10 +27,10 @@ from .fock import (
     ModeLabel,
     PureState,
     apply_elements,
+    born_probabilities,
     embed_state,
     fidelity_mixed,
     photon_mode,
-    project_total_occupation,
     register_modes,
     split_by_pattern,
 )
@@ -111,6 +111,21 @@ class DetectorSpec:
 
     def click_probability(self, photons: int) -> float:
         return 1.0 - (1.0 - self.efficiency) ** photons * (1.0 - self.dark_prob)
+
+    def clicks_probability(self, photons: Sequence[int], clicks: Sequence[bool]) -> float:
+        """P(exactly the detectors flagged in ``clicks`` fire | ``photons`` on each).
+
+        Detectors are independent copies of this one. The clicking factors
+        are multiplied first, then the silent ones, each in index order.
+        """
+        w = 1.0
+        for n, c in zip(photons, clicks):
+            if c:
+                w *= self.click_probability(n)
+        for n, c in zip(photons, clicks):
+            if not c:
+                w *= 1.0 - self.click_probability(n)
+        return w
 
 
 def p1_analytic(n: NoiseParams) -> float:
@@ -247,34 +262,32 @@ def end_to_end_fidelity(
     fibers = [setup.photon("H", "fiber"), setup.photon("V", "fiber")]
     mixed = apply_loss(state, fibers, noise.channel_survival)
 
-    outputs = setup.output_modes()
+    # one Born table per loss component, keyed by the output photons and the
+    # atomic excitations: weight w p click(n) per (n, a)
     herald_detector = DetectorSpec(noise.eta_d, noise.p_dc)
-    atomic_idx = (setup.registry.index(setup.s_l), setup.registry.index(setup.s_r))
-    herald_prob = 0.0
-    kept: list[tuple[float, PureState, int, int]] = []  # weight, state, n_phot, n_atom
+    modes = [*setup.output_modes(), setup.s_l, setup.s_r]
+    weights: dict[tuple[int, int], float] = {}
     for w, s in mixed.components:
-        for n in range(setup.registry.d):
-            sector, prob = project_total_occupation(s, outputs, n)
-            if prob <= 0.0:
-                continue
+        atoms_of: dict[int, int] = {}
+        for pattern, prob in born_probabilities(s, modes).items():
+            n, a = sum(pattern[:-2]), sum(pattern[-2:])
             click = herald_detector.click_probability(n)
             if click <= 0.0:
                 continue
-            sector = sector.normalize()
-            counts = {sum(p[i] for i in atomic_idx) for p in sector.support()}
-            if len(counts) != 1:
+            if atoms_of.setdefault(n, a) != a:
                 raise RuntimeError("herald sector mixes excitation numbers")
-            herald_prob += w * prob * click
-            kept.append((w * prob * click, sector, n, counts.pop()))
+            weights[n, a] = weights.get((n, a), 0.0) + w * prob * click
+    herald_prob = sum(weights.values())
     if herald_prob <= 0.0:
         raise ValueError("herald never fires under these parameters")
 
+    # the ideal state has exactly one output photon, so only the one-photon
+    # sector of each component overlaps it
     ideal = ideal_entangled_state(setup)
-    rho = MixedState(tuple((wt / herald_prob, s) for wt, s, _, _ in kept))
-    F = fidelity_mixed(rho, ideal)
-    p0 = sum(wt for wt, _, n, a in kept if n == 0 and a == 0) / herald_prob
-    p1 = sum(wt for wt, _, n, a in kept if n == 1 and a == 1) / herald_prob
-    po = sum(wt for wt, _, _, a in kept if a >= 2) / herald_prob
+    F = herald_detector.click_probability(1) * fidelity_mixed(mixed, ideal) / herald_prob
+    p0 = weights.get((0, 0), 0.0) / herald_prob
+    p1 = weights.get((1, 1), 0.0) / herald_prob
+    po = sum(wt for (_, a), wt in weights.items() if a >= 2) / herald_prob
     return FidelityReport(
         p0=p0,
         p1=p1,

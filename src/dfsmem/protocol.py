@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -83,7 +84,7 @@ _MARK_OF_OUTCOME = {
     BellOutcome.PHI_MINUS: PauliMark.ZX,
 }
 
-_OUTCOME_OF_DETECTOR = (
+OUTCOME_OF_DETECTOR = (
     BellOutcome.PSI_PLUS,
     BellOutcome.PSI_MINUS,
     BellOutcome.PHI_PLUS,
@@ -98,8 +99,11 @@ def pauli_mark(outcome: BellOutcome) -> PauliMark:
     return _MARK_OF_OUTCOME[outcome]
 
 
-def _single_click(detector_index: int) -> tuple[int, ...]:
-    return tuple(1 if i == detector_index else 0 for i in range(4))
+# The write's click rule: a lone click on detector k heralds its Bell
+# outcome; every other click vector is no herald.
+WRITE_CLICK_RULE: dict[tuple[bool, ...], BellOutcome] = {
+    tuple(j == k for j in range(4)): outcome for k, outcome in enumerate(OUTCOME_OF_DETECTOR)
+}
 
 
 @dataclass(frozen=True)
@@ -124,15 +128,12 @@ def apply_logical_pauli(
 ) -> PureState:
     """Apply I/Z/X/ZX on the dual-rail logical qubit; global phases are not
     tracked (the mark is classical side information)."""
-    if mark is PauliMark.I:
-        return state
-    x = swap("logical_x", qmap.left, qmap.right)
-    flip = phase_shifter([qmap.left], [math.pi])  # (-1)^(n_left): sign on |1>
-    if mark is PauliMark.X:
-        return apply_unitary(state, x)
-    if mark is PauliMark.Z:
-        return apply_unitary(state, flip)
-    return apply_unitary(apply_unitary(state, x), flip)  # ZX: X then Z
+    if mark in (PauliMark.X, PauliMark.ZX):  # ZX: X first, then Z
+        state = apply_unitary(state, swap("logical_x", qmap.left, qmap.right))
+    if mark in (PauliMark.Z, PauliMark.ZX):
+        # (-1)^(n_left): sign on |1>
+        state = apply_unitary(state, phase_shifter([qmap.left], [math.pi]))
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +344,15 @@ class WriteBranch:
 def _heralded_write(
     alpha: complex, beta: complex, pc: float, setup: WriteSetup
 ) -> tuple[float, dict[BellOutcome, WriteBranch]]:
-    """Herald probability and the single-click branches of one write."""
+    """Herald probability and the single-click branches of one write, read
+    off the one-photon detector patterns by :data:`WRITE_CLICK_RULE`."""
     heralded, p_herald = generate_entanglement(pc, setup)
     if heralded is None:
         raise ValueError("herald probability is zero; nothing to write")
     events = write_events(heralded, alpha, beta, setup)
     branches: dict[BellOutcome, WriteBranch] = {}
-    for k, outcome in enumerate(_OUTCOME_OF_DETECTOR):
-        event = events.get(_single_click(k))
+    for clicks, outcome in WRITE_CLICK_RULE.items():
+        event = events.get(tuple(map(int, clicks)))  # its one-photon pattern
         if event is not None:
             branches[outcome] = WriteBranch(*event, pauli_mark(outcome))
     return p_herald, branches
@@ -404,7 +406,7 @@ def write_memory(
     weights = np.array([branches[o].probability for o in outcomes])
     weights = weights / weights.sum()
     pick = outcomes[int(event_cdf(weights).searchsorted(rng.random(), side="right"))]
-    clicks = tuple(o is pick for o in _OUTCOME_OF_DETECTOR)
+    clicks = next(c for c, o in WRITE_CLICK_RULE.items() if o is pick)
     chosen = branches[pick]
     return TrialRecord(
         rounds_until_herald=rounds,
@@ -570,34 +572,29 @@ def classify_remote_clicks(clicks: Sequence[bool]) -> tuple[bool, PauliMark | No
     return True, PauliMark.Z if parity else PauliMark.I
 
 
-@dataclass(frozen=True)
-class RemoteBranch:
-    probability: float
-    r_state: PureState  # on the receiving pair's registry
-    success: bool
-    mark: PauliMark | None
-
-
-@dataclass(frozen=True)
-class RemoteResult:
-    success_probability: float
-    pattern_probs: dict[tuple[int, ...], float]
-    branches: dict[tuple[int, ...], RemoteBranch]
-    setup: RemoteSetup
+# The remote click rule: every click combination, in itertools.product
+# order, with its coincidence verdict.
+REMOTE_CLICK_RULE: dict[tuple[bool, ...], tuple[bool, PauliMark | None]] = {
+    clicks: classify_remote_clicks(clicks) for clicks in product((False, True), repeat=4)
+}
 
 
 def remote_transfer(
     alpha: complex, beta: complex, setup: RemoteSetup | None = None
-) -> RemoteResult:
+) -> dict[tuple[int, ...], tuple[float, PureState]]:
     """Transfer an unknown dual-rail state onto the far ensemble pair.
 
     The sender pair holds alpha|0> + beta|1>; the resource pairs share
     (|0>|1> + |1>|0>)/sqrt(2). Retrieval converts the sender and near-resource
     excitations to photons, which meet pairwise on two balanced splitters.
-    Both-photons-on-one-splitter branches bunch (no cross-side click) and
-    fail; the four one-click-per-side patterns each succeed with exact
-    probability 1/8 and leave the far pair in alpha|0> +/- beta|1>, the sign
-    fixed by the click parity.
+
+    Returns each photon pattern on the four detectors with its exact
+    probability and the normalized, uncorrected far-pair state it leaves
+    (on ``setup.r_registry``); :data:`REMOTE_CLICK_RULE` classifies the
+    clicks. Both-photons-on-one-splitter patterns bunch (a non-resolving
+    detector reports one click and no cross-side partner) and fail; the four
+    one-click-per-side patterns each have exact probability 1/8 and leave
+    the far pair in alpha|0> +/- beta|1>, the sign fixed by the click parity.
     """
     check_amplitude_pair(alpha, beta)
     setup = setup or build_remote_setup()
@@ -607,15 +604,4 @@ def remote_transfer(
         ({setup.l2: 1, setup.r1: 1}, 1 / math.sqrt(2)),
     ])
     state = apply_elements(product_state(sender, resource), setup.transfer_elements())
-    events = split_by_pattern(state, setup.detectors, setup.r_registry)
-    pattern_probs = {pattern: prob for pattern, (prob, _) in events.items()}
-    branches: dict[tuple[int, ...], RemoteBranch] = {}
-    success_total = 0.0
-    for pattern, (prob, r_state) in events.items():
-        success, mark = classify_remote_clicks(tuple(n >= 1 for n in pattern))
-        # bunched branches put two photons on one side; a non-resolving
-        # detector still reports one click there and no cross-side partner
-        branches[pattern] = RemoteBranch(prob, r_state, success, mark)
-        if success:
-            success_total += prob
-    return RemoteResult(success_total, pattern_probs, branches, setup)
+    return split_by_pattern(state, setup.detectors, setup.r_registry)

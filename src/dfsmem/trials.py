@@ -10,13 +10,15 @@ censored, one ``random()`` that picks its event through the table's CDF
 of the output.
 
 Detection is folded into an exact event table before any sampling: each
-detector occupation pattern of the exact pipeline is weighted by the closed
-form :meth:`dfsmem.noise.DetectorSpec.click_probability` (overall survival
-and dark counts) of every click combination, and each trial draws one event
-from that table. For the write, rounds with anything other than exactly one
-click are repeated; the repeat loop is drawn as a single geometric variate
-in the exact per-round herald probability, which has the same distribution
-as looping round by round.
+detector occupation pattern of the exact pipeline is weighted, for every
+click vector of the experiment's click rule
+(:data:`dfsmem.protocol.WRITE_CLICK_RULE`,
+:data:`dfsmem.protocol.REMOTE_CLICK_RULE`), by the closed form
+:meth:`dfsmem.noise.DetectorSpec.clicks_probability` (overall survival and
+dark counts), and each trial draws one event from that table. For the write,
+rounds with anything other than exactly one click are repeated; the repeat
+loop is drawn as a single geometric variate in the exact per-round herald
+probability, which has the same distribution as looping round by round.
 """
 
 from __future__ import annotations
@@ -24,32 +26,25 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 
 import numpy as np
 
 from .fock import fidelity_pure
 from .noise import DetectorSpec, NoiseParams
 from .protocol import (
-    BellOutcome,
+    OUTCOME_OF_DETECTOR,
+    REMOTE_CLICK_RULE,
+    WRITE_CLICK_RULE,
     PauliMark,
     apply_logical_pauli,
     build_remote_setup,
     build_write_setup,
-    classify_remote_clicks,
     entangled_state,
     event_cdf,
     joint_emission_state,  # noqa: F401  kept in this namespace for bench/test_bench.py
     pauli_mark,
     remote_transfer,
     write_events,
-)
-
-_OUTCOMES = (
-    BellOutcome.PSI_PLUS,
-    BellOutcome.PSI_MINUS,
-    BellOutcome.PHI_PLUS,
-    BellOutcome.PHI_MINUS,
 )
 
 
@@ -119,19 +114,6 @@ class _EventTable:
     exact_mean_fidelity: float
 
 
-def _one_click_weights(pattern: tuple[int, ...], det: DetectorSpec) -> list[float]:
-    """P(only detector k clicks | photon pattern), for each k."""
-    click = [det.click_probability(n) for n in pattern]
-    out = []
-    for k in range(len(pattern)):
-        w = click[k]
-        for j, c in enumerate(click):
-            if j != k:
-                w *= 1.0 - c
-        out.append(w)
-    return out
-
-
 def _write_event_table(cfg: RunConfig) -> _EventTable:
     setup = build_write_setup(cfg.truncation)
     events = write_events(entangled_state(cfg.pc, setup), cfg.alpha, cfg.beta, setup)
@@ -139,12 +121,14 @@ def _write_event_table(cfg: RunConfig) -> _EventTable:
     target = setup.logical.logical_state(setup.atomic_registry, cfg.alpha, cfg.beta)
     # |<t|P s>|^2 = |<P t|s>|^2 for the self-inverse (up to phase) marks;
     # equal up to the last bit, since Z is the phase exp(i pi)
-    marked = [apply_logical_pauli(target, pauli_mark(o), setup.logical) for o in _OUTCOMES]
+    marked = [apply_logical_pauli(target, pauli_mark(o), setup.logical)
+              for o in WRITE_CLICK_RULE.values()]
 
     probs, outcome_idx, fids = [], [], []
     for pattern in sorted(events):
         p_pattern, atomic = events[pattern]
-        for k, w in enumerate(_one_click_weights(pattern, det)):
+        for k, clicks in enumerate(WRITE_CLICK_RULE):  # k: the detector that clicked
+            w = det.clicks_probability(pattern, clicks)
             if w <= 0.0:
                 continue
             probs.append(p_pattern * w)
@@ -158,39 +142,35 @@ def _write_event_table(cfg: RunConfig) -> _EventTable:
     idx = np.array(outcome_idx, dtype=int)
     fid = np.array(fids)
     exact_outcomes = {
-        o.value: float(cond[idx == k].sum()) for k, o in enumerate(_OUTCOMES)
+        o.value: float(cond[idx == k].sum()) for k, o in enumerate(OUTCOME_OF_DETECTOR)
     }
     exact_fid = float((cond * fid).sum()) if herald > 0.0 else 0.0
     return _EventTable(herald, cond, idx, fid, exact_outcomes, exact_fid)
 
 
 def _remote_event_table(cfg: RunConfig) -> _EventTable:
-    result = remote_transfer(cfg.alpha, cfg.beta, build_remote_setup(cfg.truncation))
-    setup = result.setup
+    setup = build_remote_setup(cfg.truncation)
+    split = remote_transfer(cfg.alpha, cfg.beta, setup)
     det = DetectorSpec(cfg.noise.eta_prime, cfg.noise.p_dc)
     target = setup.r_logical.logical_state(setup.r_registry, cfg.alpha, cfg.beta)
 
     probs, success_flags, fids = [], [], []
-    for pattern, branch in sorted(result.branches.items()):
-        click_prob = [det.click_probability(n) for n in pattern]
-        # marks act on the branch state, once per branch and mark; on the
+    for pattern in sorted(split):
+        p_pattern, r_state = split[pattern]
+        # marks act on the branch state, once per pattern and mark; on the
         # target (as in the write table) Z's exp(i pi) phase would move these
         # fidelities in the last bit, which the remote outputs show
         fid_of = {
-            mark: fidelity_pure(apply_logical_pauli(branch.r_state, mark, setup.r_logical), target)
+            mark: fidelity_pure(apply_logical_pauli(r_state, mark, setup.r_logical), target)
             for mark in (PauliMark.I, PauliMark.Z)
         }
-        for clicks in iter_product((False, True), repeat=4):
-            w = 1.0
-            for c, q in zip(clicks, click_prob):
-                w *= q if c else 1.0 - q
+        for clicks, (success, mark) in REMOTE_CLICK_RULE.items():
+            w = det.clicks_probability(pattern, clicks)
             if w <= 0.0:
                 continue
-            success, mark = classify_remote_clicks(clicks)
-            fid = fid_of[mark] if success else 0.0
-            probs.append(branch.probability * w)
+            probs.append(p_pattern * w)
             success_flags.append(1 if success else 0)
-            fids.append(fid)
+            fids.append(fid_of[mark] if success else 0.0)
     total = float(sum(probs))
     cond = np.array(probs) / total
     flags = np.array(success_flags, dtype=int)
@@ -262,7 +242,7 @@ def run_write_trials(cfg: RunConfig) -> RunStats:
         cfg,
         ["trial", "rounds", "outcome", "fidelity", "censored"],
         (
-            (i, int(r), _OUTCOMES[k].value if k >= 0 else "censored", repr(f), int(k < 0))
+            (i, int(r), OUTCOME_OF_DETECTOR[k].value if k >= 0 else "censored", repr(f), int(k < 0))
             for i, (r, k, f) in enumerate(zip(rounds.tolist(), outcome.tolist(),
                                               fidelity.tolist()))
         ),
@@ -270,7 +250,7 @@ def run_write_trials(cfg: RunConfig) -> RunStats:
     success_rate = n_ok / cfg.trial_count if cfg.trial_count else 0.0
     mean_rounds, rounds_se = _mean_se(rounds[ok])
     freqs, freqs_se = {}, {}
-    for k, name in enumerate(_OUTCOMES):
+    for k, name in enumerate(OUTCOME_OF_DETECTOR):
         f = float((outcome[ok] == k).sum() / n_ok) if n_ok else 0.0
         freqs[name.value] = f
         freqs_se[name.value] = _freq_se(f, n_ok)

@@ -25,6 +25,7 @@ from dfsmem.noise import NoiseParams, end_to_end_fidelity
 from dfsmem.optics import loss_coupler, phase_shifter
 from dfsmem.protocol import (
     BellOutcome,
+    REMOTE_CLICK_RULE,
     apply_logical_pauli,
     build_read_setup,
     build_remote_setup,
@@ -155,13 +156,15 @@ def test_criterion_5_remote_transfer():
     setup = build_remote_setup()
     rng = np.random.default_rng(55)
     alpha, beta = random_qubit(rng)
-    result = remote_transfer(alpha, beta, setup)
-    assert abs(result.success_probability - 0.5) < 1e-12
+    split = remote_transfer(alpha, beta, setup)
+    verdicts = {pattern: REMOTE_CLICK_RULE[tuple(n >= 1 for n in pattern)] for pattern in split}
+    success = sum(split[pattern][0] for pattern, (ok, _) in verdicts.items() if ok)
+    assert abs(success - 0.5) < 1e-12
     target = setup.r_logical.logical_state(setup.r_registry, alpha, beta)
     worst = 0.0
-    for branch in result.branches.values():
-        if branch.success:
-            corrected = apply_logical_pauli(branch.r_state, branch.mark, setup.r_logical)
+    for pattern, (ok, mark) in verdicts.items():
+        if ok:
+            corrected = apply_logical_pauli(split[pattern][1], mark, setup.r_logical)
             worst = max(worst, abs(fidelity_pure(corrected, target) - 1.0))
     assert worst < 1e-10
 

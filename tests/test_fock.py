@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dfsmem.fock import (
@@ -259,7 +259,7 @@ def _split_cases(draw):
     return PureState(reg, amps).normalize(), split, keep
 
 
-@settings(deadline=None)
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_split_cases())
 def test_split_by_pattern_matches_projection(case):
     state, modes, keep = case

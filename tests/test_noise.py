@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dfsmem.fock import (
@@ -14,11 +15,13 @@ from dfsmem.fock import (
     fidelity_mixed,
     fidelity_pure,
     photon_mode,
+    project_total_occupation,
     register_modes,
     vacuum,
     PureState,
 )
 from dfsmem.noise import (
+    DetectorSpec,
     FidelityReport,
     NoiseParams,
     apply_loss,
@@ -30,6 +33,7 @@ from dfsmem.noise import (
     po_analytic,
     preparation_time,
 )
+from dfsmem.protocol import build_write_setup, entangled_state, ideal_entangled_state
 from dense_oracle import random_state, random_unitary
 
 
@@ -225,7 +229,7 @@ def _loss_cases(draw):
     return random_pure(), modes, survival, [random_pure() for _ in range(3)]
 
 
-@settings(deadline=None)
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_loss_cases())
 def test_apply_loss_two_modes_equals_mode_by_mode(case):
     state, (m1, m2), eta, probes = case
@@ -240,6 +244,68 @@ def test_apply_loss_two_modes_equals_mode_by_mode(case):
         assert fidelity_mixed(joint, probe) == pytest.approx(
             fidelity_mixed(chained, probe), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("det", [
+    DetectorSpec(1.0), DetectorSpec(0.56, 1e-3), DetectorSpec(0.0, 0.3),
+])
+def test_clicks_probability_over_every_click_vector(det):
+    vectors = list(itertools.product((False, True), repeat=4))
+    for photons in itertools.product(range(3), repeat=4):
+        weights = {clicks: det.clicks_probability(photons, clicks) for clicks in vectors}
+        assert abs(sum(weights.values()) - 1.0) <= 1e-15
+        if det.efficiency == 1.0:
+            assert all(w in (0.0, 1.0) for w in weights.values())
+            fired = [clicks for clicks, w in weights.items() if w == 1.0]
+            assert fired == [tuple(n >= 1 for n in photons)]
+
+
+def _sector_reference(pc: float, noise: NoiseParams) -> dict[str, float]:
+    """The heralded mixture built sector by sector: one total-occupation
+    projection per photon number on the outputs of each loss component."""
+    setup = build_write_setup()
+    fibers = [setup.photon("H", "fiber"), setup.photon("V", "fiber")]
+    mixed = apply_loss(entangled_state(pc, setup), fibers, noise.channel_survival)
+    det = DetectorSpec(noise.eta_d, noise.p_dc)
+    atomic_idx = (setup.registry.index(setup.s_l), setup.registry.index(setup.s_r))
+    kept = []  # weight, normalized sector, photons, excitations
+    for w, s in mixed.components:
+        for n in range(setup.registry.d):
+            sector, prob = project_total_occupation(s, setup.output_modes(), n)
+            click = det.click_probability(n)
+            if prob <= 0.0 or click <= 0.0:
+                continue
+            sector = sector.normalize()
+            counts = {sum(p[i] for i in atomic_idx) for p in sector.support()}
+            assert len(counts) == 1
+            kept.append((w * prob * click, sector, n, counts.pop()))
+    herald = sum(wt for wt, _, _, _ in kept)
+    rho = MixedState(tuple((wt / herald, s) for wt, s, _, _ in kept))
+    F = fidelity_mixed(rho, ideal_entangled_state(setup))
+    return {
+        "p0": sum(wt for wt, _, n, a in kept if n == 0 and a == 0) / herald,
+        "p1": sum(wt for wt, _, n, a in kept if n == 1 and a == 1) / herald,
+        "po": sum(wt for wt, _, _, a in kept if a >= 2) / herald,
+        "eta_prime": noise.eta_prime,
+        "herald_probability": herald,
+        "T_seconds": preparation_time(herald, noise.f_p),
+        "F": F,
+        "delta_F": 1.0 - F,
+        "p0_analytic": p0_analytic(noise) if noise.p_dc > 0 else 0.0,
+        "p1_analytic": p1_analytic(noise),
+        "po_analytic": po_analytic(noise, 2),
+    }
+
+
+@pytest.mark.parametrize("pc", [0.01, 0.1, 0.2])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_end_to_end_matches_sector_reference(pc, noisy):
+    noise = NoiseParams(pc=pc, **({"chi": 0.7, "eta_d": 0.8, "p_dc": 1e-3} if noisy else {}))
+    report = dataclasses.asdict(end_to_end_fidelity(pc, noise))
+    reference = _sector_reference(pc, noise)
+    assert report.keys() == reference.keys()
+    for name, value in report.items():
+        assert value == pytest.approx(reference[name], abs=1e-12), name
 
 
 def test_end_to_end_perfect_detectors_blame_pair_terms():

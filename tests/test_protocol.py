@@ -19,6 +19,7 @@ from dfsmem.optics import phase_shifter
 from dfsmem.protocol import (
     BellOutcome,
     PauliMark,
+    REMOTE_CLICK_RULE,
     TrialRecord,
     apply_logical_pauli,
     build_read_setup,
@@ -341,12 +342,18 @@ def test_read_memory_rejects_failure_record():
         read_memory(record, 1.0)
 
 
+def _remote_verdict(pattern):
+    """(success, mark) of a photon pattern on ideal non-resolving detectors."""
+    return REMOTE_CLICK_RULE[tuple(n >= 1 for n in pattern)]
+
+
 def test_remote_transfer_success_probability():
     rng = np.random.default_rng(3)
     alpha, beta = random_qubit(rng)
-    result = remote_transfer(alpha, beta)
-    assert result.success_probability == pytest.approx(0.5, abs=1e-12)
-    assert sum(result.pattern_probs.values()) == pytest.approx(1.0, abs=1e-12)
+    split = remote_transfer(alpha, beta)
+    success = sum(p for pattern, (p, _) in split.items() if _remote_verdict(pattern)[0])
+    assert success == pytest.approx(0.5, abs=1e-12)
+    assert sum(p for p, _ in split.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_remote_transfer_conditional_fidelity():
@@ -354,35 +361,36 @@ def test_remote_transfer_conditional_fidelity():
     setup = build_remote_setup()
     for _ in range(6):
         alpha, beta = random_qubit(rng)
-        result = remote_transfer(alpha, beta, setup)
+        split = remote_transfer(alpha, beta, setup)
         target = setup.r_logical.logical_state(setup.r_registry, alpha, beta)
         n_success = 0
-        for pattern, branch in result.branches.items():
-            if not branch.success:
+        for pattern, (prob, r_state) in split.items():
+            success, mark = _remote_verdict(pattern)
+            if not success:
                 continue
             n_success += 1
-            assert branch.probability == pytest.approx(0.125, abs=1e-12)
-            corrected = apply_logical_pauli(branch.r_state, branch.mark, setup.r_logical)
+            assert prob == pytest.approx(0.125, abs=1e-12)
+            corrected = apply_logical_pauli(r_state, mark, setup.r_logical)
             assert fidelity_pure(corrected, target) == pytest.approx(1.0, abs=1e-10)
         assert n_success == 4
 
 
 def test_remote_transfer_basis_state():
     setup = build_remote_setup()
-    result = remote_transfer(1.0, 0.0, setup)
+    split = remote_transfer(1.0, 0.0, setup)
     zero = setup.r_logical.logical_state(setup.r_registry, 1.0, 0.0)
-    for branch in result.branches.values():
-        if branch.success:
-            assert fidelity_pure(branch.r_state, zero) == pytest.approx(1.0, abs=1e-12)
+    for pattern, (_, r_state) in split.items():
+        if _remote_verdict(pattern)[0]:
+            assert fidelity_pure(r_state, zero) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_remote_transfer_bunched_branches_fail():
-    result = remote_transfer(0.6, 0.8)
-    bunched = [p for p in result.pattern_probs if max(p) == 2]
+    split = remote_transfer(0.6, 0.8)
+    bunched = [p for p in split if max(p) == 2]
     assert len(bunched) == 4
     for p in bunched:
-        assert not result.branches[p].success
-    assert sum(result.pattern_probs[p] for p in bunched) == pytest.approx(0.5, abs=1e-12)
+        assert not _remote_verdict(p)[0]
+    assert sum(split[p][0] for p in bunched) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_classify_remote_clicks_parity_table():

@@ -5,9 +5,10 @@ Usage: python tools/cli_grid.py OUTDIR
 The grid is every pc in {0.01, 0.1, 0.2}, truncation in {3, 4}, three qubits
 and ideal or noisy detection, for bsm-stats, entangle, read, teleport,
 remote-transfer and oracle-check; the two curve commands at the README
-example flags; end_to_end_fidelity at the three pc, ideal and noisy; and, at
-the three pc with noisy detection, the records CSV and statistics of
-run_write_trials (with a round cap that censors trials) and run_remote_trials.
+example flags; end_to_end_fidelity and the remote oracle_check at the three
+pc, ideal and noisy; and, at the three pc with noisy detection, the records
+CSV and statistics of run_write_trials (with a round cap that censors trials)
+and run_remote_trials.
 Each CLI file holds the output the command wrote, its exit code and its stdout
 with OUTDIR stripped. Run the script from two checkouts into two
 directories; ``diff -r`` between them then lists every output that changed.
@@ -27,7 +28,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dfsmem.cli import main  # noqa: E402
 from dfsmem.noise import NoiseParams, end_to_end_fidelity  # noqa: E402
-from dfsmem.trials import RunConfig, run_remote_trials, run_write_trials  # noqa: E402
+from dfsmem.trials import (  # noqa: E402
+    RunConfig,
+    oracle_check,
+    run_remote_trials,
+    run_write_trials,
+)
 
 PCS = ("0.01", "0.1", "0.2")
 TRUNCATIONS = ("3", "4")
@@ -65,6 +71,11 @@ def run_cli(outdir: Path, name: str, argv: list[str]) -> None:
     path.write_text(f"{written}--- exit code\n{code}\n--- stdout\n{printed}", encoding="utf-8")
 
 
+def write_json(path: Path, result) -> None:
+    text = json.dumps(dataclasses.asdict(result), indent=2, sort_keys=True)
+    path.write_text(text + "\n", encoding="utf-8")
+
+
 def main_grid(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     outdir = outdir.resolve()
@@ -80,17 +91,17 @@ def main_grid(outdir: Path) -> int:
     for pc, detection in itertools.product(PCS, DETECTION):
         noise = NoiseParams(pc=float(pc), **(NOISY if detection == "noisy" else {}))
         report = end_to_end_fidelity(float(pc), noise)
-        text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
-        (outdir / f"end_to_end_fidelity_pc{pc}_{detection}.json").write_text(
-            text + "\n", encoding="utf-8"
-        )
+        write_json(outdir / f"end_to_end_fidelity_pc{pc}_{detection}.json", report)
+        # the remote event table's exact values, which sampled outputs do not show
+        cfg = RunConfig(2000, 9, float(pc), 0.6, 0.8j, noise)
+        write_json(outdir / f"oracle_remote_pc{pc}_{detection}.json",
+                   oracle_check(cfg, experiment="remote"))
     for pc, (kind, run) in itertools.product(PCS, RECORDS.items()):
         records = outdir / f"records_{kind}_pc{pc}.csv"
         cfg = RunConfig(trial_count=2000, master_seed=9, pc=float(pc), alpha=0.6, beta=0.8j,
                         noise=NoiseParams(pc=float(pc), **NOISY), round_cap=ROUND_CAP,
                         records_csv=str(records))
-        text = json.dumps(dataclasses.asdict(run(cfg)), indent=2, sort_keys=True)
-        (outdir / f"records_{kind}_pc{pc}_stats.json").write_text(text + "\n", encoding="utf-8")
+        write_json(outdir / f"records_{kind}_pc{pc}_stats.json", run(cfg))
     return 0
 
 
