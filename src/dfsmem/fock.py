@@ -160,6 +160,17 @@ class PureState:
         self.registry = registry
         self._amp = amp
 
+    @classmethod
+    def _trusted(
+        cls, registry: ModeRegistry, amplitudes: Mapping[tuple[int, ...], complex]
+    ) -> "PureState":
+        """Construction for tuple patterns valid on ``registry`` by construction:
+        prunes like the public constructor but skips the pattern checks."""
+        state = cls.__new__(cls)
+        state.registry = registry
+        state._amp = {p: complex(a) for p, a in amplitudes.items() if abs(a) > PRUNE_TOL}
+        return state
+
     def amplitude(self, pattern: Sequence[int]) -> complex:
         return self._amp.get(tuple(pattern), 0j)
 
@@ -179,7 +190,7 @@ class PureState:
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return PureState(self.registry, {p: a / n for p, a in self._amp.items()})
+        return PureState._trusted(self.registry, {p: a / n for p, a in self._amp.items()})
 
     def __repr__(self):
         terms = ", ".join(f"{p}: {a:.4g}" for p, a in sorted(self._amp.items()))
@@ -342,7 +353,7 @@ def apply_unitary(state: PureState, element: OpticalElement) -> PureState:
         raise TruncationOverflowError(
             f"element {element.name!r} overflows truncation d={d}", lost
         )
-    return PureState(reg, out)
+    return PureState._trusted(reg, out)
 
 
 def apply_elements(state: PureState, elements: Iterable[OpticalElement]) -> PureState:
@@ -396,7 +407,7 @@ def project_total_occupation(
     idx = [reg.index(m) for m in modes]
     kept = {p: a for p, a in state.items() if sum(p[i] for i in idx) == total}
     prob = sum(a.real * a.real + a.imag * a.imag for a in kept.values())
-    return PureState(reg, kept), prob
+    return PureState._trusted(reg, kept), prob
 
 
 def born_probabilities(
@@ -431,7 +442,7 @@ def split_by_pattern(
         probs[key] = probs.get(key, 0.0) + (a.real * a.real + a.imag * a.imag)
         groups.setdefault(key, {})[pattern] = a
     return {
-        key: (probs[key], restrict_state(PureState(reg, amp).normalize(), keep))
+        key: (probs[key], restrict_state(PureState._trusted(reg, amp).normalize(), keep))
         for key, amp in groups.items()
     }
 
@@ -483,7 +494,7 @@ def restrict_state(state: PureState, registry: ModeRegistry) -> PureState:
         elif dropped != drop_ref:
             raise ValueError("state does not factorize against the dropped modes")
         out[tuple(pattern[i] for i in keep_idx)] = a
-    return PureState(registry, out)
+    return PureState._trusted(registry, out)
 
 
 def embed_state(state: PureState, registry: ModeRegistry) -> PureState:

@@ -1,10 +1,18 @@
 """Seeded Monte Carlo layer over the exact pipeline.
 
 Each trial owns its own random stream, derived from the master seed and the
-trial index through numpy's SeedSequence (``SeedSequence(master_seed,
-spawn_key=(trial_index,))``). Trials run in index order in one thread; a
-write trial draws ``geometric(herald probability)`` and then, unless
-censored, one ``random()`` that picks its event through the table's CDF
+trial index through numpy's SeedSequence: trial i's stream is
+``default_rng(SeedSequence(master_seed, spawn_key=(i,)))``, bit for bit.
+:func:`trial_rng` meets that contract without hashing a SeedSequence per
+trial: it computes the PCG64 seed words of a whole block of ``_BLOCK``
+consecutive trial indices in one vectorised pass of SeedSequence's hash, and
+checks each block's first row against numpy's own SeedSequence, raising
+``RuntimeError`` on any mismatch. Because a trial stream is seeded from
+precomputed words, ``Generator.spawn()`` on it raises ``TypeError``.
+
+Trials run in index order in one thread; a write trial draws
+``geometric(herald probability)`` and then, unless censored, one
+``random()`` that picks its event through the table's CDF
 (:func:`dfsmem.protocol.event_cdf`); a remote trial draws one ``random()``.
 ``RunConfig.threads`` is validated but starts no threads and changes no byte
 of the output.
@@ -24,10 +32,13 @@ probability, which has the same distribution as looping round by round.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .fock import fidelity_pure
 from .noise import DetectorSpec, NoiseParams
@@ -95,11 +106,138 @@ class RunStats:
     mean_conditional_fidelity_se: float
 
 
+# numpy's SeedSequence hash (after O'Neill's seed_seq_fe, 32-bit words):
+# entropy words are hashed into a 4-word pool with a running multiplier
+# (INIT_A, MULT_A), pool words are mixed pairwise (MIX_L, MIX_R), and
+# generate_state hashes the pool cyclically with a second multiplier
+# (INIT_B, MULT_B). The trial index enters as the last entropy words, so a
+# block of indices shares every step before it.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+# trial indices per seed block; a power of two below 2**32, so the indices of
+# one block share every 32-bit word but the lowest
+_BLOCK = 4096
+
+
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of n >= 0, as SeedSequence splits it."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _multipliers(hash_const: int, mult: int, count: int):
+    """The next ``count`` (xor, multiply) hash constants as (count, 1) columns,
+    and the running constant after them."""
+    xor, mul = [], []
+    for _ in range(count):
+        xor.append(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        mul.append(hash_const)
+    return (np.array(xor, dtype=np.uint32)[:, None],
+            np.array(mul, dtype=np.uint32)[:, None], hash_const)
+
+
+_STATE_XOR, _STATE_MUL, _ = _multipliers(_INIT_B, _MULT_B, 8)
+
+
+def _seed_words(master_seed: int, start: int, count: int) -> np.ndarray:
+    """Rows ``SeedSequence(master_seed, spawn_key=(start + r,))
+    .generate_state(4, np.uint64)`` for r < count, in one vectorised pass.
+
+    ``start .. start + count - 1`` must share all 32-bit words but the lowest.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return r ^ (r >> 16)
+
+    # the master seed, zero-padded to the pool size (a spawn key is present)
+    entropy = _uint32_words(int(master_seed))
+    entropy += [0] * (4 - len(entropy))
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        pool = [mix(p, hashmix(w)) for p in pool]
+
+    # the spawn key's words, all four pool words at once: pool is (4, count)
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    for j, w in enumerate(_uint32_words(int(start))):
+        word = np.arange(w, w + count, dtype=np.uint32) if j == 0 else np.uint32(w)
+        xor, mul, hash_const = _multipliers(hash_const, _MULT_A, 4)
+        h = (word ^ xor) * mul
+        h ^= h >> _XSHIFT
+        pool = np.uint32(_MIX_L) * pool - np.uint32(_MIX_R) * h
+        pool ^= pool >> _XSHIFT
+
+    # generate_state(8 uint32 words) cycles the pool twice; SeedSequence
+    # pairs them into uint64 words little-endian first
+    state = np.concatenate([pool, pool]) ^ _STATE_XOR
+    state *= _STATE_MUL
+    state ^= state >> _XSHIFT
+    out = np.empty((count, 8), dtype="<u4")
+    out.T[...] = state
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _seed_block(master_seed: int, start: int) -> np.ndarray:
+    """PCG64 seed words of trials ``start .. start + _BLOCK - 1``, checked.
+
+    numpy's own SeedSequence for the first trial is built first: it validates
+    the seed and index as numpy does, and its words must equal row 0.
+    """
+    reference = np.random.SeedSequence(master_seed, spawn_key=(start,))
+    words = _seed_words(master_seed, start, _BLOCK)
+    if not np.array_equal(words[0], reference.generate_state(4, np.uint64)):
+        raise RuntimeError(
+            f"vectorised seed words disagree with numpy {np.__version__}'s "
+            f"SeedSequence at seed {master_seed}, trial {start}"
+        )
+    words.setflags(write=False)  # shared by every stream the block seeds
+    return words
+
+
+class _Words(ISeedSequence):
+    """A seed sequence that serves one precomputed PCG64 seed."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError("a trial stream's seed holds 4 uint64 words only")
+        return self._words
+
+
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """The per-trial stream: SeedSequence(master_seed, spawn_key=(index,))."""
-    return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(trial_index,))
-    )
+    """The per-trial stream: SeedSequence(master_seed, spawn_key=(index,)).
+
+    Equal, state and draws, to ``default_rng`` of that SeedSequence; the seed
+    words come from the memoised block that holds ``trial_index``.
+    """
+    start = trial_index - trial_index % _BLOCK
+    words = _seed_block(master_seed, start)[trial_index - start]
+    return np.random.Generator(np.random.PCG64(_Words(words)))
 
 
 @dataclass(frozen=True)
@@ -190,13 +328,13 @@ def _remote_event_table(cfg: RunConfig) -> _EventTable:
     )
 
 
-def _stream_records(cfg: RunConfig, header: list[str], rows) -> None:
+def _stream_records(cfg: RunConfig, header: str, lines) -> None:
+    """Write the header and the formatted, newline-terminated record lines."""
     if cfg.records_csv is None:
         return
     with open(cfg.records_csv, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(lines)
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -222,7 +360,7 @@ def run_write_trials(cfg: RunConfig) -> RunStats:
     """
     table = _write_event_table(cfg)
     h = table.herald_probability
-    cdf = event_cdf(table.probabilities) if h > 0.0 else None
+    cdf = event_cdf(table.probabilities).tolist() if h > 0.0 else None
     rounds = np.full(cfg.trial_count, float(cfg.round_cap))
     events = np.full(cfg.trial_count, -1)  # -1: censored
     for i in range(cfg.trial_count):
@@ -232,18 +370,19 @@ def run_write_trials(cfg: RunConfig) -> RunStats:
         r = int(rng.geometric(h))
         if r <= cfg.round_cap:
             rounds[i] = r
-            events[i] = cdf.searchsorted(rng.random(), side="right")
+            events[i] = bisect_right(cdf, rng.random())
     # index -1 reads the appended censored entry: no outcome, fidelity 0
     outcome = np.append(table.outcome_index, -1)[events]
     fidelity = np.append(table.fidelity, 0.0)[events]
     ok = events >= 0
     n_ok = int(ok.sum())
+    names = [o.value for o in OUTCOME_OF_DETECTOR] + ["censored"]  # [-1]: censored
     _stream_records(
         cfg,
-        ["trial", "rounds", "outcome", "fidelity", "censored"],
+        "trial,rounds,outcome,fidelity,censored",
         (
-            (i, int(r), OUTCOME_OF_DETECTOR[k].value if k >= 0 else "censored", repr(f), int(k < 0))
-            for i, (r, k, f) in enumerate(zip(rounds.tolist(), outcome.tolist(),
+            f"{i},{r},{names[k]},{f!r},{int(k < 0)}\n"
+            for i, (r, k, f) in enumerate(zip(rounds.astype(int).tolist(), outcome.tolist(),
                                               fidelity.tolist()))
         ),
     )
@@ -273,11 +412,16 @@ def run_write_trials(cfg: RunConfig) -> RunStats:
 
 
 def run_remote_trials(cfg: RunConfig) -> RunStats:
-    """Sample the two-splitter coincidence transfer, one attempt per trial."""
+    """Sample the two-splitter coincidence transfer, one attempt per trial.
+
+    ``cfg.pc`` changes no number of a remote run: the resource pairs of
+    :func:`dfsmem.protocol.remote_transfer` are ideal, so the event table
+    depends on the qubit, the truncation and the detectors only.
+    """
     table = _remote_event_table(cfg)
-    cdf = event_cdf(table.probabilities)
+    cdf = event_cdf(table.probabilities).tolist()
     events = np.array(
-        [cdf.searchsorted(trial_rng(cfg.master_seed, i).random(), side="right")
+        [bisect_right(cdf, trial_rng(cfg.master_seed, i).random())
          for i in range(cfg.trial_count)],
         dtype=int,
     )
@@ -285,8 +429,8 @@ def run_remote_trials(cfg: RunConfig) -> RunStats:
     fidelity = table.fidelity[events]
     _stream_records(
         cfg,
-        ["trial", "success", "fidelity"],
-        ((i, s, repr(f)) for i, (s, f) in enumerate(zip(success.tolist(), fidelity.tolist()))),
+        "trial,success,fidelity",
+        (f"{i},{s},{f!r}\n" for i, (s, f) in enumerate(zip(success.tolist(), fidelity.tolist()))),
     )
     n = cfg.trial_count
     successes = success == 1

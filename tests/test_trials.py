@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dfsmem import trials
 from dfsmem.noise import NoiseParams, p1_analytic, preparation_time
@@ -278,3 +280,102 @@ def test_remote_records_match_stream_contract(tmp_path):
                                                  p=table.probabilities)
         lines.append(f"{i},{table.outcome_index[e]},{float(table.fidelity[e])!r}")
     assert path.read_text().splitlines() == lines
+
+
+# the same contract checked against numpy itself rather than against
+# trial_rng, so a wrong fast path in trial_rng cannot hide behind its reference
+def _numpy_rng(seed, i):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+
+
+def _assert_same_stream(seed, i):
+    fast, ref = trial_rng(seed, i), _numpy_rng(seed, i)
+    assert fast.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(fast.random(4), ref.random(4))
+    assert np.array_equal(fast.geometric(0.03, 4), ref.geometric(0.03, 4))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2**256 - 1), st.integers(0, 2**40 - 1))
+def test_trial_rng_matches_numpy_seed_sequence(seed, i):
+    _assert_same_stream(seed, i)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**128 + 5])
+@pytest.mark.parametrize("i", [0, trials._BLOCK - 1, trials._BLOCK, 2**32 - 1, 2**32])
+def test_trial_rng_matches_numpy_at_block_and_word_edges(seed, i):
+    _assert_same_stream(seed, i)
+
+
+def test_write_records_match_numpy_streams(tmp_path):
+    path = tmp_path / "write.csv"
+    # more trials than one seed block
+    cfg = RunConfig(trial_count=trials._BLOCK + 900, master_seed=17, pc=0.01, alpha=0.6,
+                    beta=0.8j, noise=NOISY, round_cap=100, records_csv=str(path))
+    stats = run_write_trials(cfg)
+    table = trials._write_event_table(cfg)
+    lines = ["trial,rounds,outcome,fidelity,censored"]
+    for i in range(cfg.trial_count):
+        rng = _numpy_rng(cfg.master_seed, i)
+        rounds = int(rng.geometric(table.herald_probability))
+        if rounds > cfg.round_cap:
+            lines.append(f"{i},{cfg.round_cap},censored,0.0,1")
+            continue
+        e = rng.choice(len(table.probabilities), p=table.probabilities)
+        lines.append(f"{i},{rounds},{_NAMES[table.outcome_index[e]]},"
+                     f"{float(table.fidelity[e])!r},0")
+    assert 0 < stats.censored_count < cfg.trial_count
+    assert path.read_text().splitlines() == lines
+
+
+def test_remote_records_match_numpy_streams(tmp_path):
+    path = tmp_path / "remote.csv"
+    cfg = RunConfig(trial_count=trials._BLOCK + 900, master_seed=23, pc=0.01, alpha=0.6,
+                    beta=0.8j, noise=NOISY, records_csv=str(path))
+    run_remote_trials(cfg)
+    table = trials._remote_event_table(cfg)
+    lines = ["trial,success,fidelity"]
+    for i in range(cfg.trial_count):
+        e = _numpy_rng(cfg.master_seed, i).choice(len(table.probabilities),
+                                                  p=table.probabilities)
+        lines.append(f"{i},{table.outcome_index[e]},{float(table.fidelity[e])!r}")
+    assert path.read_text().splitlines() == lines
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.0, TypeError)])
+def test_trial_rng_rejects_what_seed_sequence_rejects(seed, error):
+    trial_rng(1, 0)  # a cached block for an equal seed must not let it through
+    with pytest.raises(error):
+        trial_rng(seed, 0)
+
+
+def test_seed_block_raises_when_row_0_disagrees_with_numpy(monkeypatch):
+    real = trials._seed_words
+
+    def corrupted(*args):
+        words = real(*args)
+        words[0, 0] ^= 1
+        return words
+
+    monkeypatch.setattr(trials, "_seed_words", corrupted)
+    trials._seed_block.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="SeedSequence"):
+            trials._seed_block(5, 0)
+    finally:
+        trials._seed_block.cache_clear()
+
+
+def test_trial_stream_seed_words_are_read_only():
+    words = trial_rng(3, 5).bit_generator.seed_seq.generate_state(4, np.uint64)
+    with pytest.raises(ValueError):
+        words[0] = 0
+    _assert_same_stream(3, 6)
+
+
+def test_trial_stream_cannot_spawn():
+    rng = trial_rng(3, 0)
+    if not hasattr(rng, "spawn"):  # Generator.spawn is numpy >= 1.25
+        pytest.skip("this numpy has no Generator.spawn")
+    with pytest.raises(TypeError):
+        rng.spawn(1)
