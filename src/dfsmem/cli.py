@@ -312,12 +312,13 @@ def run(cfg: CliConfig) -> int:
         print(f"entangle: herald_probability={prob:.6g} fidelity={fid:.6g} -> {path}")
         return 0
 
-    if cfg.command == "teleport":
-        stats = run_write_trials(cfg.run_config())
+    if cfg.command in ("teleport", "remote-transfer"):
+        run_trials = run_write_trials if cfg.command == "teleport" else run_remote_trials
+        stats = run_trials(cfg.run_config())
         header, rows = _stats_rows(stats)
         path = _emit(cfg, header, rows, stats)
         print(
-            f"teleport: success_rate={stats.success_rate:.6g} "
+            f"{cfg.command}: success_rate={stats.success_rate:.6g} "
             f"F={stats.mean_conditional_fidelity:.6g} "
             f"T={stats.empirical_T_seconds:.6g}s -> {path}"
         )
@@ -347,17 +348,6 @@ def run(cfg: CliConfig) -> int:
             f"photon_present={present:.6g} -> {path}"
         )
         return 0
-
-    if cfg.command == "remote-transfer":
-        stats = run_remote_trials(cfg.run_config())
-        header, rows = _stats_rows(stats)
-        path = _emit(cfg, header, rows, stats)
-        print(
-            f"remote-transfer: success_rate={stats.success_rate:.6g} "
-            f"F={stats.mean_conditional_fidelity:.6g} "
-            f"T={stats.empirical_T_seconds:.6g}s -> {path}"
-        )
-        return 0 if stats.success_count else 1
 
     if cfg.command == "curves-fig4a":
         curve = fidelity_vs_T(cfg.eta_prime, cfg.f_p, _grid(cfg.t_min, cfg.t_max, cfg.points))

@@ -22,6 +22,7 @@ being applied to the atoms; read-out applies it to the retrieved photon.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -374,9 +375,9 @@ def write_branches(
 
 
 def event_cdf(p: np.ndarray) -> np.ndarray:
-    """Normalised CDF of event probabilities ``p``: ``cdf.searchsorted(u,
-    side="right")`` on ``u = rng.random()`` draws the index numpy's
-    ``Generator.choice`` draws with ``p``, whose checks run here once per table."""
+    """Normalised CDF of event probabilities ``p``: ``bisect_right(cdf.tolist(),
+    u)`` on ``u = rng.random()`` draws the index numpy's ``Generator.choice``
+    draws with ``p``, whose checks run here once per table."""
     p = np.asarray(p, dtype=float)
     # NaN fails both comparisons
     if not ((p >= 0.0).all() and abs(p.sum() - 1.0) <= math.sqrt(np.finfo(float).eps)):
@@ -405,7 +406,7 @@ def write_memory(
     outcomes = list(branches.keys())
     weights = np.array([branches[o].probability for o in outcomes])
     weights = weights / weights.sum()
-    pick = outcomes[int(event_cdf(weights).searchsorted(rng.random(), side="right"))]
+    pick = outcomes[bisect_right(event_cdf(weights).tolist(), rng.random())]
     clicks = next(c for c, o in WRITE_CLICK_RULE.items() if o is pick)
     chosen = branches[pick]
     return TrialRecord(
@@ -494,7 +495,7 @@ def read_memory(record: TrialRecord, retrieval_efficiency: float) -> MixedState:
 def read_target(alpha: complex, beta: complex, setup: ReadSetup | None = None) -> PureState:
     """The ideal read-out photon: alpha|V> + beta|H> on the output port."""
     setup = setup or build_read_setup()
-    return superposition(setup.registry, [({setup.out_v: 1}, alpha), ({setup.out_h: 1}, beta)])
+    return setup.out_logical.logical_state(setup.registry, alpha, beta)
 
 
 def photon_present_probability(state: MixedState, modes: Sequence[ModeLabel]) -> float:

@@ -5,10 +5,12 @@ trial index through numpy's SeedSequence: trial i's stream is
 ``default_rng(SeedSequence(master_seed, spawn_key=(i,)))``, bit for bit.
 :func:`trial_rng` meets that contract without hashing a SeedSequence per
 trial: it computes the PCG64 seed words of a whole block of ``_BLOCK``
-consecutive trial indices in one vectorised pass of SeedSequence's hash, and
-checks each block's first row against numpy's own SeedSequence, raising
-``RuntimeError`` on any mismatch. Because a trial stream is seeded from
-precomputed words, ``Generator.spawn()`` on it raises ``TypeError``.
+consecutive trial indices in one vectorised pass, which hashes the indices'
+spawn words into numpy's own pool for the master seed
+(``SeedSequence(master_seed).pool``), and checks each block's first row
+against numpy's own SeedSequence, raising ``RuntimeError`` on any mismatch.
+Because a trial stream is seeded from precomputed words,
+``Generator.spawn()`` on it raises ``TypeError``.
 
 Trials run in index order in one thread; a write trial draws
 ``geometric(herald probability)`` and then, unless censored, one
@@ -23,7 +25,9 @@ click vector of the experiment's click rule
 (:data:`dfsmem.protocol.WRITE_CLICK_RULE`,
 :data:`dfsmem.protocol.REMOTE_CLICK_RULE`), by the closed form
 :meth:`dfsmem.noise.DetectorSpec.clicks_probability` (overall survival and
-dark counts), and each trial draws one event from that table. For the write,
+dark counts), and each trial draws one event from that table. Both tables
+come from one fold, :func:`_fold`; an event's ``outcome_index`` is -1 for a
+failed remote attempt, so ``outcome_index >= 0`` is success. For the write,
 rounds with anything other than exactly one click are repeated; the repeat
 loop is drawn as a single geometric variate in the exact per-round herald
 probability, which has the same distribution as looping round by round.
@@ -46,7 +50,6 @@ from .protocol import (
     OUTCOME_OF_DETECTOR,
     REMOTE_CLICK_RULE,
     WRITE_CLICK_RULE,
-    PauliMark,
     apply_logical_pauli,
     build_remote_setup,
     build_write_setup,
@@ -111,7 +114,8 @@ class RunStats:
 # (INIT_A, MULT_A), pool words are mixed pairwise (MIX_L, MIX_R), and
 # generate_state hashes the pool cyclically with a second multiplier
 # (INIT_B, MULT_B). The trial index enters as the last entropy words, so a
-# block of indices shares every step before it.
+# block of indices shares the master seed's pool, which numpy exposes as
+# SeedSequence(master_seed).pool; only the index words are hashed here.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -153,32 +157,13 @@ def _seed_words(master_seed: int, start: int, count: int) -> np.ndarray:
 
     ``start .. start + count - 1`` must share all 32-bit words but the lowest.
     """
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x: int, y: int) -> int:
-        r = (_MIX_L * x - _MIX_R * y) & _MASK32
-        return r ^ (r >> 16)
-
-    # the master seed, zero-padded to the pool size (a spawn key is present)
-    entropy = _uint32_words(int(master_seed))
-    entropy += [0] * (4 - len(entropy))
-    pool = [hashmix(w) for w in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[4:]:
-        pool = [mix(p, hashmix(w)) for p in pool]
+    # numpy's pool for the master seed; hashing it took a multiplier step per
+    # pool word (4), per pairwise mix (12) and 4 per seed word past the 4th
+    pool = np.random.SeedSequence(master_seed).pool[:, None]
+    steps = 16 + 4 * max(0, len(_uint32_words(int(master_seed))) - 4)
+    hash_const = _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
 
     # the spawn key's words, all four pool words at once: pool is (4, count)
-    pool = np.array(pool, dtype=np.uint32)[:, None]
     for j, w in enumerate(_uint32_words(int(start))):
         word = np.arange(w, w + count, dtype=np.uint32) if j == 0 else np.uint32(w)
         xor, mul, hash_const = _multipliers(hash_const, _MULT_A, 4)
@@ -246,39 +231,43 @@ class _EventTable:
 
     herald_probability: float
     probabilities: np.ndarray  # conditional on herald, per event
-    outcome_index: np.ndarray  # detector that clicked
-    fidelity: np.ndarray  # corrected-memory fidelity for the event
+    outcome_index: np.ndarray  # into exact_outcome_probs; -1: a failed attempt
+    fidelity: np.ndarray  # corrected-memory fidelity for the event; 0 if failed
     exact_outcome_probs: dict[str, float]
     exact_mean_fidelity: float
+
+
+def _fold(split, rule, det: DetectorSpec, fidelity):
+    """Events of an exact ``{pattern: (probability, state)}`` split under a
+    ``{clicks: (outcome index or -1, mark)}`` rule: the total weight, the
+    probabilities divided by it (unless 0), the outcome indices and fidelities
+    (``fidelity(state, mark)`` for a success, 0 for a failure)."""
+    probs, index, fids = [], [], []
+    for pattern in sorted(split):
+        p_pattern, state = split[pattern]
+        for clicks, (k, mark) in rule.items():
+            w = det.clicks_probability(pattern, clicks)
+            if w <= 0.0:
+                continue
+            probs.append(p_pattern * w)
+            index.append(k)
+            fids.append(fidelity(state, mark) if k >= 0 else 0.0)
+    total = float(sum(probs))
+    cond = np.array(probs) / total if total > 0.0 else np.array(probs)
+    return total, cond, np.array(index, dtype=int), np.array(fids)
 
 
 def _write_event_table(cfg: RunConfig) -> _EventTable:
     setup = build_write_setup(cfg.truncation)
     events = write_events(entangled_state(cfg.pc, setup), cfg.alpha, cfg.beta, setup)
-    det = DetectorSpec(cfg.noise.eta_prime, cfg.noise.p_dc)
     target = setup.logical.logical_state(setup.atomic_registry, cfg.alpha, cfg.beta)
     # |<t|P s>|^2 = |<P t|s>|^2 for the self-inverse (up to phase) marks;
     # equal up to the last bit, since Z is the phase exp(i pi)
-    marked = [apply_logical_pauli(target, pauli_mark(o), setup.logical)
-              for o in WRITE_CLICK_RULE.values()]
-
-    probs, outcome_idx, fids = [], [], []
-    for pattern in sorted(events):
-        p_pattern, atomic = events[pattern]
-        for k, clicks in enumerate(WRITE_CLICK_RULE):  # k: the detector that clicked
-            w = det.clicks_probability(pattern, clicks)
-            if w <= 0.0:
-                continue
-            probs.append(p_pattern * w)
-            outcome_idx.append(k)
-            fids.append(fidelity_pure(atomic, marked[k]))
-    herald = float(sum(probs))
-    if herald > 0.0:
-        cond = np.array(probs) / herald
-    else:
-        cond = np.array(probs)
-    idx = np.array(outcome_idx, dtype=int)
-    fid = np.array(fids)
+    rule = {clicks: (k, pauli_mark(o)) for k, (clicks, o) in enumerate(WRITE_CLICK_RULE.items())}
+    marked = {mark: apply_logical_pauli(target, mark, setup.logical) for _, mark in rule.values()}
+    det = DetectorSpec(cfg.noise.eta_prime, cfg.noise.p_dc)
+    herald, cond, idx, fid = _fold(events, rule, det,
+                                   lambda atomic, mark: fidelity_pure(atomic, marked[mark]))
     exact_outcomes = {
         o.value: float(cond[idx == k].sum()) for k, o in enumerate(OUTCOME_OF_DETECTOR)
     }
@@ -288,44 +277,22 @@ def _write_event_table(cfg: RunConfig) -> _EventTable:
 
 def _remote_event_table(cfg: RunConfig) -> _EventTable:
     setup = build_remote_setup(cfg.truncation)
-    split = remote_transfer(cfg.alpha, cfg.beta, setup)
-    det = DetectorSpec(cfg.noise.eta_prime, cfg.noise.p_dc)
     target = setup.r_logical.logical_state(setup.r_registry, cfg.alpha, cfg.beta)
 
-    probs, success_flags, fids = [], [], []
-    for pattern in sorted(split):
-        p_pattern, r_state = split[pattern]
-        # marks act on the branch state, once per pattern and mark; on the
-        # target (as in the write table) Z's exp(i pi) phase would move these
-        # fidelities in the last bit, which the remote outputs show
-        fid_of = {
-            mark: fidelity_pure(apply_logical_pauli(r_state, mark, setup.r_logical), target)
-            for mark in (PauliMark.I, PauliMark.Z)
-        }
-        for clicks, (success, mark) in REMOTE_CLICK_RULE.items():
-            w = det.clicks_probability(pattern, clicks)
-            if w <= 0.0:
-                continue
-            probs.append(p_pattern * w)
-            success_flags.append(1 if success else 0)
-            fids.append(fid_of[mark] if success else 0.0)
-    total = float(sum(probs))
-    cond = np.array(probs) / total
-    flags = np.array(success_flags, dtype=int)
-    fid = np.array(fids)
-    success_prob = float(cond[flags == 1].sum())
-    mean_fid = (
-        float((cond * fid)[flags == 1].sum() / success_prob) if success_prob else 0.0
-    )
-    # reuse the table fields: outcome_index doubles as the success flag
-    return _EventTable(
-        herald_probability=success_prob,
-        probabilities=cond,
-        outcome_index=flags,
-        fidelity=fid,
-        exact_outcome_probs={"success": success_prob},
-        exact_mean_fidelity=mean_fid,
-    )
+    # marks act on the branch state, once per state and mark; on the target
+    # (as in the write table) Z's exp(i pi) phase would move these fidelities
+    # in the last bit, which the remote outputs show
+    @functools.cache
+    def fidelity(r_state, mark):
+        return fidelity_pure(apply_logical_pauli(r_state, mark, setup.r_logical), target)
+
+    rule = {clicks: (0 if ok else -1, mark) for clicks, (ok, mark) in REMOTE_CLICK_RULE.items()}
+    _, cond, idx, fid = _fold(remote_transfer(cfg.alpha, cfg.beta, setup), rule,
+                              DetectorSpec(cfg.noise.eta_prime, cfg.noise.p_dc), fidelity)
+    ok = idx >= 0
+    success_prob = float(cond[ok].sum())
+    mean_fid = float((cond * fid)[ok].sum() / success_prob) if success_prob else 0.0
+    return _EventTable(success_prob, cond, idx, fid, {"success": success_prob}, mean_fid)
 
 
 def _stream_records(cfg: RunConfig, header: str, lines) -> None:
@@ -374,7 +341,7 @@ def run_write_trials(cfg: RunConfig) -> RunStats:
     # index -1 reads the appended censored entry: no outcome, fidelity 0
     outcome = np.append(table.outcome_index, -1)[events]
     fidelity = np.append(table.fidelity, 0.0)[events]
-    ok = events >= 0
+    ok = outcome >= 0
     n_ok = int(ok.sum())
     names = [o.value for o in OUTCOME_OF_DETECTOR] + ["censored"]  # [-1]: censored
     _stream_records(
@@ -425,18 +392,17 @@ def run_remote_trials(cfg: RunConfig) -> RunStats:
          for i in range(cfg.trial_count)],
         dtype=int,
     )
-    success = table.outcome_index[events]
+    ok = table.outcome_index[events] >= 0
     fidelity = table.fidelity[events]
     _stream_records(
         cfg,
         "trial,success,fidelity",
-        (f"{i},{s},{f!r}\n" for i, (s, f) in enumerate(zip(success.tolist(), fidelity.tolist()))),
+        (f"{i},{int(s)},{f!r}\n" for i, (s, f) in enumerate(zip(ok.tolist(), fidelity.tolist()))),
     )
     n = cfg.trial_count
-    successes = success == 1
-    n_ok = int(successes.sum())
+    n_ok = int(ok.sum())
     success_rate = n_ok / n if n else 0.0
-    fid_mean, fid_se = _mean_se(fidelity[successes])
+    fid_mean, fid_se = _mean_se(fidelity[ok])
     return RunStats(
         trial_count=n,
         success_count=n_ok,
@@ -454,8 +420,9 @@ def run_remote_trials(cfg: RunConfig) -> RunStats:
     )
 
 
-def _fidelity_variance(table: _EventTable, success: np.ndarray) -> float:
+def _fidelity_variance(table: _EventTable) -> float:
     """Exact variance of the per-trial fidelity over successful events."""
+    success = table.outcome_index >= 0
     weights = table.probabilities[success]
     total = weights.sum()
     if total <= 0.0:
@@ -515,7 +482,7 @@ def oracle_check(
         ]
         pairs.append(
             ("mean_conditional_fidelity", stats.mean_conditional_fidelity,
-             table.exact_mean_fidelity, _fidelity_variance(table, table.outcome_index >= 0), n)
+             table.exact_mean_fidelity, _fidelity_variance(table), n)
         )
         h = table.herald_probability
         if h > 0.0:
@@ -529,8 +496,7 @@ def oracle_check(
         pairs = [
             ("success_rate", stats.success_rate, p, p * (1.0 - p), cfg.trial_count),
             ("mean_conditional_fidelity", stats.mean_conditional_fidelity,
-             table.exact_mean_fidelity, _fidelity_variance(table, table.outcome_index == 1),
-             stats.success_count),
+             table.exact_mean_fidelity, _fidelity_variance(table), stats.success_count),
         ]
     else:
         raise ValueError(f"unknown experiment {experiment!r}")
