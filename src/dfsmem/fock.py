@@ -3,6 +3,13 @@
 States are amplitude tables over occupation vectors of a fixed mode registry.
 Occupations run 0..d-1 per mode; anything that would spill past the truncation
 raises instead of being clipped silently, so norm bookkeeping stays exact.
+
+The Fock lift of an :class:`OpticalElement` is tabled on the element per
+(d, mode positions in the registry, input pattern): the first
+:func:`apply_unitary` that meets a pattern expands its creation-operator
+monomials once, and every later lift of that pattern reads the table. Two
+threads that miss on the same pattern both compute it and store equal
+entries, so a race only repeats work.
 """
 
 from __future__ import annotations
@@ -218,8 +225,11 @@ class OpticalElement:
     """A named single-particle unitary over a labeled subset of modes.
 
     ``matrix[i, j]`` is the amplitude with which input mode ``modes[j]`` feeds
-    output mode ``modes[i]``; the lift to Fock space is computed per state by
-    :func:`apply_unitary`. The matrix is checked for unitarity on construction.
+    output mode ``modes[i]``; the matrix is checked for unitarity on
+    construction and is read-only. :func:`apply_unitary` lifts it to Fock
+    space and tables each lifted input pattern on the element, keyed by
+    (d, the element's mode positions in the registry), so an element that
+    is lifted again, on any registry, expands each pattern only once.
     """
 
     def __init__(self, name: str, modes: Sequence[ModeLabel], matrix: np.ndarray):
@@ -237,6 +247,8 @@ class OpticalElement:
         self.modes = modes
         self.matrix = matrix
         self.matrix.setflags(write=False)
+        # (d, mode positions) -> input pattern -> _lift_pattern(...) entry
+        self._lifts: dict[tuple, dict] = {}
 
     def __repr__(self):
         return f"OpticalElement({self.name!r}, modes={[str(m) for m in self.modes]})"
@@ -319,32 +331,57 @@ def _monomial_expand(
     return poly
 
 
+def _lift_pattern(
+    pattern: tuple[int, ...], idx: tuple[int, ...], matrix: np.ndarray, d: int
+) -> tuple | None:
+    """One input pattern's lift: None when the acted modes are all empty,
+    else (sqrt(prod occ!), terms), one (output pattern, coeff,
+    sqrt(prod mono!), spills past d) term per output monomial."""
+    occ = tuple(pattern[i] for i in idx)
+    if all(n == 0 for n in occ):
+        return None
+    terms = []
+    for mono, coeff in _monomial_expand(occ, matrix).items():
+        new = list(pattern)
+        for pos, m in zip(idx, mono):
+            new[pos] = m
+        terms.append((
+            tuple(new),
+            coeff,
+            math.sqrt(math.prod(math.factorial(m) for m in mono)),
+            any(m >= d for m in mono),
+        ))
+    return math.sqrt(math.prod(math.factorial(n) for n in occ)), tuple(terms)
+
+
 def apply_unitary(state: PureState, element: OpticalElement) -> PureState:
     """Fock-space lift of the element's single-particle unitary.
 
     Works by transforming creation-operator monomials, so the norm is
-    preserved exactly up to floating-point rounding. Overflowing components
-    are accumulated first (interference may cancel them) and only then
+    preserved exactly up to floating-point rounding; the expansions come
+    from the element's lift table. Overflowing components of this call are
+    accumulated first (interference may cancel them) and only then
     reported as :class:`TruncationOverflowError`.
     """
     reg = state.registry
-    idx = [reg.index(m) for m in element.modes]
+    idx = tuple(reg.index(m) for m in element.modes)
     d = reg.d
+    table = element._lifts.setdefault((d, idx), {})
     out: dict[tuple[int, ...], complex] = {}
     spilled: dict[tuple[int, ...], complex] = {}
     for pattern, a in state.items():
-        occ = tuple(pattern[i] for i in idx)
-        if all(n == 0 for n in occ):
+        try:
+            entry = table[pattern]
+        except KeyError:
+            entry = table[pattern] = _lift_pattern(pattern, idx, element.matrix, d)
+        if entry is None:
             out[pattern] = out.get(pattern, 0j) + a
             continue
-        pre = a / math.sqrt(math.prod(math.factorial(n) for n in occ))
-        for mono, coeff in _monomial_expand(occ, element.matrix).items():
-            amp = pre * coeff * math.sqrt(math.prod(math.factorial(m) for m in mono))
-            new = list(pattern)
-            for pos, m in zip(idx, mono):
-                new[pos] = m
-            key = tuple(new)
-            if any(m >= d for m in mono):
+        denom, terms = entry
+        pre = a / denom
+        for key, coeff, sf, spills in terms:
+            amp = pre * coeff * sf
+            if spills:
                 spilled[key] = spilled.get(key, 0j) + amp
             else:
                 out[key] = out.get(key, 0j) + amp
@@ -484,7 +521,8 @@ def restrict_state(state: PureState, registry: ModeRegistry) -> PureState:
     if registry.d != src.d:
         raise ValueError("registries disagree on truncation")
     keep_idx = [src.index(lab) for lab in registry.labels]
-    drop_idx = [i for i in range(len(src)) if i not in set(keep_idx)]
+    kept = set(keep_idx)
+    drop_idx = [i for i in range(len(src)) if i not in kept]
     drop_ref: tuple[int, ...] | None = None
     out: dict[tuple[int, ...], complex] = {}
     for pattern, a in state.items():

@@ -5,12 +5,20 @@ elements (no reflection phase), and the spatial splitter completes its
 unitary with the standard (-conj(beta), conj(alpha)) second column. Any
 self-consistent convention works because the unused ports start in vacuum;
 the detector-mapping tests pin these down end to end.
+
+The fixed-matrix constructors (``qwp``, ``pbs``, ``hwp``, ``swap`` and
+``pol_rotator`` through it, ``bs50``) return shared elements: equal
+arguments give the same :class:`~dfsmem.fock.OpticalElement`, whose matrix
+is read-only and whose Fock-lift table therefore carries over from one
+request to the next. ``mz_split``, ``loss_coupler`` and ``phase_shifter``
+depend on continuous parameters and build a new element per call.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -18,6 +26,8 @@ import numpy as np
 from .fock import ModeLabel, OpticalElement
 
 AMPLITUDE_PAIR_TOL = 1e-9
+# distinct fixed elements kept per constructor; the CLI grid builds 20 in all
+_SHARED_ELEMENTS = 64
 
 
 def check_amplitude_pair(alpha: complex, beta: complex) -> None:
@@ -27,6 +37,7 @@ def check_amplitude_pair(alpha: complex, beta: complex) -> None:
         raise ValueError(f"(alpha, beta) not normalized: |a|^2+|b|^2 = {total}")
 
 
+@lru_cache(maxsize=_SHARED_ELEMENTS)
 def qwp(
     in_rcirc: ModeLabel,
     in_lcirc: ModeLabel,
@@ -47,6 +58,7 @@ def qwp(
     return OpticalElement("qwp", modes, m)
 
 
+@lru_cache(maxsize=_SHARED_ELEMENTS)
 def pbs(
     in1_h: ModeLabel, in1_v: ModeLabel,
     in2_h: ModeLabel, in2_v: ModeLabel,
@@ -68,12 +80,14 @@ def pbs(
     return OpticalElement("pbs", modes, m)
 
 
+@lru_cache(maxsize=_SHARED_ELEMENTS)
 def hwp(mode_h: ModeLabel, mode_v: ModeLabel) -> OpticalElement:
     """Half-wave plate at 22.5 degrees: Hadamard on the polarization pair."""
     m = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     return OpticalElement("hwp", (mode_h, mode_v), m)
 
 
+@lru_cache(maxsize=_SHARED_ELEMENTS)
 def swap(name: str, mode_a: ModeLabel, mode_b: ModeLabel) -> OpticalElement:
     """Exchange the contents of two modes, named for the step it models."""
     return OpticalElement(name, (mode_a, mode_b), np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -119,6 +133,7 @@ def mz_split(
     return OpticalElement("mz_split", modes, m)
 
 
+@lru_cache(maxsize=_SHARED_ELEMENTS)
 def bs50(mode_1: ModeLabel, mode_2: ModeLabel) -> OpticalElement:
     """Symmetric 50/50 beam splitter, matrix [[1, 1], [1, -1]]/sqrt(2)."""
     m = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import itertools
 
@@ -29,7 +31,14 @@ from dfsmem.fock import (
     superposition,
     vacuum,
 )
-from dense_oracle import random_state, random_unitary, sparse_vs_dense
+from dfsmem import optics
+from dense_oracle import (
+    dense_apply,
+    max_amplitude_diff,
+    random_state,
+    random_unitary,
+    sparse_vs_dense,
+)
 
 S_L = atomic_mode("ensemble-L")
 S_R = atomic_mode("ensemble-R")
@@ -341,3 +350,122 @@ def test_dense_oracle_equivalence_small_registries():
             )
             state = random_state(reg, rng)
             assert sparse_vs_dense(state, el) < 1e-12
+
+
+# -- the lift table: each element tables its lifted input patterns ----------
+
+
+def test_lift_table_cold_warm_and_fresh_agree_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for n_modes in (2, 3, 4, 5):
+        labels = [photon_mode("stokes", "H", f"m{i}") for i in range(n_modes)]
+        reg = register_modes(labels, 3)
+        for _ in range(4):
+            k = int(rng.integers(2, min(n_modes, 4) + 1))
+            picks = rng.choice(n_modes, size=k, replace=False)
+            modes = tuple(labels[int(i)] for i in picks)
+            el = OpticalElement("rand", modes, random_unitary(k, rng))
+            state = random_state(reg, rng)
+            cold = list(apply_unitary(state, el).items())
+            warm = list(apply_unitary(state, el).items())
+            fresh = list(apply_unitary(state, OpticalElement("rand", modes, el.matrix)).items())
+            assert cold == warm == fresh  # same amplitudes, same insertion order
+            assert max_amplitude_diff(apply_unitary(state, el), dense_apply(state, el)) < 1e-12
+            # a second state meets a partly warm table
+            other = random_state(reg, rng)
+            partly = list(apply_unitary(other, el).items())
+            fresh = OpticalElement("rand", modes, el.matrix)
+            assert partly == list(apply_unitary(other, fresh).items())
+            assert sparse_vs_dense(other, el) < 1e-12
+
+
+def test_shared_element_on_reordered_registries_and_truncations():
+    a, b, c, e = (photon_mode("stokes", "H", s) for s in "abce")
+    el = OpticalElement("rand", (b, e), random_unitary(2, np.random.default_rng(43)))
+    rng = np.random.default_rng(47)
+    for _ in range(2):  # the second pass reads every table warm
+        for d in (3, 4):
+            for order in ([a, b, c, e], [e, c, b, a], [b, a, e, c]):
+                reg = register_modes(order, d)
+                state = random_state(reg, rng)
+                assert sparse_vs_dense(state, el) < 1e-12
+                # the same pattern tuple means other occupations on each order
+                one = PureState(reg, {(1, 0, 0, 1): 1.0})
+                assert max_amplitude_diff(apply_unitary(one, el), dense_apply(one, el)) < 1e-12
+
+
+def test_lift_table_keeps_truncations_apart():
+    # two photons in b and one in e: legal at d = 4, and at d = 3 the
+    # bunched outputs spill, even after the d = 4 lift tabled that pattern
+    b, e = photon_mode("stokes", "H", "b"), photon_mode("stokes", "V", "b")
+    el = OpticalElement("bs", (b, e), np.array([[1, 1], [1, -1]]) / math.sqrt(2))
+    big = basis_state(register_modes([b, e], 4), {b: 2, e: 1})
+    assert apply_unitary(big, el).norm() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(TruncationOverflowError):
+        apply_unitary(basis_state(register_modes([b, e], 3), {b: 2, e: 1}), el)
+
+
+def test_warm_lift_table_still_reports_overflow():
+    reg = register_modes([PH_H, PH_V], 2)
+    el = OpticalElement("bs", (PH_H, PH_V), np.array([[1, 1], [1, -1]]) / math.sqrt(2))
+    both = basis_state(reg, {PH_H: 1, PH_V: 1})
+    lost = []
+    for _ in range(2):
+        with pytest.raises(TruncationOverflowError) as err:
+            apply_unitary(both, el)
+        lost.append(err.value.lost_weight)
+    assert lost[0] == lost[1] == pytest.approx(1.0)
+    # the overflow test reads this call's amplitudes, not the tabled ones:
+    # a spill below OVERFLOW_TOL passes on the warm table, a full one raises
+    eps = 1e-14
+    faint = PureState(reg, {(1, 0): math.sqrt(1 - eps), (1, 1): math.sqrt(eps)})
+    assert apply_unitary(faint, el).norm() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(TruncationOverflowError) as err:
+        apply_unitary(both, el)
+    assert err.value.lost_weight == lost[0]
+
+
+def test_fixed_optics_constructors_return_shared_read_only_elements():
+    labels = [photon_mode("stokes", pol, spot) for spot in ("p", "q", "r", "s")
+              for pol in ("H", "V")]
+    el = optics.pbs(*labels)
+    assert optics.pbs(*labels) is el
+    assert optics.hwp(*labels[:2]) is optics.hwp(*labels[:2])
+    assert optics.bs50(*labels[:2]) is optics.bs50(*labels[:2])
+    assert optics.pol_rotator(*labels[:2]) is optics.swap("pol_rotator", *labels[:2])
+    assert not el.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        el.matrix[0, 0] = 2.0
+    # elements with continuous parameters are built per call
+    assert optics.mz_split(*labels[:3], 0.6, 0.8) is not optics.mz_split(*labels[:3], 0.6, 0.8)
+
+
+def test_lift_table_shared_between_threads():
+    # four threads (more than the cores CI has) fill one element's table at
+    # once; a race may only recompute an equal entry
+    rng = np.random.default_rng(53)
+    labels = [photon_mode("stokes", "H", f"m{i}") for i in range(5)]
+    reg = register_modes(labels, 3)
+    modes = tuple(labels[:4])
+    u = random_unitary(4, rng)
+    states = [random_state(reg, rng) for _ in range(12)]
+    expected = [list(apply_unitary(s, OpticalElement("u", modes, u)).items()) for s in states]
+    shared = OpticalElement("u", modes, u)
+    results: dict[int, list] = {}
+
+    def work(k):
+        results[k] = [list(apply_unitary(s, shared).items()) for s in states[k:] + states[:k]]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(4):
+        assert results[k] == expected[k:] + expected[:k]
