@@ -3,13 +3,11 @@ quantum memory for photonic qubits in atomic ensembles."""
 
 from .fock import (
     MixedState,
-    ModeKind,
     ModeLabel,
     ModeRegistry,
     OpticalElement,
     PureState,
     TruncationOverflowError,
-    apply_creation,
     apply_unitary,
     atomic_mode,
     born_probabilities,
@@ -17,7 +15,6 @@ from .fock import (
     fidelity_pure,
     inner,
     photon_mode,
-    project_occupation,
     register_modes,
     vacuum,
 )

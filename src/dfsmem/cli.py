@@ -68,10 +68,6 @@ def parse_amplitude(text: str) -> complex:
         raise ConfigError(f"cannot parse amplitude {text!r}: {exc}") from None
 
 
-def render_amplitude(z: complex) -> str:
-    return f"{z.real!r},{z.imag!r}"
-
-
 def parse_float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(";") if x.strip())
@@ -155,14 +151,8 @@ class CliConfig:
         return "csv" if self.command.startswith("curves") else "json"
 
 
-# (parse, render) for each parameter, keyed by the type of its default
-_CODECS = {
-    float: (float, repr),
-    int: (int, repr),
-    str: (str, str),
-    complex: (parse_amplitude, render_amplitude),
-    tuple: (parse_float_list, lambda ts: ";".join(repr(t) for t in ts)),
-}
+# the parser of each parameter, keyed by the type of its default
+_CODECS = {float: float, int: int, str: str, complex: parse_amplitude, tuple: parse_float_list}
 _PARAMS = {
     f.name: _CODECS[type(f.default)] for f in dataclasses.fields(CliConfig)
     if f.name != "command"
@@ -221,23 +211,13 @@ def parse_config(argv: list[str]) -> CliConfig:
     values: dict[str, object] = {}
     for name, text in texts.items():
         try:
-            values[name] = _PARAMS[name][0](text)
+            values[name] = _PARAMS[name](text)
         except ValueError as exc:
             raise ConfigError(f"bad value for {name}: {exc}") from None
     try:
         return CliConfig(command=ns.command, **values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def render_args(cfg: CliConfig) -> list[str]:
-    """Flags that parse back to an equal config (round-trip inverse)."""
-    args = [cfg.command]
-    for name, (_, render) in _PARAMS.items():
-        value = getattr(cfg, name)
-        if value != "":  # an empty output/format means "derive it"
-            args += [_flag(name), render(value)]
-    return args
 
 
 def _grid(lo: float, hi: float, points: int) -> list[float]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -39,11 +38,6 @@ class TruncationOverflowError(ValueError):
         self.lost_weight = lost_weight
 
 
-class ModeKind(Enum):
-    ATOMIC = "atomic-collective"
-    PHOTONIC = "photonic"
-
-
 POLARIZATIONS = ("H", "V", "Lcirc", "Rcirc")
 
 
@@ -52,40 +46,35 @@ class ModeLabel:
     """A registered bosonic mode: an atomic collective mode or a photon mode.
 
     Photonic labels carry a polarization and a spatial-path tag; atomic
-    labels carry neither.
+    labels carry neither, so the tags alone say which kind a label is.
     """
 
     subsystem: str
-    kind: ModeKind
     polarization: str | None = None
     spatial: str | None = None
 
     def __post_init__(self):
-        if self.kind is ModeKind.PHOTONIC:
-            if self.polarization is None or self.spatial is None:
-                raise ValueError(
-                    f"photonic mode {self.subsystem!r} needs polarization and spatial tags"
-                )
-            if self.polarization not in POLARIZATIONS:
-                raise ValueError(f"unknown polarization tag {self.polarization!r}")
-        else:
-            if self.polarization is not None or self.spatial is not None:
-                raise ValueError(
-                    f"atomic mode {self.subsystem!r} must not carry photonic tags"
-                )
+        if (self.polarization is None) != (self.spatial is None):
+            raise ValueError(
+                f"mode {self.subsystem!r} needs both polarization and spatial tags or neither"
+            )
+        if self.polarization is not None and self.polarization not in POLARIZATIONS:
+            raise ValueError(
+                f"mode {self.subsystem!r}: unknown polarization tag {self.polarization!r}"
+            )
 
     def __str__(self):
-        if self.kind is ModeKind.ATOMIC:
+        if self.polarization is None:
             return self.subsystem
         return f"{self.subsystem}[{self.polarization}@{self.spatial}]"
 
 
 def atomic_mode(subsystem: str) -> ModeLabel:
-    return ModeLabel(subsystem, ModeKind.ATOMIC)
+    return ModeLabel(subsystem)
 
 
 def photon_mode(subsystem: str, polarization: str, spatial: str) -> ModeLabel:
-    return ModeLabel(subsystem, ModeKind.PHOTONIC, polarization, spatial)
+    return ModeLabel(subsystem, polarization, spatial)
 
 
 class ModeRegistry:
@@ -110,10 +99,6 @@ class ModeRegistry:
     @property
     def labels(self) -> tuple[ModeLabel, ...]:
         return self._labels
-
-    @property
-    def dim(self) -> int:
-        return self.d ** len(self._labels)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModeRegistry):
@@ -281,31 +266,6 @@ def basis_state(registry: ModeRegistry, occupations: Mapping[ModeLabel, int]) ->
     return superposition(registry, [(occupations, 1.0)])
 
 
-def apply_creation(state: PureState, mode: ModeLabel) -> PureState:
-    """Bosonic raising on one mode: |n> -> sqrt(n+1) |n+1>.
-
-    The result is not renormalized. Raising past the truncation raises
-    :class:`TruncationOverflowError` carrying the squared amplitude that
-    would be lost.
-    """
-    reg = state.registry
-    i = reg.index(mode)
-    out: dict[tuple[int, ...], complex] = {}
-    lost = 0.0
-    for pattern, a in state.items():
-        n = pattern[i]
-        if n + 1 >= reg.d:
-            lost += (n + 1) * (a.real * a.real + a.imag * a.imag)
-            continue
-        new = pattern[:i] + (n + 1,) + pattern[i + 1:]
-        out[new] = out.get(new, 0j) + a * math.sqrt(n + 1)
-    if lost > OVERFLOW_TOL:
-        raise TruncationOverflowError(
-            f"creation on {mode} overflows truncation d={reg.d}", lost
-        )
-    return PureState(reg, out)
-
-
 def _monomial_expand(
     occ: Sequence[int], matrix: np.ndarray
 ) -> dict[tuple[int, ...], complex]:
@@ -418,24 +378,6 @@ def fidelity_mixed(rho: MixedState, t: PureState) -> float:
     return sum(w * fidelity_pure(s, t) for w, s in rho.components)
 
 
-def project_occupation(
-    state: PureState, mode: ModeLabel, n: int
-) -> tuple[PureState, float]:
-    """Component with occupation n on one mode, plus its probability.
-
-    The component is returned unnormalized; renormalization is the caller's
-    choice. Probability is the squared norm of the component relative to the
-    input's squared norm being 1.
-    """
-    reg = state.registry
-    if n < 0 or n >= reg.d:
-        raise ValueError(f"occupation {n} outside 0..{reg.d - 1}")
-    i = reg.index(mode)
-    kept = {p: a for p, a in state.items() if p[i] == n}
-    prob = sum(a.real * a.real + a.imag * a.imag for a in kept.values())
-    return PureState(reg, kept), prob
-
-
 def project_total_occupation(
     state: PureState, modes: Sequence[ModeLabel], total: int
 ) -> tuple[PureState, float]:
@@ -466,9 +408,7 @@ def split_by_pattern(
     """Split a state by its joint occupation pattern on ``modes`` in one pass.
 
     Returns pattern -> (probability, normalized component restricted to
-    ``keep``): the numbers :func:`project_occupation` on each mode followed
-    by :func:`restrict_state` gives, for every pattern
-    :func:`born_probabilities` lists.
+    ``keep``) for every pattern :func:`born_probabilities` lists.
     """
     reg = state.registry
     idx = [reg.index(m) for m in modes]

@@ -3,7 +3,10 @@
 Matrix elements of the lifted unitary are computed from matrix permanents,
 <m|U|n> = per(U[m;n]) / sqrt(prod m_i! prod n_j!), where U[m;n] repeats row i
 m_i times and column j n_j times. This shares no code path with the
-monomial-expansion implementation it cross-checks.
+monomial-expansion implementation it cross-checks. The module also holds
+the one-mode references ``apply_creation`` (bosonic raising) and
+``project_occupation`` (one-mode projection) that the lift and
+``split_by_pattern`` are checked against; the package itself needs neither.
 """
 
 import itertools
@@ -81,6 +84,51 @@ def dense_apply(state, element) -> dict:
                 key = tuple(full)
                 out[key] = out.get(key, 0j) + amp
     return {p: a for p, a in out.items() if abs(a) > 1e-16}
+
+
+def apply_creation(state, mode):
+    """Bosonic raising on one mode: |n> -> sqrt(n+1) |n+1>.
+
+    The result is not renormalized. Raising past the truncation raises
+    :class:`TruncationOverflowError` carrying the squared amplitude that
+    would be lost.
+    """
+    from dfsmem.fock import OVERFLOW_TOL, PureState, TruncationOverflowError
+
+    reg = state.registry
+    i = reg.index(mode)
+    out: dict[tuple[int, ...], complex] = {}
+    lost = 0.0
+    for pattern, a in state.items():
+        n = pattern[i]
+        if n + 1 >= reg.d:
+            lost += (n + 1) * (a.real * a.real + a.imag * a.imag)
+            continue
+        new = pattern[:i] + (n + 1,) + pattern[i + 1:]
+        out[new] = out.get(new, 0j) + a * math.sqrt(n + 1)
+    if lost > OVERFLOW_TOL:
+        raise TruncationOverflowError(
+            f"creation on {mode} overflows truncation d={reg.d}", lost
+        )
+    return PureState(reg, out)
+
+
+def project_occupation(state, mode, n: int):
+    """Component with occupation n on one mode, plus its probability.
+
+    The component is returned unnormalized; renormalization is the caller's
+    choice. Probability is the squared norm of the component relative to the
+    input's squared norm being 1.
+    """
+    from dfsmem.fock import PureState
+
+    reg = state.registry
+    if n < 0 or n >= reg.d:
+        raise ValueError(f"occupation {n} outside 0..{reg.d - 1}")
+    i = reg.index(mode)
+    kept = {p: a for p, a in state.items() if p[i] == n}
+    prob = sum(a.real * a.real + a.imag * a.imag for a in kept.values())
+    return PureState(reg, kept), prob
 
 
 def max_amplitude_diff(sparse_state, dense_table: dict) -> float:

@@ -9,7 +9,6 @@ from dfsmem.cli import (
     main,
     parse_amplitude,
     parse_config,
-    render_args,
 )
 
 
@@ -115,19 +114,28 @@ def test_config_file_unknown_key(tmp_path):
         parse_config(["teleport", "--config", str(conf)])
 
 
-def test_render_parse_round_trip():
+def test_parse_config_hand_written_flags(monkeypatch):
+    monkeypatch.delenv("DFS_SIM_SEED", raising=False)
     examples = [
-        CliConfig(command="teleport", pc=0.02, trials=123, seed=99,
-                  alpha=complex(0.6, 0.0), beta=complex(0.0, 0.8), threads=4),
-        CliConfig(command="curves-fig4a", eta_prime=1 / 3, t_min=15e-6,
-                  t_max=5e-5, points=100, f_p=10e6),
-        CliConfig(command="curves-fig4b", t_list=(20e-6, 30e-6, 40e-6),
-                  eta_min=0.1, eta_max=1.0, points=50),
-        CliConfig(command="oracle-check", trials=10, seed=3, chi=0.5,
-                  eta_d=0.9, p_dc=1e-5, l0=2.0, l_att=11.0),
+        (["teleport", "--pc", "0.02", "--trials", "123", "--seed", "99",
+          "--alpha", "0.6", "--beta", "0,0.8", "--threads", "4"],
+         CliConfig(command="teleport", pc=0.02, trials=123, seed=99,
+                   alpha=complex(0.6, 0.0), beta=complex(0.0, 0.8), threads=4)),
+        (["curves-fig4a", "--eta-prime", "0.3333333333333333", "--t-min", "15e-6",
+          "--t-max", "5e-5", "--points", "100", "--f-p", "10e6"],
+         CliConfig(command="curves-fig4a", eta_prime=1 / 3, t_min=15e-6,
+                   t_max=5e-5, points=100, f_p=10e6)),
+        (["curves-fig4b", "--t-list", "20e-6;30e-6;40e-6", "--eta-min", "0.1",
+          "--eta-max", "1.0", "--points", "50"],
+         CliConfig(command="curves-fig4b", t_list=(20e-6, 30e-6, 40e-6),
+                   eta_min=0.1, eta_max=1.0, points=50)),
+        (["oracle-check", "--trials", "10", "--seed", "3", "--chi", "0.5",
+          "--eta-d", "0.9", "--p-dc", "1e-5", "--l0", "2.0", "--l-att", "11.0"],
+         CliConfig(command="oracle-check", trials=10, seed=3, chi=0.5,
+                   eta_d=0.9, p_dc=1e-5, l0=2.0, l_att=11.0)),
     ]
-    for cfg in examples:
-        assert parse_config(render_args(cfg)) == cfg
+    for argv, cfg in examples:
+        assert parse_config(argv) == cfg
 
 
 def test_fig4a_csv_contains_anchor_row(tmp_path):

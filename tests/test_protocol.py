@@ -18,6 +18,7 @@ from dfsmem import protocol
 from dfsmem.optics import phase_shifter
 from dfsmem.protocol import (
     BellOutcome,
+    OUTCOME_OF_DETECTOR,
     PauliMark,
     REMOTE_CLICK_RULE,
     TrialRecord,
@@ -27,6 +28,7 @@ from dfsmem.protocol import (
     build_write_setup,
     classify_remote_clicks,
     encode_spatial,
+    entangled_state,
     generate_entanglement,
     ideal_entangled_state,
     pauli_mark,
@@ -35,6 +37,7 @@ from dfsmem.protocol import (
     read_target,
     remote_transfer,
     write_branches,
+    write_events,
     write_memory,
 )
 
@@ -304,6 +307,38 @@ def test_dfs_collective_dephasing_invariance():
         for p in state.support():
             assert abs(dephased.amplitude(p) - phase * state.amplitude(p)) < 1e-15
         assert abs(fidelity_pure(dephased, state) - 1.0) <= 1e-15
+    # through the memory: every event that clicks one detector, the
+    # multi-photon ones included, stores a state whose read fidelity a
+    # collective phase between write and read leaves unchanged (Lidar,
+    # Chuang & Whaley, PRL 81, 2594 (1998))
+    target = read_target(alpha, beta)
+    multi_photon = 0
+    for pc in (0.01, 0.1, 0.2):
+        events = write_events(entangled_state(pc, setup), alpha, beta, setup)
+        for pattern, (_, stored) in events.items():
+            fired = [k for k, n in enumerate(pattern) if n]
+            if len(fired) != 1:
+                continue
+            multi_photon += sum(pattern) > 1
+            outcome = OUTCOME_OF_DETECTOR[fired[0]]
+            clicks = tuple(k == fired[0] for k in range(4))
+
+            def read_fidelity(atomic_state, efficiency):
+                record = TrialRecord(1, clicks, outcome, pauli_mark(outcome), atomic_state, True)
+                return fidelity_mixed(read_memory(record, efficiency), target)
+
+            for phi in (0.3, math.pi, rng.uniform(0, 2 * math.pi)):
+                collective = apply_unitary(
+                    stored, phase_shifter([setup.s_l, setup.s_r], [phi, phi]))
+                for efficiency in (1.0, 0.6):
+                    assert abs(read_fidelity(collective, efficiency)
+                               - read_fidelity(stored, efficiency)) <= 1e-15
+                if sum(pattern) == 1:
+                    # negative control: a phase on one rail alone dephases
+                    one_rail = apply_unitary(stored, phase_shifter([setup.s_l], [phi]))
+                    expected = 1 - 4 * abs(alpha) ** 2 * abs(beta) ** 2 * math.sin(phi / 2) ** 2
+                    assert abs(read_fidelity(one_rail, 1.0) - expected) <= 1e-15
+    assert multi_photon == 12
 
 
 def test_read_memory_roundtrip_unit_efficiency():
