@@ -392,7 +392,7 @@ def write_memory(
     alpha: complex,
     beta: complex,
     pc: float,
-    rng: np.random.Generator,
+    rng,
     setup: WriteSetup | None = None,
 ) -> TrialRecord:
     """One simulated write with ideal detection.
@@ -400,6 +400,9 @@ def write_memory(
     Rounds repeat until the one-photon herald fires (geometric in the exact
     herald probability); the analyzer outcome is drawn from the exact Born
     weights. The record stores the uncorrected atomic state plus its mark.
+    ``rng`` is any object with ``random()`` and ``geometric(p)``, such as a
+    numpy ``Generator`` or a :class:`dfsmem.trials.TrialStream`; the write
+    calls ``geometric`` once and then ``random`` once.
     """
     p_herald, branches = _heralded_write(alpha, beta, pc, setup or build_write_setup())
     rounds = int(rng.geometric(p_herald))

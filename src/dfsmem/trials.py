@@ -1,23 +1,20 @@
 """Seeded Monte Carlo layer over the exact pipeline.
 
-Each trial owns its own random stream, derived from the master seed and the
-trial index through numpy's SeedSequence: trial i's stream is
-``default_rng(SeedSequence(master_seed, spawn_key=(i,)))``, bit for bit.
-:func:`trial_rng` meets that contract without hashing a SeedSequence per
-trial: it computes the PCG64 seed words of a whole block of ``_BLOCK``
-consecutive trial indices in one vectorised pass, which hashes the indices'
-spawn words into numpy's own pool for the master seed
-(``SeedSequence(master_seed).pool``), and checks each block's first row
-against numpy's own SeedSequence, raising ``RuntimeError`` on any mismatch.
-Because a trial stream is seeded from precomputed words,
-``Generator.spawn()`` on it raises ``TypeError``.
+Each trial owns one row of the run's uniforms: trial i reads row i of
+``Generator(Philox(SeedSequence(master_seed))).random((n, 2))``, bit for
+bit, whatever n. Philox is counter-based (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11), so any row is reached by advancing
+the counter, without drawing the rows before it. :func:`trial_rng` returns a
+:class:`TrialStream` over trial i's row, served from a memoised block of
+``_BLOCK`` rows.
 
-Trials run in index order in one thread; a write trial draws
-``geometric(herald probability)`` and then, unless censored, one
-``random()`` that picks its event through the table's CDF
-(:func:`dfsmem.protocol.event_cdf`); a remote trial draws one ``random()``.
-``RunConfig.threads`` is validated but starts no threads and changes no byte
-of the output.
+Trials run in index order in one thread. A write trial inverts its first
+uniform ``u0`` into the number of rounds, ``ceil(log1p(-u0) /
+log1p(-herald probability))`` (at least 1), and then, unless censored past
+``round_cap``, picks its event as ``bisect_right(cdf, u1)`` over the table's
+CDF (:func:`dfsmem.protocol.event_cdf`); a remote trial picks its event from
+``u0``. ``RunConfig.threads`` is validated but starts no threads and changes
+no byte of the output.
 
 Detection is folded into an exact event table before any sampling: each
 detector occupation pattern of the exact pipeline is weighted, for every
@@ -42,7 +39,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .fock import fidelity_pure
 from .noise import DetectorSpec, NoiseParams
@@ -109,120 +105,62 @@ class RunStats:
     mean_conditional_fidelity_se: float
 
 
-# numpy's SeedSequence hash (after O'Neill's seed_seq_fe, 32-bit words):
-# entropy words are hashed into a 4-word pool with a running multiplier
-# (INIT_A, MULT_A), pool words are mixed pairwise (MIX_L, MIX_R), and
-# generate_state hashes the pool cyclically with a second multiplier
-# (INIT_B, MULT_B). The trial index enters as the last entropy words, so a
-# block of indices shares the master seed's pool, which numpy exposes as
-# SeedSequence(master_seed).pool; only the index words are hashed here.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = np.uint32(16)
-# trial indices per seed block; a power of two below 2**32, so the indices of
-# one block share every 32-bit word but the lowest
-_BLOCK = 4096
-
-
-def _uint32_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of n >= 0, as SeedSequence splits it."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
-def _multipliers(hash_const: int, mult: int, count: int):
-    """The next ``count`` (xor, multiply) hash constants as (count, 1) columns,
-    and the running constant after them."""
-    xor, mul = [], []
-    for _ in range(count):
-        xor.append(hash_const)
-        hash_const = hash_const * mult & _MASK32
-        mul.append(hash_const)
-    return (np.array(xor, dtype=np.uint32)[:, None],
-            np.array(mul, dtype=np.uint32)[:, None], hash_const)
-
-
-_STATE_XOR, _STATE_MUL, _ = _multipliers(_INIT_B, _MULT_B, 8)
-
-
-def _seed_words(master_seed: int, start: int, count: int) -> np.ndarray:
-    """Rows ``SeedSequence(master_seed, spawn_key=(start + r,))
-    .generate_state(4, np.uint64)`` for r < count, in one vectorised pass.
-
-    ``start .. start + count - 1`` must share all 32-bit words but the lowest.
-    """
-    # numpy's pool for the master seed; hashing it took a multiplier step per
-    # pool word (4), per pairwise mix (12) and 4 per seed word past the 4th
-    pool = np.random.SeedSequence(master_seed).pool[:, None]
-    steps = 16 + 4 * max(0, len(_uint32_words(int(master_seed))) - 4)
-    hash_const = _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
-
-    # the spawn key's words, all four pool words at once: pool is (4, count)
-    for j, w in enumerate(_uint32_words(int(start))):
-        word = np.arange(w, w + count, dtype=np.uint32) if j == 0 else np.uint32(w)
-        xor, mul, hash_const = _multipliers(hash_const, _MULT_A, 4)
-        h = (word ^ xor) * mul
-        h ^= h >> _XSHIFT
-        pool = np.uint32(_MIX_L) * pool - np.uint32(_MIX_R) * h
-        pool ^= pool >> _XSHIFT
-
-    # generate_state(8 uint32 words) cycles the pool twice; SeedSequence
-    # pairs them into uint64 words little-endian first
-    state = np.concatenate([pool, pool]) ^ _STATE_XOR
-    state *= _STATE_MUL
-    state ^= state >> _XSHIFT
-    out = np.empty((count, 8), dtype="<u4")
-    out.T[...] = state
-    return out.view("<u8").astype(np.uint64, copy=False)
+# rows per memoised block: one block costs about 60 us to draw, which a
+# 100-trial run pays in full, and a 1e4-trial run draws 10 of them
+_BLOCK = 1024
+_DRAWS = 2  # uniforms per trial: a write trial uses both, a remote trial one
 
 
 @functools.lru_cache(maxsize=1, typed=True)
-def _seed_block(master_seed: int, start: int) -> np.ndarray:
-    """PCG64 seed words of trials ``start .. start + _BLOCK - 1``, checked.
+def _uniform_block(master_seed: int, start: int) -> tuple[float, ...]:
+    """Rows ``start .. start + _BLOCK - 1`` of the run's uniforms, flattened.
 
-    numpy's own SeedSequence for the first trial is built first: it validates
-    the seed and index as numpy does, and its words must equal row 0.
+    The rows are those of ``Generator(Philox(SeedSequence(master_seed)))
+    .random((n, _DRAWS))``: one Philox step yields 4 doubles, so the block
+    starts ``start * _DRAWS // 4`` steps in. numpy's SeedSequence validates
+    the seed; ``typed`` keeps a float seed from hitting an int seed's block.
     """
-    reference = np.random.SeedSequence(master_seed, spawn_key=(start,))
-    words = _seed_words(master_seed, start, _BLOCK)
-    if not np.array_equal(words[0], reference.generate_state(4, np.uint64)):
-        raise RuntimeError(
-            f"vectorised seed words disagree with numpy {np.__version__}'s "
-            f"SeedSequence at seed {master_seed}, trial {start}"
-        )
-    words.setflags(write=False)  # shared by every stream the block seeds
-    return words
+    if start < 0:
+        raise ValueError("trial index must be >= 0")
+    bits = np.random.Philox(np.random.SeedSequence(master_seed))
+    bits.advance(start * _DRAWS // 4)
+    return tuple(np.random.Generator(bits).random(_BLOCK * _DRAWS).tolist())
 
 
-class _Words(ISeedSequence):
-    """A seed sequence that serves one precomputed PCG64 seed."""
+class TrialStream:
+    """One trial's row of uniforms, drawn in order: ``random()`` returns the
+    next, and ``geometric(p)`` inverts the next into a geometric variate on
+    {1, 2, ...}. A draw past the row raises ``RuntimeError``."""
 
-    __slots__ = ("_words",)
+    __slots__ = ("_draws", "_next", "_end")
 
-    def __init__(self, words: np.ndarray):
-        self._words = words
+    def __init__(self, draws, start: int = 0):
+        self._draws = draws
+        self._next = start
+        self._end = start + _DRAWS
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if (n_words, dtype) != (4, np.uint64):
-            raise ValueError("a trial stream's seed holds 4 uint64 words only")
-        return self._words
+    def random(self) -> float:
+        k = self._next
+        if k == self._end:
+            raise RuntimeError(f"a trial stream holds {_DRAWS} draws")
+        self._next = k + 1
+        return self._draws[k]
+
+    def geometric(self, p: float) -> int:
+        """Trials to the first success at probability ``p``:
+        ``P(X > k) = (1 - p)^k``, from one uniform ``u`` as
+        ``ceil(log1p(-u) / log1p(-p))``, at least 1."""
+        u = self.random()
+        if p >= 1.0:  # log1p(-1) raises: the first trial succeeds
+            return 1
+        return max(1, math.ceil(math.log1p(-u) / math.log1p(-p)))
 
 
-def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """The per-trial stream: SeedSequence(master_seed, spawn_key=(index,)).
-
-    Equal, state and draws, to ``default_rng`` of that SeedSequence; the seed
-    words come from the memoised block that holds ``trial_index``.
-    """
+def trial_rng(master_seed: int, trial_index: int) -> TrialStream:
+    """Trial ``trial_index``'s stream: its row of the run's uniforms, read
+    from the memoised block that holds it."""
     start = trial_index - trial_index % _BLOCK
-    words = _seed_block(master_seed, start)[trial_index - start]
-    return np.random.Generator(np.random.PCG64(_Words(words)))
+    return TrialStream(_uniform_block(master_seed, start), _DRAWS * (trial_index - start))
 
 
 @dataclass(frozen=True)
@@ -328,31 +266,31 @@ def run_write_trials(cfg: RunConfig) -> RunStats:
     table = _write_event_table(cfg)
     h = table.herald_probability
     cdf = event_cdf(table.probabilities).tolist() if h > 0.0 else None
-    rounds = np.full(cfg.trial_count, float(cfg.round_cap))
-    events = np.full(cfg.trial_count, -1)  # -1: censored
+    cap = cfg.round_cap
+    rounds, events = [], []  # event -1: censored
     for i in range(cfg.trial_count):
         rng = trial_rng(cfg.master_seed, i)
-        if cdf is None:
-            continue
-        r = int(rng.geometric(h))
-        if r <= cfg.round_cap:
-            rounds[i] = r
-            events[i] = bisect_right(cdf, rng.random())
+        r = rng.geometric(h) if cdf is not None else cap + 1  # h = 0: never heralds
+        if r <= cap:
+            rounds.append(r)
+            events.append(bisect_right(cdf, rng.random()))
+        else:
+            rounds.append(cap)
+            events.append(-1)
     # index -1 reads the appended censored entry: no outcome, fidelity 0
-    outcome = np.append(table.outcome_index, -1)[events]
-    fidelity = np.append(table.fidelity, 0.0)[events]
+    outcome = np.append(table.outcome_index, -1)
+    fidelity = np.append(table.fidelity, 0.0)
+    names = [o.value for o in OUTCOME_OF_DETECTOR] + ["censored"]  # [-1]: censored
+    suffix = [f",{names[k]},{f!r},{int(k < 0)}\n"
+              for k, f in zip(outcome.tolist(), fidelity.tolist())]
+    _stream_records(cfg, "trial,rounds,outcome,fidelity,censored",
+                    (f"{i},{r}{suffix[e]}" for i, (r, e) in enumerate(zip(rounds, events))))
+    events = np.array(events, dtype=int)
+    rounds = np.array(rounds, dtype=float)
+    outcome = outcome[events]
+    fidelity = fidelity[events]
     ok = outcome >= 0
     n_ok = int(ok.sum())
-    names = [o.value for o in OUTCOME_OF_DETECTOR] + ["censored"]  # [-1]: censored
-    _stream_records(
-        cfg,
-        "trial,rounds,outcome,fidelity,censored",
-        (
-            f"{i},{r},{names[k]},{f!r},{int(k < 0)}\n"
-            for i, (r, k, f) in enumerate(zip(rounds.astype(int).tolist(), outcome.tolist(),
-                                              fidelity.tolist()))
-        ),
-    )
     success_rate = n_ok / cfg.trial_count if cfg.trial_count else 0.0
     mean_rounds, rounds_se = _mean_se(rounds[ok])
     freqs, freqs_se = {}, {}
@@ -387,18 +325,15 @@ def run_remote_trials(cfg: RunConfig) -> RunStats:
     """
     table = _remote_event_table(cfg)
     cdf = event_cdf(table.probabilities).tolist()
-    events = np.array(
-        [bisect_right(cdf, trial_rng(cfg.master_seed, i).random())
-         for i in range(cfg.trial_count)],
-        dtype=int,
-    )
+    events = [bisect_right(cdf, trial_rng(cfg.master_seed, i).random())
+              for i in range(cfg.trial_count)]
+    suffix = [f",{int(k >= 0)},{f!r}\n"
+              for k, f in zip(table.outcome_index.tolist(), table.fidelity.tolist())]
+    _stream_records(cfg, "trial,success,fidelity",
+                    (f"{i}{suffix[e]}" for i, e in enumerate(events)))
+    events = np.array(events, dtype=int)
     ok = table.outcome_index[events] >= 0
     fidelity = table.fidelity[events]
-    _stream_records(
-        cfg,
-        "trial,success,fidelity",
-        (f"{i},{int(s)},{f!r}\n" for i, (s, f) in enumerate(zip(ok.tolist(), fidelity.tolist()))),
-    )
     n = cfg.trial_count
     n_ok = int(ok.sum())
     success_rate = n_ok / n if n else 0.0
