@@ -305,8 +305,7 @@ def run(cfg: CliConfig) -> int:
         return 0 if stats.success_count else 1
 
     if cfg.command == "read":
-        rng = trial_rng(cfg.seed, 0)
-        record = write_memory(cfg.alpha, cfg.beta, cfg.pc, rng,
+        record = write_memory(cfg.alpha, cfg.beta, cfg.pc, trial_rng(cfg.seed, 0),
                               build_write_setup(cfg.truncation))
         photon = read_memory(record, cfg.efficiency)
         setup = build_read_setup(cfg.truncation)

@@ -376,8 +376,9 @@ def write_branches(
 
 def event_cdf(p: np.ndarray) -> np.ndarray:
     """Normalised CDF of event probabilities ``p``: ``bisect_right(cdf.tolist(),
-    u)`` on ``u = rng.random()`` draws the index numpy's ``Generator.choice``
-    draws with ``p``, whose checks run here once per table."""
+    u)`` on a uniform ``u`` in [0, 1) draws the index numpy's
+    ``Generator.choice`` draws with ``p``, whose checks run here once per
+    table."""
     p = np.asarray(p, dtype=float)
     # NaN fails both comparisons
     if not ((p >= 0.0).all() and abs(p.sum() - 1.0) <= math.sqrt(np.finfo(float).eps)):
@@ -388,28 +389,37 @@ def event_cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def _herald_rounds(u: float, p: float) -> int:
+    """Rounds to the first herald at per-round probability ``p``, inverted
+    from one uniform ``u`` so that ``P(rounds > k) = (1 - p)^k``: the same
+    distribution as repeating the round until it heralds."""
+    if p >= 1.0:  # log1p(-1) raises: the first round heralds
+        return 1
+    return max(1, math.ceil(math.log1p(-u) / math.log1p(-p)))
+
+
 def write_memory(
     alpha: complex,
     beta: complex,
     pc: float,
-    rng,
+    row: tuple[float, float],
     setup: WriteSetup | None = None,
 ) -> TrialRecord:
-    """One simulated write with ideal detection.
+    """One simulated write with ideal detection, drawn from one row of two
+    uniforms, such as :func:`dfsmem.trials.trial_rng`'s.
 
-    Rounds repeat until the one-photon herald fires (geometric in the exact
-    herald probability); the analyzer outcome is drawn from the exact Born
-    weights. The record stores the uncorrected atomic state plus its mark.
-    ``rng`` is any object with ``random()`` and ``geometric(p)``, such as a
-    numpy ``Generator`` or a :class:`dfsmem.trials.TrialStream`; the write
-    calls ``geometric`` once and then ``random`` once.
+    ``u0`` gives the rounds until the one-photon herald fires (geometric in
+    the exact herald probability, inverted as in a write trial), and ``u1``
+    draws the analyzer outcome from the exact Born weights. The record stores
+    the uncorrected atomic state plus its mark.
     """
+    u0, u1 = row
     p_herald, branches = _heralded_write(alpha, beta, pc, setup or build_write_setup())
-    rounds = int(rng.geometric(p_herald))
+    rounds = _herald_rounds(u0, p_herald)
     outcomes = list(branches.keys())
     weights = np.array([branches[o].probability for o in outcomes])
     weights = weights / weights.sum()
-    pick = outcomes[bisect_right(event_cdf(weights).tolist(), rng.random())]
+    pick = outcomes[bisect_right(event_cdf(weights).tolist(), u1)]
     clicks = next(c for c, o in WRITE_CLICK_RULE.items() if o is pick)
     chosen = branches[pick]
     return TrialRecord(

@@ -4,17 +4,17 @@ Each trial owns one row of the run's uniforms: trial i reads row i of
 ``Generator(Philox(SeedSequence(master_seed))).random((n, 2))``, bit for
 bit, whatever n. Philox is counter-based (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11), so any row is reached by advancing
-the counter, without drawing the rows before it. :func:`trial_rng` returns a
-:class:`TrialStream` over trial i's row, served from a memoised block of
+the counter, without drawing the rows before it. :func:`trial_rng` returns
+trial i's row as a tuple ``(u0, u1)``, read from a memoised block of
 ``_BLOCK`` rows.
 
-Trials run in index order in one thread. A write trial inverts its first
-uniform ``u0`` into the number of rounds, ``ceil(log1p(-u0) /
-log1p(-herald probability))`` (at least 1), and then, unless censored past
-``round_cap``, picks its event as ``bisect_right(cdf, u1)`` over the table's
-CDF (:func:`dfsmem.protocol.event_cdf`); a remote trial picks its event from
-``u0``. ``RunConfig.threads`` is validated but starts no threads and changes
-no byte of the output.
+Trials run in index order in one thread. A write trial inverts ``u0`` into
+the number of rounds to the herald (``dfsmem.protocol._herald_rounds``,
+which :func:`dfsmem.protocol.write_memory` also uses) and then, unless
+censored past ``round_cap``, picks its event as ``bisect_right(cdf, u1)``
+over the table's CDF (:func:`dfsmem.protocol.event_cdf`); a remote trial
+picks its event from ``u0``. ``RunConfig.threads`` is validated but starts
+no threads and changes no byte of the output.
 
 Detection is folded into an exact event table before any sampling: each
 detector occupation pattern of the exact pipeline is weighted, for every
@@ -46,6 +46,7 @@ from .protocol import (
     OUTCOME_OF_DETECTOR,
     REMOTE_CLICK_RULE,
     WRITE_CLICK_RULE,
+    _herald_rounds,
     apply_logical_pauli,
     build_remote_setup,
     build_write_setup,
@@ -127,40 +128,12 @@ def _uniform_block(master_seed: int, start: int) -> tuple[float, ...]:
     return tuple(np.random.Generator(bits).random(_BLOCK * _DRAWS).tolist())
 
 
-class TrialStream:
-    """One trial's row of uniforms, drawn in order: ``random()`` returns the
-    next, and ``geometric(p)`` inverts the next into a geometric variate on
-    {1, 2, ...}. A draw past the row raises ``RuntimeError``."""
-
-    __slots__ = ("_draws", "_next", "_end")
-
-    def __init__(self, draws, start: int = 0):
-        self._draws = draws
-        self._next = start
-        self._end = start + _DRAWS
-
-    def random(self) -> float:
-        k = self._next
-        if k == self._end:
-            raise RuntimeError(f"a trial stream holds {_DRAWS} draws")
-        self._next = k + 1
-        return self._draws[k]
-
-    def geometric(self, p: float) -> int:
-        """Trials to the first success at probability ``p``:
-        ``P(X > k) = (1 - p)^k``, from one uniform ``u`` as
-        ``ceil(log1p(-u) / log1p(-p))``, at least 1."""
-        u = self.random()
-        if p >= 1.0:  # log1p(-1) raises: the first trial succeeds
-            return 1
-        return max(1, math.ceil(math.log1p(-u) / math.log1p(-p)))
-
-
-def trial_rng(master_seed: int, trial_index: int) -> TrialStream:
-    """Trial ``trial_index``'s stream: its row of the run's uniforms, read
+def trial_rng(master_seed: int, trial_index: int) -> tuple[float, float]:
+    """Trial ``trial_index``'s row ``(u0, u1)`` of the run's uniforms, read
     from the memoised block that holds it."""
     start = trial_index - trial_index % _BLOCK
-    return TrialStream(_uniform_block(master_seed, start), _DRAWS * (trial_index - start))
+    k = _DRAWS * (trial_index - start)
+    return _uniform_block(master_seed, start)[k:k + _DRAWS]
 
 
 @dataclass(frozen=True)
@@ -269,11 +242,11 @@ def run_write_trials(cfg: RunConfig) -> RunStats:
     cap = cfg.round_cap
     rounds, events = [], []  # event -1: censored
     for i in range(cfg.trial_count):
-        rng = trial_rng(cfg.master_seed, i)
-        r = rng.geometric(h) if cdf is not None else cap + 1  # h = 0: never heralds
+        u0, u1 = trial_rng(cfg.master_seed, i)
+        r = _herald_rounds(u0, h) if cdf is not None else cap + 1  # h = 0: never heralds
         if r <= cap:
             rounds.append(r)
-            events.append(bisect_right(cdf, rng.random()))
+            events.append(bisect_right(cdf, u1))
         else:
             rounds.append(cap)
             events.append(-1)
@@ -325,7 +298,7 @@ def run_remote_trials(cfg: RunConfig) -> RunStats:
     """
     table = _remote_event_table(cfg)
     cdf = event_cdf(table.probabilities).tolist()
-    events = [bisect_right(cdf, trial_rng(cfg.master_seed, i).random())
+    events = [bisect_right(cdf, trial_rng(cfg.master_seed, i)[0])
               for i in range(cfg.trial_count)]
     suffix = [f",{int(k >= 0)},{f!r}\n"
               for k, f in zip(table.outcome_index.tolist(), table.fidelity.tolist())]

@@ -1,5 +1,8 @@
+import bisect
 import json
+import math
 
+import numpy as np
 import pytest
 
 from dfsmem.cli import (
@@ -10,6 +13,7 @@ from dfsmem.cli import (
     parse_amplitude,
     parse_config,
 )
+from dfsmem.protocol import build_write_setup, generate_entanglement, write_branches
 
 
 def test_parse_amplitude_forms():
@@ -217,6 +221,33 @@ def test_read_command(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["photon_present_probability"] == pytest.approx(0.5, abs=1e-10)
     assert payload["roundtrip_fidelity"] == pytest.approx(0.5, abs=1e-10)
+
+
+def test_read_command_draws_trial_zero_row(tmp_path):
+    # `read` writes with row 0 of the seed's Philox draw: u0 inverted into
+    # the rounds, u1 picking the outcome over the normalised write_branches
+    # CDF, both written out here from numpy and not through trial_rng
+    pc, alpha, beta = 0.1, 0.6, 0.8j
+    setup = build_write_setup(3)
+    _, herald = generate_entanglement(pc, setup)
+    branches = write_branches(alpha, beta, pc, setup)
+    weights = np.array([b.probability for b in branches.values()])
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    outcomes = set()
+    for seed in (0, 3, 11, 2**40, 12345):
+        bits = np.random.Philox(np.random.SeedSequence(seed))
+        u0, u1 = np.random.Generator(bits).random((1, 2))[0].tolist()
+        out = tmp_path / f"read-{seed}.json"
+        assert main(["read", "--seed", str(seed), "--pc", str(pc), "--truncation", "3",
+                     "--alpha", "0.6,0", "--beta", "0,0.8", "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        rounds = max(1, math.ceil(math.log1p(-u0) / math.log1p(-herald)))
+        assert payload["rounds_until_herald"] == rounds
+        outcome = list(branches)[bisect.bisect_right(cdf.tolist(), u1)]
+        assert payload["outcome"] == outcome.value
+        outcomes.add(outcome)
+    assert len(outcomes) > 1  # u1 reaches the outcome
 
 
 def test_remote_transfer_command(tmp_path):

@@ -40,6 +40,7 @@ from dfsmem.protocol import (
     write_events,
     write_memory,
 )
+from dfsmem.trials import trial_rng
 
 
 def random_qubit(rng) -> tuple[complex, complex]:
@@ -256,8 +257,7 @@ def test_write_branches_teleportation_identity():
 
 
 def test_write_memory_record_shape():
-    rng = np.random.default_rng(33)
-    record = write_memory(0.6, 0.8, 0.01, rng)
+    record = write_memory(0.6, 0.8, 0.01, trial_rng(33, 0))
     assert record.success
     assert record.rounds_until_herald >= 1
     assert sum(record.click_pattern) == 1
@@ -269,13 +269,13 @@ def test_write_memory_emits_once(monkeypatch):
     emit = protocol.joint_emission_state
     monkeypatch.setattr(protocol, "joint_emission_state",
                         lambda *a, **k: calls.append(a) or emit(*a, **k))
-    write_memory(0.6, 0.8, 0.01, np.random.default_rng(7))
+    write_memory(0.6, 0.8, 0.01, trial_rng(7, 0))
     assert len(calls) == 1
 
 
 def test_write_memory_deterministic_given_stream():
-    a = write_memory(0.6, 0.8, 0.01, np.random.default_rng(5))
-    b = write_memory(0.6, 0.8, 0.01, np.random.default_rng(5))
+    a = write_memory(0.6, 0.8, 0.01, trial_rng(5, 0))
+    b = write_memory(0.6, 0.8, 0.01, trial_rng(5, 0))
     assert a.rounds_until_herald == b.rounds_until_herald
     assert a.outcome is b.outcome
 
@@ -343,17 +343,16 @@ def test_dfs_collective_dephasing_invariance():
 
 def test_read_memory_roundtrip_unit_efficiency():
     rng = np.random.default_rng(77)
-    for _ in range(6):
+    for k in range(6):
         alpha, beta = random_qubit(rng)
-        record = write_memory(alpha, beta, 0.01, rng)
+        record = write_memory(alpha, beta, 0.01, trial_rng(77, k))
         photon = read_memory(record, 1.0)
         target = read_target(alpha, beta)
         assert fidelity_mixed(photon, target) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_read_memory_basis_state_exact():
-    rng = np.random.default_rng(13)
-    record = write_memory(1.0, 0.0, 0.01, rng)
+    record = write_memory(1.0, 0.0, 0.01, trial_rng(13, 0))
     photon = read_memory(record, 1.0)
     assert fidelity_mixed(photon, read_target(1.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
 
@@ -361,7 +360,7 @@ def test_read_memory_basis_state_exact():
 def test_read_memory_partial_efficiency_photon_yield():
     rng = np.random.default_rng(42)
     alpha, beta = random_qubit(rng)
-    record = write_memory(alpha, beta, 0.01, rng)
+    record = write_memory(alpha, beta, 0.01, trial_rng(42, 0))
     setup = build_read_setup()
     for eff in (0.25, 0.5, 0.9):
         photon = read_memory(record, eff)

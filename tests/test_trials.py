@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dfsmem import trials
 from dfsmem.noise import NoiseParams, p1_analytic, preparation_time
-from dfsmem.protocol import event_cdf
+from dfsmem.protocol import _herald_rounds, event_cdf, write_memory
 from dfsmem.trials import (
     DetectorSpec,
     RunConfig,
@@ -236,12 +236,9 @@ def test_remote_trials_streams_records(tmp_path):
 
 
 def test_trial_rng_stream_independence():
-    a = trial_rng(99, 0)
-    b = trial_rng(99, 1)
-    a2 = trial_rng(99, 0)
-    row = (a.random(), a.random())
-    assert row == (a2.random(), a2.random())
-    assert row != (b.random(), b.random())
+    row = trial_rng(99, 0)
+    assert row == trial_rng(99, 0)
+    assert row != trial_rng(99, 1)
 
 
 @pytest.mark.parametrize("p", [
@@ -274,8 +271,7 @@ def _numpy_row(seed, i):
 
 
 def _stream_row(seed, i):
-    rng = trial_rng(seed, i)
-    return np.array([rng.random(), rng.random()])
+    return np.array(trial_rng(seed, i))
 
 
 def _numpy_event(probabilities, u):
@@ -286,6 +282,8 @@ def _numpy_event(probabilities, u):
 
 
 def _rounds(u, h):
+    # the rounds inversion, written out here rather than read from
+    # protocol._herald_rounds
     return max(1, math.ceil(math.log1p(-u) / math.log1p(-h)))
 
 
@@ -312,22 +310,23 @@ def test_uniform_blocks_are_rows_of_one_long_draw():
 
 
 def test_trial_stream_holds_two_draws():
-    rng = trial_rng(4, 10)
-    rng.geometric(0.3)
-    rng.random()
-    with pytest.raises(RuntimeError, match="2 draws"):
-        rng.random()
-    with pytest.raises(RuntimeError, match="2 draws"):
-        rng.geometric(0.3)
+    # a trial's stream is exactly its numpy row: a 2-tuple of floats, so
+    # unpacking it into (u0, u1) can draw neither fewer nor more
+    row = trial_rng(4, 10)
+    assert type(row) is tuple and len(row) == 2
+    assert all(type(u) is float for u in row)
+    assert row == tuple(_numpy_row(4, 10).tolist())
 
 
 def test_trial_stream_geometric_edges():
-    assert trials.TrialStream((0.999, 0.5)).geometric(1.0) == 1
-    assert trials.TrialStream((0.0, 0.5)).geometric(1e-9) == 1
-    # the event draw after a geometric one is the row's second uniform
-    rng = trials.TrialStream((0.2, 0.75, 0.1))
-    rng.geometric(1.0)
-    assert rng.random() == 0.75
+    assert _herald_rounds(0.999, 1.0) == 1
+    assert _herald_rounds(0.0, 1e-9) == 1
+    # a write draws its rounds from the row's first uniform and its event
+    # from the second (the four outcomes each have probability 1/4 here)
+    a = write_memory(0.6, 0.8, 0.01, (0.2, 0.6))
+    b = write_memory(0.6, 0.8, 0.01, (0.9, 0.6))
+    assert a.rounds_until_herald < b.rounds_until_herald and a.outcome is b.outcome
+    assert a.outcome is not write_memory(0.6, 0.8, 0.01, (0.2, 0.1)).outcome
 
 
 @pytest.mark.parametrize("p", [1e-6, 0.03, 0.5, 0.9])
@@ -336,7 +335,7 @@ def test_trial_stream_geometric_tail(p):
     # u > 1 - (1 - p)^k, up to the rounding of one grid step
     m = 20_000
     us = [(j + 0.5) / m for j in range(m)]
-    xs = [trials.TrialStream((u, 0.0)).geometric(p) for u in us]
+    xs = [_herald_rounds(u, p) for u in us]
     for k in (1, 2, 5, 40):
         tail = sum(x > k for x in xs) / m
         assert abs(tail - (1.0 - p) ** k) <= 1.0 / m, k

@@ -26,8 +26,6 @@ from typing import Callable
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np  # noqa: E402
-
 from dfsmem.noise import NoiseParams, end_to_end_fidelity  # noqa: E402
 from dfsmem.protocol import (  # noqa: E402
     build_write_setup,
@@ -42,6 +40,7 @@ from dfsmem.trials import (  # noqa: E402
     _write_event_table,
     run_remote_trials,
     run_write_trials,
+    trial_rng,
 )
 
 PC, D, ALPHA, BETA = 0.1, 3, 0.6, 0.8j
@@ -64,7 +63,7 @@ def stages(noise: NoiseParams) -> dict[str, Callable[[], object]]:
     setup = build_write_setup(D)
     cfg = RunConfig(1, 0, PC, ALPHA, BETA, noise, truncation=D)
     state = entangled_state(PC, setup)
-    record = write_memory(ALPHA, BETA, PC, np.random.default_rng(0), setup)
+    record = write_memory(ALPHA, BETA, PC, trial_rng(0, 0), setup)
     return {
         "entangled_state": lambda: entangled_state(PC, setup),
         "write_events": lambda: write_events(state, ALPHA, BETA, setup),
