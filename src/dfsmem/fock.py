@@ -418,8 +418,11 @@ def split_by_pattern(
         key = tuple(pattern[i] for i in idx)
         probs[key] = probs.get(key, 0.0) + (a.real * a.real + a.imag * a.imag)
         groups.setdefault(key, {})[pattern] = a
+    if not groups:
+        return {}
+    restrict = _restrictor(reg, keep)
     return {
-        key: (probs[key], restrict_state(PureState._trusted(reg, amp).normalize(), keep))
+        key: (probs[key], restrict(PureState._trusted(reg, amp).normalize()))
         for key, amp in groups.items()
     }
 
@@ -450,6 +453,30 @@ def product_state(a: PureState, b: PureState) -> PureState:
     return PureState(a.registry, out)
 
 
+def _restrictor(src: ModeRegistry, registry: ModeRegistry):
+    """:func:`restrict_state` from ``src`` onto ``registry`` as a function of
+    the state, with the mode positions worked out once."""
+    if registry.d != src.d:
+        raise ValueError("registries disagree on truncation")
+    keep_idx = [src.index(lab) for lab in registry.labels]
+    kept = set(keep_idx)
+    drop_idx = [i for i in range(len(src)) if i not in kept]
+
+    def restrict(state: PureState) -> PureState:
+        drop_ref: tuple[int, ...] | None = None
+        out: dict[tuple[int, ...], complex] = {}
+        for pattern, a in state.items():
+            dropped = tuple(pattern[i] for i in drop_idx)
+            if drop_ref is None:
+                drop_ref = dropped
+            elif dropped != drop_ref:
+                raise ValueError("state does not factorize against the dropped modes")
+            out[tuple(pattern[i] for i in keep_idx)] = a
+        return PureState._trusted(registry, out)
+
+    return restrict
+
+
 def restrict_state(state: PureState, registry: ModeRegistry) -> PureState:
     """Drop modes not present in the target registry.
 
@@ -457,22 +484,7 @@ def restrict_state(state: PureState, registry: ModeRegistry) -> PureState:
     support pattern (i.e. the state factorizes against them); raises
     otherwise since dropping would not be a pure-state operation.
     """
-    src = state.registry
-    if registry.d != src.d:
-        raise ValueError("registries disagree on truncation")
-    keep_idx = [src.index(lab) for lab in registry.labels]
-    kept = set(keep_idx)
-    drop_idx = [i for i in range(len(src)) if i not in kept]
-    drop_ref: tuple[int, ...] | None = None
-    out: dict[tuple[int, ...], complex] = {}
-    for pattern, a in state.items():
-        dropped = tuple(pattern[i] for i in drop_idx)
-        if drop_ref is None:
-            drop_ref = dropped
-        elif dropped != drop_ref:
-            raise ValueError("state does not factorize against the dropped modes")
-        out[tuple(pattern[i] for i in keep_idx)] = a
-    return PureState._trusted(registry, out)
+    return _restrictor(state.registry, registry)(state)
 
 
 def embed_state(state: PureState, registry: ModeRegistry) -> PureState:

@@ -40,6 +40,7 @@ from .fock import (
     apply_elements,
     apply_unitary,
     atomic_mode,
+    basis_state,
     born_probabilities,
     embed_state,
     photon_mode,
@@ -132,9 +133,15 @@ def apply_logical_pauli(
     if mark in (PauliMark.X, PauliMark.ZX):  # ZX: X first, then Z
         state = apply_unitary(state, swap("logical_x", qmap.left, qmap.right))
     if mark in (PauliMark.Z, PauliMark.ZX):
-        # (-1)^(n_left): sign on |1>
-        state = apply_unitary(state, phase_shifter([qmap.left], [math.pi]))
+        state = apply_unitary(state, _sign_flip(qmap.left))
     return state
+
+
+@lru_cache(maxsize=16)
+def _sign_flip(mode: ModeLabel) -> OpticalElement:
+    """(-1)^n on ``mode``, the Z mark's sign on |1>; shared like the
+    fixed-matrix elements, so its lift table carries over between calls."""
+    return phase_shifter([mode], [math.pi])
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +179,11 @@ class WriteSetup:
         )
         self.atomic_registry = register_modes([self.s_l, self.s_r], d)
         self.logical = LogicalQubitMap(left=self.s_l, right=self.s_r)
+        # the analyzer's outputs live on the detector and atomic modes alone;
+        # input pattern -> _analyzer_entry(self, pattern), filled as
+        # write_events meets patterns
+        self._events_registry = register_modes([*self.detectors, self.s_l, self.s_r], d)
+        self._analyzer: dict[tuple[int, ...], tuple | None] = {}
 
     def photon(self, polarization: str, spatial: str) -> ModeLabel:
         return self._photon[(polarization, spatial)]
@@ -302,6 +314,53 @@ def encode_spatial(
     return apply_elements(state, setup.encode_elements(alpha, beta))
 
 
+def _analyzer_entry(setup: WriteSetup, pattern: tuple[int, ...]) -> tuple | None:
+    """One input pattern's path through the encoder and the analyzer, as
+    ``((p, q, ((output, c), ...)), ...)``: the pattern leaves
+    sum alpha^p beta^q c |output>, each output a pattern on
+    ``setup._events_registry``.
+
+    The n_H, n_V fiber photons split onto path-a/path-b as k, l with weight
+    sqrt(C(n_H, k) C(n_V, l)) and monomial alpha^(k+l) beta^(n_H+n_V-k-l),
+    and each split is lifted once through :meth:`WriteSetup.bsm_elements`.
+    None when the pattern needs the reference path: an occupied path mode,
+    d or more photons in the analyzer (a lift could spill past the
+    truncation), or photons left outside the detector and atomic modes.
+    """
+    reg = setup.registry
+    ph = setup.photon
+    fiber_h, fiber_v, a_h, b_h, a_v, b_v = (
+        reg.index(ph(pol, spot)) for pol, spot in (
+            ("H", "fiber"), ("V", "fiber"), ("H", "path-a"), ("H", "path-b"),
+            ("V", "path-a"), ("V", "path-b"),
+        )
+    )
+    elements = setup.bsm_elements()
+    analyzer = {reg.index(m) for el in elements for m in el.modes}
+    n_h, n_v = pattern[fiber_h], pattern[fiber_v]
+    if any(pattern[i] for i in (a_h, b_h, a_v, b_v)) or (
+        n_h + n_v + sum(pattern[i] for i in analyzer) >= reg.d
+    ):
+        return None
+    kept = [reg.index(m) for m in setup._events_registry.labels]
+    dropped = [i for i in range(len(reg)) if i not in kept]
+    monomials: dict[int, dict[tuple[int, ...], complex]] = {}
+    for k in range(n_h + 1):
+        for l in range(n_v + 1):
+            split = list(pattern)
+            split[fiber_h] = split[fiber_v] = 0
+            split[a_h], split[b_h], split[a_v], split[b_v] = k, n_h - k, l, n_v - l
+            weight = math.sqrt(math.comb(n_h, k) * math.comb(n_v, l))
+            lifted = apply_elements(PureState._trusted(reg, {tuple(split): weight}), elements)
+            terms = monomials.setdefault(k + l, {})
+            for out, c in lifted.items():
+                if any(out[i] for i in dropped):
+                    return None
+                key = tuple(out[i] for i in kept)
+                terms[key] = terms.get(key, 0j) + c
+    return tuple((p, n_h + n_v - p, tuple(terms.items())) for p, terms in monomials.items())
+
+
 def write_events(
     state: PureState, alpha: complex, beta: complex, setup: WriteSetup
 ) -> dict[tuple[int, ...], tuple[float, PureState]]:
@@ -312,9 +371,39 @@ def write_events(
     the normalized, uncorrected atomic state it leaves behind. Fed the
     heralded state this is the heralded write; fed :func:`entangled_state`
     it is the raw per-round event table.
+
+    The qubit enters only through the encoder, so each input pattern's
+    outputs are fixed monomials in (alpha, beta), tabled on the setup
+    (:func:`_analyzer_entry`). A call sums ``a * alpha^p beta^q * c`` over
+    the input support and the table terms in order, then splits once per
+    detector pattern. A state with a pattern the table cannot hold runs
+    the reference path, :func:`encode_spatial` and the analyzer's Fock
+    lift, which also rejects occupied path modes.
     """
-    analyzed = apply_elements(encode_spatial(state, alpha, beta, setup), setup.bsm_elements())
-    return split_by_pattern(analyzed, setup.detectors, setup.atomic_registry)
+    table = setup._analyzer
+    inputs = []
+    for pattern, a in state.items():
+        try:
+            entry = table[pattern]
+        except KeyError:
+            entry = table[pattern] = _analyzer_entry(setup, pattern)
+        if entry is None:
+            analyzed = apply_elements(encode_spatial(state, alpha, beta, setup),
+                                      setup.bsm_elements())
+            return split_by_pattern(analyzed, setup.detectors, setup.atomic_registry)
+        inputs.append((a, entry))
+    check_amplitude_pair(alpha, beta)
+    # an entry holds at most d - 1 photons
+    a_pow = [complex(alpha) ** p for p in range(setup.d)]
+    b_pow = [complex(beta) ** q for q in range(setup.d)]
+    out: dict[tuple[int, ...], complex] = {}
+    for a, entry in inputs:
+        for p, q, terms in entry:
+            f = a * (a_pow[p] * b_pow[q])
+            for key, c in terms:
+                out[key] = out.get(key, 0j) + f * c
+    return split_by_pattern(PureState._trusted(setup._events_registry, out),
+                            setup.detectors, setup.atomic_registry)
 
 
 @dataclass(frozen=True)
@@ -550,6 +639,10 @@ class RemoteSetup:
         self.detectors = (self.p_i1, self.p_l1, self.p_i2, self.p_l2)
         self.r_registry = register_modes([self.r1, self.r2], d)
         self.r_logical = LogicalQubitMap(left=self.r1, right=self.r2)
+        # the transfer's outputs live on the detector and far-pair modes;
+        # _transfer_table(self) once the first remote_transfer needs it
+        self._events_registry = register_modes([*self.detectors, self.r1, self.r2], d)
+        self._transfer: tuple | None = None
 
     def transfer_elements(self) -> list[OpticalElement]:
         """Lossless retrieval of the four near ensembles, then the two
@@ -593,6 +686,27 @@ REMOTE_CLICK_RULE: dict[tuple[bool, ...], tuple[bool, PauliMark | None]] = {
 }
 
 
+def _transfer_table(setup: RemoteSetup) -> tuple:
+    """The transfer of each sender basis state, as ``((output, c_i2, c_i1),
+    ...)``: the sender |i2> (the alpha term) and |i1> (the beta term), each
+    with the fixed resource (|l1 r2> + |l2 r1>)/sqrt(2), lifted once through
+    :meth:`RemoteSetup.transfer_elements`; outputs are patterns on
+    ``setup._events_registry``."""
+    resource = superposition(setup.registry, [
+        ({setup.l1: 1, setup.r2: 1}, 1 / math.sqrt(2)),
+        ({setup.l2: 1, setup.r1: 1}, 1 / math.sqrt(2)),
+    ])
+    kept = [setup.registry.index(m) for m in setup._events_registry.labels]
+    lifted = []
+    for mode in (setup.i2, setup.i1):
+        sender = basis_state(setup.registry, {mode: 1})
+        state = apply_elements(product_state(sender, resource), setup.transfer_elements())
+        lifted.append({tuple(p[i] for i in kept): a for p, a in state.items()})
+    v1, v2 = lifted
+    keys = list(v1) + [key for key in v2 if key not in v1]
+    return tuple((key, v1.get(key, 0j), v2.get(key, 0j)) for key in keys)
+
+
 def remote_transfer(
     alpha: complex, beta: complex, setup: RemoteSetup | None = None
 ) -> dict[tuple[int, ...], tuple[float, PureState]]:
@@ -609,13 +723,18 @@ def remote_transfer(
     detector reports one click and no cross-side partner) and fail; the four
     one-click-per-side patterns each have exact probability 1/8 and leave
     the far pair in alpha|0> +/- beta|1>, the sign fixed by the click parity.
+
+    The network is linear and the qubit enters only through the sender, so
+    the two sender basis states are lifted once per setup
+    (:func:`_transfer_table`) and a call sums ``alpha * c_i2 + beta * c_i1``
+    per output before splitting once per detector pattern. The two photons
+    fit any truncation d >= 3; at d = 2 their bunching overflows, in the
+    table's lift as in a direct one.
     """
     check_amplitude_pair(alpha, beta)
     setup = setup or build_remote_setup()
-    sender = superposition(setup.registry, [({setup.i2: 1}, alpha), ({setup.i1: 1}, beta)])
-    resource = superposition(setup.registry, [
-        ({setup.l1: 1, setup.r2: 1}, 1 / math.sqrt(2)),
-        ({setup.l2: 1, setup.r1: 1}, 1 / math.sqrt(2)),
-    ])
-    state = apply_elements(product_state(sender, resource), setup.transfer_elements())
-    return split_by_pattern(state, setup.detectors, setup.r_registry)
+    if setup._transfer is None:
+        setup._transfer = _transfer_table(setup)
+    out = {key: alpha * c1 + beta * c2 for key, c1, c2 in setup._transfer}
+    return split_by_pattern(PureState._trusted(setup._events_registry, out),
+                            setup.detectors, setup.r_registry)

@@ -3,7 +3,10 @@
 Matrix elements of the lifted unitary are computed from matrix permanents,
 <m|U|n> = per(U[m;n]) / sqrt(prod m_i! prod n_j!), where U[m;n] repeats row i
 m_i times and column j n_j times. This shares no code path with the
-monomial-expansion implementation it cross-checks. The module also holds
+monomial-expansion implementation it cross-checks. ``compose`` and
+``permanent_event_table`` apply the same rule to a whole experiment: its
+elements multiplied into one single-particle matrix, and every output
+amplitude summed from permanents, grouped by detector pattern. The module also holds
 the one-mode references ``apply_creation`` (bosonic raising) and
 ``project_occupation`` (one-mode projection) that the lift and
 ``split_by_pattern`` are checked against; the package itself needs neither.
@@ -84,6 +87,66 @@ def dense_apply(state, element) -> dict:
                 key = tuple(full)
                 out[key] = out.get(key, 0j) + amp
     return {p: a for p, a in out.items() if abs(a) > 1e-16}
+
+
+def compose(registry, elements) -> np.ndarray:
+    """The single-particle matrix of ``elements`` applied in order, over
+    every mode of ``registry``."""
+    n = len(registry)
+    u = np.eye(n, dtype=complex)
+    for el in elements:
+        idx = [registry.index(m) for m in el.modes]
+        step = np.eye(n, dtype=complex)
+        step[np.ix_(idx, idx)] = el.matrix
+        u = step @ u
+    return u
+
+
+def permanent_event_table(state, u: np.ndarray, detectors, keep) -> dict:
+    """Exact detector events of ``state`` sent through the single-particle
+    matrix ``u``: {detector pattern: (probability, {pattern on ``keep``:
+    normalized amplitude})}, the shape of ``protocol.write_events``.
+
+    Every output amplitude is sum_in a_in per(u[rows, cols]) /
+    sqrt(prod n! prod m!) (:func:`lift_element`); modes on which ``u`` is
+    the identity (the atoms) ride along as spectators. Amplitudes at or
+    below 1e-15 are dropped, as the sparse states drop them.
+    """
+    reg = state.registry
+    n = len(reg)
+    eye = np.eye(n)
+    moving = [i for i in range(n) if (u[:, i] != eye[:, i]).any() or (u[i] != eye[i]).any()]
+    sub = u[np.ix_(moving, moving)]
+    out: dict[tuple, complex] = {}
+    for pattern, a in state.items():
+        occ = tuple(pattern[i] for i in moving)
+        reachable = [r for r in range(len(moving))
+                     if any(sub[r, c] != 0 for c, m in enumerate(occ) if m)]
+        for rows in itertools.combinations_with_replacement(reachable, sum(occ)):
+            local = [0] * len(moving)
+            for r in rows:
+                local[r] += 1
+            full = list(pattern)
+            for i, m in zip(moving, local):
+                full[i] = m
+            key = tuple(full)
+            out[key] = out.get(key, 0j) + a * lift_element(sub, local, occ)
+    det_idx = [reg.index(m) for m in detectors]
+    keep_idx = [reg.index(m) for m in keep.labels]
+    groups: dict[tuple, dict[tuple, complex]] = {}
+    for pattern, amp in out.items():
+        if abs(amp) <= 1e-15:
+            continue
+        group = groups.setdefault(tuple(pattern[i] for i in det_idx), {})
+        kept = tuple(pattern[i] for i in keep_idx)
+        if kept in group:
+            raise ValueError("the kept modes do not determine the output pattern")
+        group[kept] = amp
+    table = {}
+    for det, group in groups.items():
+        prob = sum(abs(amp) ** 2 for amp in group.values())
+        table[det] = (prob, {k: amp / math.sqrt(prob) for k, amp in group.items()})
+    return table
 
 
 def apply_creation(state, mode):

@@ -3,16 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from dense_oracle import compose, permanent_event_table
 from dfsmem.fock import (
     PureState,
+    TruncationOverflowError,
     apply_elements,
     apply_unitary,
     basis_state,
     born_probabilities,
     fidelity_mixed,
     fidelity_pure,
+    product_state,
     project_total_occupation,
+    split_by_pattern,
+    superposition,
 )
 from dfsmem import protocol
 from dfsmem.optics import phase_shifter
@@ -21,7 +28,9 @@ from dfsmem.protocol import (
     OUTCOME_OF_DETECTOR,
     PauliMark,
     REMOTE_CLICK_RULE,
+    RemoteSetup,
     TrialRecord,
+    WriteSetup,
     apply_logical_pauli,
     build_read_setup,
     build_remote_setup,
@@ -31,6 +40,7 @@ from dfsmem.protocol import (
     entangled_state,
     generate_entanglement,
     ideal_entangled_state,
+    joint_emission_state,
     pauli_mark,
     photon_present_probability,
     read_memory,
@@ -434,3 +444,207 @@ def test_classify_remote_clicks_parity_table():
     assert classify_remote_clicks((False, True, True, False)) == (True, PauliMark.Z)
     assert classify_remote_clicks((True, True, False, False)) == (False, None)
     assert classify_remote_clicks((False, False, False, False)) == (False, None)
+
+
+# -- the compiled tables: write_events and remote_transfer against the lift ---
+
+
+def _resource(setup):
+    return superposition(setup.registry, [
+        ({setup.l1: 1, setup.r2: 1}, 1 / math.sqrt(2)),
+        ({setup.l2: 1, setup.r1: 1}, 1 / math.sqrt(2)),
+    ])
+
+
+def _sender(setup, alpha, beta):
+    return superposition(setup.registry, [({setup.i2: 1}, alpha), ({setup.i1: 1}, beta)])
+
+
+def _lifted_write(state, alpha, beta, setup):
+    """The write's reference path: the encoder and the analyzer lifted."""
+    analyzed = apply_elements(encode_spatial(state, alpha, beta, setup), setup.bsm_elements())
+    return split_by_pattern(analyzed, setup.detectors, setup.atomic_registry)
+
+
+def _lifted_transfer(alpha, beta, setup):
+    state = product_state(_sender(setup, alpha, beta), _resource(setup))
+    return split_by_pattern(apply_elements(state, setup.transfer_elements()),
+                            setup.detectors, setup.r_registry)
+
+
+def _assert_same_events(got, want):
+    """Same detector patterns, probabilities within 1e-15 and normalized
+    amplitudes within 1e-14 per unit of the pattern's norm: the lift path
+    drops amplitudes at or below 1e-15 after every element, which moves the
+    normalized state of a pattern of probability p by about 1e-15 /
+    sqrt(p). (At pc 0.0625 and beta ~ 1.2e-7 it drops the beta^2 term of
+    a two-photon pattern of probability 8.6e-4 that the table keeps; the
+    normalized amplitudes then differ by 1.3e-14.)"""
+    assert got.keys() == want.keys()
+    for pattern, (p, state) in want.items():
+        q, component = got[pattern]
+        assert abs(q - p) <= 1e-15, pattern
+        assert component.registry == state.registry
+        tol = 1e-14 / min(1.0, math.sqrt(p))
+        for key in set(component.support()) | set(state.support()):
+            assert abs(component.amplitude(key) - state.amplitude(key)) <= tol, (pattern, key)
+
+
+_QUBIT = st.tuples(
+    st.floats(0.0, math.pi / 2), st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)
+).map(lambda t: (math.cos(t[0]) * cmath.exp(1j * t[1]), math.sin(t[0]) * cmath.exp(1j * t[2])))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pc=st.floats(0.0, 0.45, exclude_min=True, exclude_max=True),
+       d=st.sampled_from([3, 4]), qubit=_QUBIT)
+@example(pc=0.0625, d=3, qubit=(0.9999999999999929, 6.44090540517827e-08 + 1.003111583179615e-07j))
+def test_write_events_table_matches_lift(pc, d, qubit):
+    setup = build_write_setup(d)
+    alpha, beta = qubit
+    for state in (entangled_state(pc, setup), generate_entanglement(pc, setup)[0]):
+        if state is not None:
+            _assert_same_events(write_events(state, alpha, beta, setup),
+                                _lifted_write(state, alpha, beta, setup))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(d=st.sampled_from([3, 4]), qubit=_QUBIT)
+def test_remote_transfer_table_matches_lift(d, qubit):
+    setup = build_remote_setup(d)
+    _assert_same_events(remote_transfer(*qubit, setup), _lifted_transfer(*qubit, setup))
+
+
+def test_write_events_rejects_occupied_path_and_unnormalized_qubit():
+    setup = build_write_setup()
+    occupied = basis_state(setup.registry, {setup.s_l: 1, setup.photon("V", "path-a"): 1})
+    with pytest.raises(ValueError, match="not empty"):
+        write_events(occupied, 0.6, 0.8, setup)
+    with pytest.raises(ValueError, match="normalized"):
+        write_events(entangled_state(0.1, setup), 1.0, 0.5, setup)
+    with pytest.raises(ValueError, match="normalized"):
+        remote_transfer(1.0, 0.5)
+
+
+def test_write_events_accepts_and_rejects_what_the_lift_does():
+    setup = build_write_setup(3)
+    fiber_h, fiber_v = setup.photon("H", "fiber"), setup.photon("V", "fiber")
+    # a path mode and the analyzer's truncation both touched at weights the
+    # lift tolerates (below 1e-9 and below the overflow tolerance)
+    for stray in ({setup.photon("H", "path-b"): 1}, {fiber_h: 2, fiber_v: 1}):
+        state = superposition(setup.registry, [
+            ({setup.s_l: 1, fiber_h: 1}, 1.0), ({setup.s_r: 1, fiber_v: 1}, 1.0), (stray, 1e-7),
+        ]).normalize()
+        got = write_events(state, 0.6, 0.8j, setup)
+        want = _lifted_write(state, 0.6, 0.8j, setup)
+        assert {k: (p, list(s.items())) for k, (p, s) in got.items()} == \
+            {k: (p, list(s.items())) for k, (p, s) in want.items()}
+    # and rejects what it rejects: photons left on the emission arms (no
+    # eraser) do not factorize against the atoms ...
+    emitted = joint_emission_state(0.1, setup)
+    for events in (_lifted_write, write_events):
+        with pytest.raises(ValueError, match="factorize"):
+            events(emitted, 0.6, 0.8j, setup)
+    # ... and three photons at full weight spill at d = 3
+    spilling = basis_state(setup.registry, {fiber_h: 2, fiber_v: 1})
+    with pytest.raises(TruncationOverflowError):
+        _lifted_write(spilling, 0.6, 0.8j, setup)
+    with pytest.raises(TruncationOverflowError):
+        write_events(spilling, 0.6, 0.8j, setup)
+
+
+def _bits(events):
+    return [(k, p, list(s.items())) for k, (p, s) in events.items()]
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_compiled_tables_cold_and_warm_agree_bit_for_bit(d):
+    alpha, beta = 0.5 * cmath.exp(0.3j), 0.8660254037844386 * cmath.exp(-1.1j)
+    cold = WriteSetup(d)  # a fresh setup starts with an empty table
+    state = entangled_state(0.2, cold)
+    first = _bits(write_events(state, alpha, beta, cold))
+    assert first == _bits(write_events(state, alpha, beta, cold))
+    assert first == _bits(write_events(state, alpha, beta, WriteSetup(d)))
+    remote = RemoteSetup(d)
+    first = _bits(remote_transfer(alpha, beta, remote))
+    assert first == _bits(remote_transfer(alpha, beta, remote))
+
+
+def test_warm_tables_lift_nothing_for_a_new_qubit(monkeypatch):
+    setup, remote = WriteSetup(3), RemoteSetup(3)
+    state = entangled_state(0.1, setup)
+    write_events(state, 0.6, 0.8, setup)
+    remote_transfer(0.6, 0.8, remote)
+
+    def no_lift(*args):
+        raise AssertionError("a warm table lifted an element")
+
+    monkeypatch.setattr(protocol, "apply_elements", no_lift)
+    alpha, beta = 0.5 * cmath.exp(0.3j), 0.8660254037844386 * cmath.exp(-1.1j)
+    assert write_events(state, alpha, beta, setup).keys() == write_events(
+        state, 0.6, 0.8, setup).keys()
+    remote_transfer(alpha, beta, remote)
+
+
+# -- the permanent oracle: one composed matrix per experiment -----------------
+
+_COMPLEX_QUBITS = [
+    (0.6, 0.8j),
+    (0.5 * cmath.exp(0.3j), 0.8660254037844386 * cmath.exp(-1.1j)),
+]
+
+
+def _agrees(table, events, tol=1e-15) -> bool:
+    """Same detector patterns, probabilities and amplitudes within ``tol``."""
+    if table.keys() != events.keys():
+        return False
+    for pattern, (p, amps) in table.items():
+        q, state = events[pattern]
+        keys = set(amps) | set(state.support())
+        if abs(p - q) > tol or any(abs(amps.get(k, 0j) - state.amplitude(k)) > tol
+                                   for k in keys):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("qubit", _COMPLEX_QUBITS)
+def test_permanent_oracle_matches_write_events(d, qubit):
+    alpha, beta = qubit
+    setup = build_write_setup(d)
+    emitted = joint_emission_state(0.2, setup)
+    events = write_events(entangled_state(0.2, setup), alpha, beta, setup)
+
+    def oracle(encode, bsm, conj=False):
+        u = compose(setup.registry, setup.entangle_elements() + encode + bsm)
+        return permanent_event_table(emitted, u.conj() if conj else u,
+                                     setup.detectors, setup.atomic_registry)
+
+    encode, bsm = setup.encode_elements(alpha, beta), setup.bsm_elements()
+    assert _agrees(oracle(encode, bsm), events)
+    # negative controls: a half-wave plate dropped, alpha and beta swapped,
+    # the composed matrix conjugated
+    assert not _agrees(oracle(encode, bsm[:1] + bsm[2:]), events)
+    assert not _agrees(oracle(setup.encode_elements(beta, alpha), bsm), events)
+    assert not _agrees(oracle(encode, bsm, conj=True), events)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("qubit", _COMPLEX_QUBITS)
+def test_permanent_oracle_matches_remote_transfer(d, qubit):
+    alpha, beta = qubit
+    setup = build_remote_setup(d)
+    events = remote_transfer(alpha, beta, setup)
+
+    def oracle(a, b, elements):
+        state = product_state(_sender(setup, a, b), _resource(setup))
+        return permanent_event_table(state, compose(setup.registry, elements),
+                                     setup.detectors, setup.r_registry)
+
+    elements = setup.transfer_elements()
+    assert _agrees(oracle(alpha, beta, elements), events)
+    # negative controls: a splitter dropped, alpha and beta swapped; the
+    # transfer matrix is real, so its conjugate control conjugates the qubit
+    assert not _agrees(oracle(alpha, beta, elements[:-1]), events)
+    assert not _agrees(oracle(beta, alpha, elements), events)
+    assert not _agrees(oracle(alpha.conjugate(), beta.conjugate(), elements), events)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -195,6 +196,35 @@ def test_oracle_check_expected_noise_keeps_truncation(monkeypatch):
     assert oracle_check(cfg, expected_noise=noise) == oracle_check(cfg)
     # the override swaps the noise model only; every other field is kept
     assert built and all(c == cfg for c in built)
+
+
+def test_oracle_check_builds_one_table_per_check(monkeypatch):
+    built = []
+    for name in ("entangled_state", "remote_transfer"):
+        fn = getattr(trials, name)
+        monkeypatch.setattr(trials, name,
+                            lambda *a, fn=fn, name=name: built.append(name) or fn(*a))
+    cfg = RunConfig(trial_count=300, master_seed=3, pc=0.1, alpha=0.6, beta=0.8j,
+                    noise=NOISY, truncation=4)
+    write, remote = oracle_check(cfg), oracle_check(cfg, experiment="remote")
+    assert built == ["entangled_state", "remote_transfer"]
+    # the same numbers as building the exact side afresh
+    assert write == oracle_check(cfg, expected_noise=cfg.noise)
+    assert remote == oracle_check(cfg, experiment="remote", expected_noise=cfg.noise)
+    # an equal but new config builds its own table
+    built.clear()
+    run_write_trials(dataclasses.replace(cfg))
+    assert built == ["entangled_state"]
+    # the shared table cannot be written through
+    assert not trials._write_event_table(cfg).probabilities.flags.writeable
+
+
+def test_click_weights_memo_is_bit_identical():
+    trials._write_event_table(RunConfig(1, 1, pc=0.2, noise=NOISY, truncation=4))
+    spec = trials.DetectorSpec(NOISY.eta_prime, NOISY.p_dc)
+    memo = trials._click_weights(spec)
+    assert memo and all(spec.clicks_probability(pattern, clicks) == w
+                        for (pattern, clicks), w in memo.items())
 
 
 def test_oracle_check_zero_trials():

@@ -11,12 +11,15 @@ take no detector model (the emission state, the analyzer split and the read)
 are timed once and printed in both columns. A second table times the sampler:
 run_write_trials and run_remote_trials at SAMPLER_TRIALS noisy trials, with and
 without a records CSV, as the median of SAMPLER_REPEATS runs in microseconds
-per trial (each run's event-table build included). Run it from two checkouts
-to compare them; the script imports src/ next to itself.
+per trial (each run's event-table build included). Every timed call gets a
+new RunConfig, because the event-table builders keep the table of the last
+config object they saw. Run it from two checkouts to compare them; the
+script imports src/ next to itself.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
 import sys
 import tempfile
@@ -67,8 +70,8 @@ def stages(noise: NoiseParams) -> dict[str, Callable[[], object]]:
     return {
         "entangled_state": lambda: entangled_state(PC, setup),
         "write_events": lambda: write_events(state, ALPHA, BETA, setup),
-        "_write_event_table": lambda: _write_event_table(cfg),
-        "_remote_event_table": lambda: _remote_event_table(cfg),
+        "_write_event_table": lambda: _write_event_table(dataclasses.replace(cfg)),
+        "_remote_event_table": lambda: _remote_event_table(dataclasses.replace(cfg)),
         "end_to_end_fidelity": lambda: end_to_end_fidelity(PC, noise, ALPHA, BETA),
         "read_memory": lambda: read_memory(record, 0.7),
     }
@@ -94,7 +97,8 @@ def main() -> int:
             for records in (None, f"{tmp}/records.csv"):
                 cfg = RunConfig(SAMPLER_TRIALS, 1, PC, ALPHA, BETA, noise, truncation=D,
                                 records_csv=records)
-                us = 1e3 * median_ms(lambda: run(cfg), SAMPLER_REPEATS) / SAMPLER_TRIALS
+                us = 1e3 * median_ms(lambda: run(dataclasses.replace(cfg)),
+                                     SAMPLER_REPEATS) / SAMPLER_TRIALS
                 label = f"`{run.__name__}`" + (" + records CSV" if records else "")
                 print(f"| {label} | {us:.3f} |")
     return 0
