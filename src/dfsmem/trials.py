@@ -5,16 +5,20 @@ Each trial owns one row of the run's uniforms: trial i reads row i of
 bit, whatever n. Philox is counter-based (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11), so any row is reached by advancing
 the counter, without drawing the rows before it. :func:`trial_rng` returns
-trial i's row as a tuple ``(u0, u1)``, read from a memoised block of
-``_BLOCK`` rows.
+trial i's row as a tuple ``(u0, u1)``, sliced from a flat block of
+``_BLOCK`` rows; the last block drawn is kept in a one-entry memo.
 
-Trials run in index order in one thread. A write trial inverts ``u0`` into
-the number of rounds to the herald (``dfsmem.protocol._herald_rounds``,
-which :func:`dfsmem.protocol.write_memory` also uses) and then, unless
-censored past ``round_cap``, picks its event as ``bisect_right(cdf, u1)``
-over the table's CDF (:func:`dfsmem.protocol.event_cdf`); a remote trial
-picks its event from ``u0``. ``RunConfig.threads`` is validated but starts
-no threads and changes no byte of the output.
+A run reads its rows with one :func:`trial_rng` call per trial into one
+``(n, 2)`` array, and everything after that is one numpy pass. A write
+inverts every ``u0`` into the number of rounds to the herald with
+``np.log1p`` and redoes each row whose quotient lies within ``_RECHECK_TOL``
+of an integer with the scalar rule ``dfsmem.protocol._herald_rounds`` (which
+:func:`dfsmem.protocol.write_memory` also uses), so the rounds do not depend
+on numpy's SIMD dispatch. Unless censored past ``round_cap``, it picks its
+event as ``searchsorted(cdf, u1, side="right")`` over the table's CDF
+(:func:`dfsmem.protocol.event_cdf`), the index ``bisect_right`` gives; a
+remote trial picks its event from ``u0``. ``RunConfig.threads`` is validated
+but starts no threads and changes no byte of the output.
 
 Detection is folded into an exact event table before any sampling: each
 detector occupation pattern of the exact pipeline is weighted, for every
@@ -35,8 +39,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -83,6 +87,8 @@ class RunConfig:
             raise ValueError("threads must be >= 1")
         if self.round_cap < 1:
             raise ValueError("round_cap must be >= 1")
+        if self.round_cap >= 2**62:
+            raise ValueError("round_cap must be below 2**62: rounds are counted in int64")
         if self.truncation < 3:
             raise ValueError("truncation below 3 cannot hold the pair-emission terms")
 
@@ -106,20 +112,19 @@ class RunStats:
     mean_conditional_fidelity_se: float
 
 
-# rows per memoised block: one block costs about 60 us to draw, which a
-# 100-trial run pays in full, and a 1e4-trial run draws 10 of them
+# rows per block: one block costs about 60 us to draw, which a 100-trial run
+# pays in full, and a 1e4-trial run draws 10 of them
 _BLOCK = 1024
 _DRAWS = 2  # uniforms per trial: a write trial uses both, a remote trial one
 
 
-@functools.lru_cache(maxsize=1, typed=True)
 def _uniform_block(master_seed: int, start: int) -> tuple[float, ...]:
     """Rows ``start .. start + _BLOCK - 1`` of the run's uniforms, flattened.
 
     The rows are those of ``Generator(Philox(SeedSequence(master_seed)))
     .random((n, _DRAWS))``: one Philox step yields 4 doubles, so the block
     starts ``start * _DRAWS // 4`` steps in. numpy's SeedSequence validates
-    the seed; ``typed`` keeps a float seed from hitting an int seed's block.
+    the seed.
     """
     if start < 0:
         raise ValueError("trial index must be >= 0")
@@ -128,12 +133,59 @@ def _uniform_block(master_seed: int, start: int) -> tuple[float, ...]:
     return tuple(np.random.Generator(bits).random(_BLOCK * _DRAWS).tolist())
 
 
+# (type(seed), seed, start, block) of the last block drawn, one immutable
+# tuple replaced whole. The block stays flat: kept as _BLOCK row tuples, it
+# tripled exact-mix's latency tail in a trial (likely the garbage collector)
+_block_memo: tuple = (None, None, 0, ())
+
+
 def trial_rng(master_seed: int, trial_index: int) -> tuple[float, float]:
     """Trial ``trial_index``'s row ``(u0, u1)`` of the run's uniforms, read
-    from the memoised block that holds it."""
-    start = trial_index - trial_index % _BLOCK
+    from the block that holds it (the last block drawn is kept)."""
+    global _block_memo
+    kind, seed, start, block = _block_memo  # read once: a concurrent caller can only redraw
     k = _DRAWS * (trial_index - start)
-    return _uniform_block(master_seed, start)[k:k + _DRAWS]
+    # the type check keeps a float seed from reading an equal int seed's rows
+    if not (0 <= k < len(block) and seed == master_seed and kind is type(master_seed)):
+        start = trial_index - trial_index % _BLOCK
+        block = _uniform_block(master_seed, start)
+        _block_memo = (type(master_seed), master_seed, start, block)
+        k = _DRAWS * (trial_index - start)
+    return block[k:k + _DRAWS]
+
+
+def _run_rows(master_seed: int, n: int) -> np.ndarray:
+    """The ``(n, 2)`` uniforms of an n-trial run, read with one
+    :func:`trial_rng` call per trial."""
+    rows = chain.from_iterable(map(trial_rng, repeat(master_seed, n), range(n)))
+    return np.fromiter(rows, float, _DRAWS * n).reshape(n, _DRAWS)
+
+
+# a rounds quotient within this relative distance of an integer is redone
+# with math.log1p: np.log1p can differ from it in the last bits, by SIMD
+# dispatch, which moves the quotient by far less than this
+_RECHECK_TOL = 1e-12
+
+
+def _rounds_pass(u0: np.ndarray, h: float, cap: int) -> np.ndarray:
+    """``min(_herald_rounds(u, h), cap + 1)`` for every ``u`` in ``u0``, and
+    ``cap + 1`` (censored) everywhere for ``h = 0``, in one numpy pass.
+
+    Away from integers a last-bit change of the quotient cannot move its
+    ceiling, so only the rows near one (or not finite) take the scalar
+    reference, and the result does not depend on how numpy computes log1p.
+    The quotient is never negative, and 0 counts as near, so the scalar
+    rule's floor of one round holds everywhere.
+    """
+    if h <= 0.0:  # never heralds
+        return np.full(u0.shape, cap + 1, dtype=np.int64)
+    if h >= 1.0:  # as in _herald_rounds: the first round heralds
+        return np.ones(u0.shape, dtype=np.int64)
+    q = np.log1p(-u0) / math.log1p(-h)
+    rounds = np.minimum(np.ceil(q), cap + 1).astype(np.int64)
+    near = np.flatnonzero(~(np.abs(q - np.rint(q)) > _RECHECK_TOL * q))
+    rounds[near] = [min(_herald_rounds(u, h), cap + 1) for u in u0[near].tolist()]
+    return rounds
 
 
 @dataclass(frozen=True)
@@ -262,6 +314,24 @@ def _freq_se(freq: float, n: int) -> float:
     return math.sqrt(freq * (1.0 - freq) / n)
 
 
+def _write_pass(cfg: RunConfig, table: _EventTable) -> tuple[np.ndarray, np.ndarray]:
+    """Every write trial's rounds (``round_cap`` if censored) and event
+    (-1 if censored), sampled from the run's rows in one numpy pass. The rows
+    are freed on return, before the records and statistics are built."""
+    h = table.herald_probability
+    cap = cfg.round_cap
+    rows = _run_rows(cfg.master_seed, cfg.trial_count)
+    rounds = _rounds_pass(rows[:, 0], h, cap)
+    if h > 0.0:
+        events = np.searchsorted(event_cdf(table.probabilities), rows[:, 1], side="right")
+    else:
+        events = np.zeros(cfg.trial_count, dtype=np.intp)
+    censored = rounds > cap
+    events[censored] = -1
+    rounds[censored] = cap
+    return rounds, events
+
+
 def run_write_trials(cfg: RunConfig) -> RunStats:
     """Repeat write rounds to herald, per trial, and aggregate statistics.
 
@@ -270,19 +340,7 @@ def run_write_trials(cfg: RunConfig) -> RunStats:
     round's detection event is drawn from the exact conditional event table.
     """
     table = _write_event_table(cfg)
-    h = table.herald_probability
-    cdf = event_cdf(table.probabilities).tolist() if h > 0.0 else None
-    cap = cfg.round_cap
-    rounds, events = [], []  # event -1: censored
-    for i in range(cfg.trial_count):
-        u0, u1 = trial_rng(cfg.master_seed, i)
-        r = _herald_rounds(u0, h) if cdf is not None else cap + 1  # h = 0: never heralds
-        if r <= cap:
-            rounds.append(r)
-            events.append(bisect_right(cdf, u1))
-        else:
-            rounds.append(cap)
-            events.append(-1)
+    rounds, events = _write_pass(cfg, table)
     # index -1 reads the appended censored entry: no outcome, fidelity 0
     outcome = np.append(table.outcome_index, -1)
     fidelity = np.append(table.fidelity, 0.0)
@@ -290,15 +348,14 @@ def run_write_trials(cfg: RunConfig) -> RunStats:
     suffix = [f",{names[k]},{f!r},{int(k < 0)}\n"
               for k, f in zip(outcome.tolist(), fidelity.tolist())]
     _stream_records(cfg, "trial,rounds,outcome,fidelity,censored",
-                    (f"{i},{r}{suffix[e]}" for i, (r, e) in enumerate(zip(rounds, events))))
-    events = np.array(events, dtype=int)
-    rounds = np.array(rounds, dtype=float)
+                    (f"{i},{r}{suffix[e]}"
+                     for i, (r, e) in enumerate(zip(rounds.tolist(), events.tolist()))))
     outcome = outcome[events]
     fidelity = fidelity[events]
     ok = outcome >= 0
     n_ok = int(ok.sum())
     success_rate = n_ok / cfg.trial_count if cfg.trial_count else 0.0
-    mean_rounds, rounds_se = _mean_se(rounds[ok])
+    mean_rounds, rounds_se = _mean_se(rounds[ok].astype(float))
     freqs, freqs_se = {}, {}
     for k, name in enumerate(OUTCOME_OF_DETECTOR):
         f = float((outcome[ok] == k).sum() / n_ok) if n_ok else 0.0
@@ -330,14 +387,12 @@ def run_remote_trials(cfg: RunConfig) -> RunStats:
     depends on the qubit, the truncation and the detectors only.
     """
     table = _remote_event_table(cfg)
-    cdf = event_cdf(table.probabilities).tolist()
-    events = [bisect_right(cdf, trial_rng(cfg.master_seed, i)[0])
-              for i in range(cfg.trial_count)]
+    events = np.searchsorted(event_cdf(table.probabilities),
+                             _run_rows(cfg.master_seed, cfg.trial_count)[:, 0], side="right")
     suffix = [f",{int(k >= 0)},{f!r}\n"
               for k, f in zip(table.outcome_index.tolist(), table.fidelity.tolist())]
     _stream_records(cfg, "trial,success,fidelity",
-                    (f"{i}{suffix[e]}" for i, e in enumerate(events)))
-    events = np.array(events, dtype=int)
+                    (f"{i}{suffix[e]}" for i, e in enumerate(events.tolist())))
     ok = table.outcome_index[events] >= 0
     fidelity = table.fidelity[events]
     n = cfg.trial_count

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 
@@ -113,6 +114,12 @@ def test_run_config_rejects_round_cap_below_one():
         RunConfig(5, 1, round_cap=0)
     with pytest.raises(ValueError, match="round_cap must be >= 1"):
         RunConfig(5, 1, round_cap=-3)
+
+
+def test_run_config_rejects_round_cap_past_int64_rounds():
+    RunConfig(5, 1, round_cap=2**62 - 1)
+    with pytest.raises(ValueError, match="round_cap must be below 2\\*\\*62"):
+        RunConfig(5, 1, round_cap=2**62)
 
 
 def test_write_trials_no_censoring_at_default_cap():
@@ -412,6 +419,131 @@ def test_trial_rng_rejects_what_seed_sequence_rejects(seed, error):
 
 
 def test_trial_rng_rejects_negative_index():
-    # Philox.advance would wrap a negative step count round
+    # Philox.advance would wrap a negative step count round; the block of
+    # trials 0 .. _BLOCK - 1 just drawn must not serve index -1 either
+    trial_rng(1, 5)
     with pytest.raises(ValueError, match="trial index"):
         trial_rng(1, -1)
+
+
+# the one numpy pass over a run's rows against the scalar rules it replaces:
+# protocol._herald_rounds for the rounds and bisect_right for the events
+
+
+def _scalar_rounds(u0, h, cap):
+    return [min(_herald_rounds(u, h), cap + 1) for u in u0]
+
+
+def _near_integer_rows(hs=(1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.9, 0.99), ks=range(1, 400)):
+    """For each h, uniforms whose rounds quotient lands on, or one ulp of u
+    beside, an integer k, where a last-bit change of log1p can move the
+    ceiling."""
+    rows = {}
+    for h in hs:
+        us = [-math.expm1(k * math.log1p(-h)) for k in ks]
+        rows[h] = [v for u in us for v in (np.nextafter(u, 0.0), u, np.nextafter(u, 1.0))
+                   if v < 1.0]
+    return rows
+
+
+def _rows_moved(rows, cap=10**9):
+    """How many h of ``rows`` get rounds from the pass other than the scalar rounds."""
+    return sum(trials._rounds_pass(np.array(u0), h, cap).tolist() != _scalar_rounds(u0, h, cap)
+               for h, u0 in rows.items())
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.floats(1e-300, 1.0),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=50),
+       st.integers(1, 2**40))
+def test_rounds_pass_matches_scalar_rounds(h, u0, cap):
+    assert trials._rounds_pass(np.array(u0), h, cap).tolist() == _scalar_rounds(u0, h, cap)
+
+
+def test_rounds_pass_matches_scalar_rounds_at_near_integer_quotients():
+    assert _rows_moved(_near_integer_rows()) == 0
+
+
+def test_rounds_pass_recheck_is_what_keeps_the_bytes(monkeypatch):
+    # negative control: a log1p one ulp low, as another SIMD kernel might
+    # return, still gives the scalar rounds through the recheck, and moves
+    # some ceiling once the recheck is switched off
+    rows = _near_integer_rows()
+    log1p = np.log1p
+    monkeypatch.setattr(trials.np, "log1p", lambda x: np.nextafter(log1p(x), -np.inf))
+    assert _rows_moved(rows) == 0
+    monkeypatch.setattr(trials, "_RECHECK_TOL", 0.0)
+    assert _rows_moved(rows) > 0
+
+
+def test_rounds_pass_edges_of_the_herald_probability():
+    u0 = np.array([0.0, 0.3, 0.999999])
+    assert trials._rounds_pass(u0, 0.0, 7).tolist() == [8, 8, 8]  # never heralds
+    assert trials._rounds_pass(u0, 1.0, 7).tolist() == [1, 1, 1]
+    assert trials._rounds_pass(np.array([]), 0.5, 7).tolist() == []
+    # u0 = 0 gives the quotient 0, which the scalar rule floors at one round
+    assert trials._rounds_pass(np.array([0.0, 5e-324]), 0.9, 7).tolist() == [1, 1]
+
+
+def test_write_trials_keep_rounds_at_cap_and_censor_past_it(monkeypatch, tmp_path):
+    path = tmp_path / "write.csv"
+    cfg = RunConfig(trial_count=4, master_seed=1, pc=0.1, noise=NoiseParams(pc=0.1),
+                    round_cap=5, records_csv=str(path))
+    h = trials._write_event_table(cfg).herald_probability
+    # quotients 4.5, 5 - 1e-9, 5.5 and 12: rounds 5, 5, 6 and 13
+    rows = [(-math.expm1(q * math.log1p(-h)), 0.5) for q in (4.5, 5 - 1e-9, 5.5, 12.0)]
+    assert [_herald_rounds(u, h) for u, _ in rows] == [5, 5, 6, 13]
+    monkeypatch.setattr(trials, "trial_rng", lambda seed, i: rows[i])
+    stats = run_write_trials(cfg)
+    records = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [(r[1], r[4]) for r in records] == [("5", "0"), ("5", "0"), ("5", "1"), ("5", "1")]
+    assert stats.censored_count == 2 and stats.mean_rounds == 5.0
+
+
+def test_write_trials_never_herald_at_zero_probability(tmp_path):
+    path = tmp_path / "write.csv"
+    cfg = RunConfig(trial_count=3, master_seed=1, noise=NoiseParams(pc=0.01, chi=0.0),
+                    round_cap=9, records_csv=str(path))
+    stats = run_write_trials(cfg)
+    assert trials._write_event_table(cfg).herald_probability == 0.0
+    assert stats.censored_count == 3 and stats.success_count == 0
+    assert path.read_text().splitlines()[1:] == [f"{i},9,censored,0.0,1" for i in range(3)]
+
+
+def test_events_at_cdf_entries_match_bisect_right(monkeypatch, tmp_path):
+    # a uniform equal to a CDF entry takes the next event, as bisect_right does
+    cfg = RunConfig(trial_count=5, master_seed=1, pc=0.01, noise=IDEAL,
+                    records_csv=str(tmp_path / "write.csv"))
+    table = trials._write_event_table(cfg)
+    cdf = event_cdf(table.probabilities).tolist()
+    us = [0.0, *cdf[:-1], 0.5][:5]
+    monkeypatch.setattr(trials, "trial_rng", lambda seed, i: (0.5, us[i]))
+    run_write_trials(cfg)
+    names = [line.split(",")[2] for line in (tmp_path / "write.csv").read_text().splitlines()[1:]]
+    expected = [bisect.bisect_right(cdf, u) for u in us]
+    assert np.searchsorted(np.array(cdf), us, side="right").tolist() == expected
+    assert names == [_NAMES[table.outcome_index[e]] for e in expected]
+
+
+@pytest.mark.parametrize("run", [run_write_trials, run_remote_trials])
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_runs_read_one_row_per_trial(monkeypatch, tmp_path, run, n):
+    calls = []
+
+    def counted(seed, i):
+        calls.append(i)
+        return tuple(_numpy_row(seed, i).tolist())
+
+    monkeypatch.setattr(trials, "trial_rng", counted)
+    path = tmp_path / "records.csv"
+    stats = run(RunConfig(trial_count=n, master_seed=3, noise=NOISY, records_csv=str(path)))
+    assert calls == list(range(n)) and stats.trial_count == n
+    assert len(path.read_text().splitlines()) == n + 1
+
+
+def test_trial_rng_memo_keeps_seeds_apart():
+    # seeds interleaved across a block edge each read numpy's own rows
+    a, b = 11, 2**70 + 3
+    for i in (trials._BLOCK - 2, trials._BLOCK - 1, trials._BLOCK, 0, trials._BLOCK + 1):
+        for seed in (a, b, a):
+            assert np.array_equal(_stream_row(seed, i), _numpy_row(seed, i)), (seed, i)

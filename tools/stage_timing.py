@@ -11,7 +11,9 @@ take no detector model (the emission state, the analyzer split and the read)
 are timed once and printed in both columns. A second table times the sampler:
 run_write_trials and run_remote_trials at SAMPLER_TRIALS noisy trials, with and
 without a records CSV, as the median of SAMPLER_REPEATS runs in microseconds
-per trial (each run's event-table build included). Every timed call gets a
+per trial (each run's event-table build included), and the row reads alone:
+trial_rng over the same SAMPLER_TRIALS rows, which a run reads one call per
+trial. Every timed call gets a
 new RunConfig, because the event-table builders keep the table of the last
 config object they saw. Run it from two checkouts to compare them; the
 script imports src/ next to itself.
@@ -101,6 +103,9 @@ def main() -> int:
                                      SAMPLER_REPEATS) / SAMPLER_TRIALS
                 label = f"`{run.__name__}`" + (" + records CSV" if records else "")
                 print(f"| {label} | {us:.3f} |")
+    us = 1e3 * median_ms(lambda: [trial_rng(1, i) for i in range(SAMPLER_TRIALS)],
+                         SAMPLER_REPEATS) / SAMPLER_TRIALS
+    print(f"| `trial_rng`, row reads alone | {us:.3f} |")
     return 0
 
 
