@@ -32,7 +32,14 @@ from .protocol import (
     write_branches,
     write_memory,
 )
-from .trials import RunConfig, oracle_check, run_remote_trials, run_write_trials, trial_rng
+from .trials import (
+    RunConfig,
+    _draw_short_run,
+    oracle_check,
+    run_remote_trials,
+    run_write_trials,
+    trial_rng,
+)
 
 COMMANDS = (
     "entangle",
@@ -230,21 +237,48 @@ def _grid(lo: float, hi: float, points: int) -> list[float]:
     return values
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+_FLOAT = "%.17g"
 
 
-def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _cell(v) -> str:
+    return _FLOAT % v if isinstance(v, float) else str(v)
+
+
+def _floats_text(values) -> list[str]:
+    """``%.17g`` of each float, formatted by one template: one ``%`` per
+    value costs about twice as much."""
+    return ("\n".join([_FLOAT] * len(values)) % tuple(values)).split("\n") if values else []
+
+
+def _csv_text(header: list[str], rows: list[tuple]) -> str:
+    """The CSV file: floats (subclasses too) as ``%.17g``, every other cell
+    as ``str``. Built column by column, each distinct float of the file is
+    formatted once; a column holding a zero is formatted cell by cell,
+    because 0.0 == -0.0 would share one text."""
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:  # no rows, or rows of several widths
+        lines = [",".join(map(_cell, row)) for row in rows]
+    else:
+        text: dict[float, str] = {}
+        columns = []
+        for column in zip(*rows):
+            if set(map(type, column)) != {float}:
+                columns.append(map(_cell, column))
+                continue
+            distinct = dict.fromkeys(column)
+            if 0.0 in distinct:
+                columns.append(_floats_text(column))
+                continue
+            fresh = [v for v in distinct if v not in text]
+            text.update(zip(fresh, _floats_text(fresh)))
+            columns.append(map(text.__getitem__, column))
+        lines = map(",".join, zip(*columns))
+    return "\n".join([",".join(header), *lines, ""])
 
 
 def _json_ready(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _json_ready(dataclasses.asdict(obj))
+        return {f.name: _json_ready(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -254,29 +288,31 @@ def _json_ready(obj):
     return obj
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_json_ready(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _emit(cfg: CliConfig, csv_table, json_obj) -> str:
+    """Write the output in the configured format, with one ``write``.
 
-
-def _emit(cfg: CliConfig, header: list[str], rows: list[tuple], json_obj) -> str:
+    ``csv_table()`` returns the CSV's (header, rows) and ``json_obj()`` the
+    object the JSON file holds; only the one the format asks for is built.
+    """
     path = cfg.output_path()
     if cfg.resolved_format() == "csv":
-        _write_csv(path, header, rows)
+        text = _csv_text(*csv_table())
     else:
-        _write_json(path, json_obj)
+        text = json.dumps(_json_ready(json_obj()), indent=2, sort_keys=True) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
     return path
 
 
 def _stats_rows(stats) -> tuple[list[str], list[tuple]]:
     flat = []
-    for key, value in dataclasses.asdict(stats).items():
+    for f in dataclasses.fields(stats):
+        value = getattr(stats, f.name)
         if isinstance(value, dict):
             for sub, v in sorted(value.items()):
-                flat.append((f"{key}[{sub}]", float(v)))
+                flat.append((f"{f.name}[{sub}]", float(v)))
         else:
-            flat.append((key, float(value)))
+            flat.append((f.name, float(value)))
     return ["quantity", "value"], flat
 
 
@@ -287,16 +323,16 @@ def run(cfg: CliConfig) -> int:
         state, prob = generate_entanglement(cfg.pc, setup)
         fid = fidelity_pure(state, ideal_entangled_state(setup)) if state else 0.0
         payload = {"pc": cfg.pc, "herald_probability": prob, "fidelity_vs_ideal": fid}
-        path = _emit(cfg, ["quantity", "value"],
-                     [(k, float(v)) for k, v in payload.items()], payload)
+        path = _emit(cfg, lambda: (["quantity", "value"],
+                                   [(k, float(v)) for k, v in payload.items()]),
+                     lambda: payload)
         print(f"entangle: herald_probability={prob:.6g} fidelity={fid:.6g} -> {path}")
         return 0
 
     if cfg.command in ("teleport", "remote-transfer"):
         run_trials = run_write_trials if cfg.command == "teleport" else run_remote_trials
         stats = run_trials(cfg.run_config())
-        header, rows = _stats_rows(stats)
-        path = _emit(cfg, header, rows, stats)
+        path = _emit(cfg, lambda: _stats_rows(stats), lambda: stats)
         print(
             f"{cfg.command}: success_rate={stats.success_rate:.6g} "
             f"F={stats.mean_conditional_fidelity:.6g} "
@@ -305,6 +341,7 @@ def run(cfg: CliConfig) -> int:
         return 0 if stats.success_count else 1
 
     if cfg.command == "read":
+        _draw_short_run(cfg.seed, 1)  # a read uses one row: draw no whole block
         record = write_memory(cfg.alpha, cfg.beta, cfg.pc, trial_rng(cfg.seed, 0),
                               build_write_setup(cfg.truncation))
         photon = read_memory(record, cfg.efficiency)
@@ -320,8 +357,10 @@ def run(cfg: CliConfig) -> int:
             "roundtrip_fidelity": fid,
             "photon_present_probability": present,
         }
-        rows = [(k, float(v) if not isinstance(v, str) else v) for k, v in payload.items()]
-        path = _emit(cfg, ["quantity", "value"], rows, payload)
+        path = _emit(cfg, lambda: (["quantity", "value"],
+                                   [(k, v if isinstance(v, str) else float(v))
+                                    for k, v in payload.items()]),
+                     lambda: payload)
         print(
             f"read: outcome={record.outcome.value} roundtrip_fidelity={fid:.6g} "
             f"photon_present={present:.6g} -> {path}"
@@ -330,8 +369,8 @@ def run(cfg: CliConfig) -> int:
 
     if cfg.command == "curves-fig4a":
         curve = fidelity_vs_T(cfg.eta_prime, cfg.f_p, _grid(cfg.t_min, cfg.t_max, cfg.points))
-        path = _emit(cfg, ["T_seconds", "F"], curve,
-                     [{"T_seconds": t, "F": f} for t, f in curve])
+        path = _emit(cfg, lambda: (["T_seconds", "F"], curve),
+                     lambda: [{"T_seconds": t, "F": f} for t, f in curve])
         print(f"curves-fig4a: {len(curve)} points, eta_prime={cfg.eta_prime:.6g} -> {path}")
         return 0
 
@@ -340,8 +379,9 @@ def run(cfg: CliConfig) -> int:
         rows: list[tuple] = []
         for T in cfg.t_list:
             rows += [(eta, dF, T) for eta, dF in dF_vs_eta(T, cfg.f_p, grid)]
-        path = _emit(cfg, ["eta_prime", "delta_F", "T_seconds"], rows,
-                     [{"eta_prime": e, "delta_F": d, "T_seconds": t} for e, d, t in rows])
+        path = _emit(cfg, lambda: (["eta_prime", "delta_F", "T_seconds"], rows),
+                     lambda: [{"eta_prime": e, "delta_F": d, "T_seconds": t}
+                              for e, d, t in rows])
         print(f"curves-fig4b: {len(rows)} points over {len(cfg.t_list)} curves -> {path}")
         return 0
 
@@ -352,8 +392,10 @@ def run(cfg: CliConfig) -> int:
             "outcome_probabilities": {o.value: b.probability for o, b in branches.items()},
             "marks": {o.value: b.mark.value for o, b in branches.items()},
         }
-        rows = [(name, float(p)) for name, p in payload["outcome_probabilities"].items()]
-        path = _emit(cfg, ["outcome", "probability"], rows, payload)
+        path = _emit(cfg, lambda: (["outcome", "probability"],
+                                   [(name, float(p)) for name, p
+                                    in payload["outcome_probabilities"].items()]),
+                     lambda: payload)
         total = sum(payload["outcome_probabilities"].values())
         print(f"bsm-stats: four outcomes, total heralded weight={total:.6g} -> {path}")
         return 0
@@ -362,10 +404,10 @@ def run(cfg: CliConfig) -> int:
         report = oracle_check(cfg.run_config())
         path = _emit(
             cfg,
-            ["name", "empirical", "exact", "sigma_distance", "flagged"],
-            [(e.name, e.empirical, e.exact, e.sigma_distance, int(e.flagged))
-             for e in report.entries],
-            report,
+            lambda: (["name", "empirical", "exact", "sigma_distance", "flagged"],
+                     [(e.name, e.empirical, e.exact, e.sigma_distance, int(e.flagged))
+                      for e in report.entries]),
+            lambda: report,
         )
         worst = max((e.sigma_distance for e in report.entries), default=0.0)
         verdict = "PASS" if report.passed else "FAIL"

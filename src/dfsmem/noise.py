@@ -26,15 +26,10 @@ from .fock import (
     MixedState,
     ModeLabel,
     PureState,
-    apply_elements,
     born_probabilities,
-    embed_state,
     fidelity_mixed,
-    photon_mode,
-    register_modes,
-    split_by_pattern,
 )
-from .optics import check_amplitude_pair, loss_coupler
+from .optics import check_amplitude_pair
 
 WEIGHT_TOL = 1e-12
 
@@ -191,26 +186,72 @@ def dF_vs_eta(
     return out
 
 
+def _loss_steps(survival: float, d: int) -> list[list[tuple[int, float, float, float]]]:
+    """Per photon number n < d, the factors of losing k of the n photons:
+    (k, sqrt(n!), c, sqrt((n-k)! k!)) with c = C(n, k) t^(n-k) r^k, so that
+    a / sqrt(n!) * c * sqrt((n-k)! k!) = sqrt(C(n, k)) t^(n-k) r^k a.
+
+    c comes from the photon-by-photon recursion c'[k] = c[k-1] r + c[k] t.
+    These are the products, in the same order, that the Fock lift of the
+    beam splitter [[t, -r], [r, t]] into a vacuum sink forms, so the closed
+    form writes the bits that network wrote.
+    """
+    t = math.sqrt(survival)
+    r = math.sqrt(1.0 - survival)
+    steps: list[list[tuple[int, float, float, float]]] = [[(0, 1.0, 1.0, 1.0)]]
+    c = [1.0]
+    for n in range(1, d):
+        c = [c[0] * t, *(c[k - 1] * r + c[k] * t for k in range(1, n)), c[n - 1] * r]
+        den = math.sqrt(math.factorial(n))
+        steps.append([
+            (k, den, c[k], math.sqrt(math.factorial(n - k) * math.factorial(k)))
+            for k in range(n + 1)
+        ])
+    return steps
+
+
 def apply_loss(
     state: PureState, modes: Sequence[ModeLabel], survival: float
 ) -> MixedState:
-    """Photon loss on each listed mode via a beam splitter to its own sink.
+    """Photon loss on each listed mode, in closed form.
 
-    Every mode is coupled to a fresh vacuum sink mode with transmissivity
-    sqrt(survival) (:func:`dfsmem.optics.loss_coupler`), all couplers are
-    lifted on one enlarged registry, and the sinks are traced out in one
-    split: each sink occupation pattern is a mixture component, in sorted
-    pattern order, on the input registry. Trace (total weight) is preserved.
+    Each photon of a listed mode survives with amplitude t = sqrt(survival)
+    and is lost with amplitude r = sqrt(1 - survival), as through a beam
+    splitter into a vacuum sink that is then traced out (Leonhardt,
+    *Measuring the Quantum State of Light*, 1997). Losing k_j of the n_j
+    photons on each listed mode multiplies an amplitude by
+    prod_j sqrt(C(n_j, k_j)) t^(n_j - k_j) r^(k_j); the terms of one loss
+    vector (k_1, k_2, ...) form one mixture component, in sorted loss-vector
+    order, normalized on the input registry. Amplitudes at or below
+    ``PRUNE_TOL`` are dropped once, at the end. Trace (total weight) is
+    preserved. A mode that is not registered or is listed twice raises.
     """
     if not 0.0 <= survival <= 1.0:
         raise ValueError(f"survival {survival} outside [0, 1]")
     registry = state.registry
-    sinks = [photon_mode("loss-sink", "H", f"of-{registry.index(m)}") for m in modes]
-    couplers = [loss_coupler(m, sink, survival) for m, sink in zip(modes, sinks)]
-    big = register_modes(list(registry.labels) + sinks, registry.d)
-    lossy = apply_elements(embed_state(state, big), couplers)
-    events = split_by_pattern(lossy, sinks, registry)
-    return MixedState(tuple(events[pattern] for pattern in sorted(events)))
+    idx = [registry.index(m) for m in modes]
+    if len(set(idx)) != len(idx):
+        raise ValueError("a mode is listed twice for loss")
+    steps = _loss_steps(survival, registry.d)
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
+    for pattern, a in state.items():
+        branches = [((), pattern, a)]
+        for i in idx:
+            n = pattern[i]
+            branches = [
+                (lost + (k,), p[:i] + (n - k,) + p[i + 1:], x / den * c * sf)
+                for lost, p, x in branches
+                for k, den, c, sf in steps[n]
+            ]
+        for lost, p, x in branches:
+            groups.setdefault(lost, {})[p] = x
+    components = []
+    for lost in sorted(groups):
+        kept = PureState._trusted(registry, groups[lost])
+        weight = kept.norm_squared()
+        if weight:
+            components.append((weight, kept.normalize()))
+    return MixedState(tuple(components))
 
 
 @dataclass(frozen=True)

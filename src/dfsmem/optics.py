@@ -100,7 +100,9 @@ def pol_rotator(mode_h: ModeLabel, mode_v: ModeLabel) -> OpticalElement:
 
 def loss_coupler(mode: ModeLabel, sink: ModeLabel, survival: float) -> OpticalElement:
     """Beam splitter of transmissivity sqrt(survival) from ``mode`` into a
-    vacuum ``sink``; tracing the sink out leaves the lossy channel."""
+    vacuum ``sink``; tracing the sink out leaves the lossy channel, which
+    :func:`dfsmem.noise.apply_loss` computes in closed form (the tests keep
+    this element as its reference)."""
     if not 0.0 <= survival <= 1.0:
         raise ValueError(f"survival {survival} outside [0, 1]")
     t = math.sqrt(survival)

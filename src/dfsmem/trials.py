@@ -6,7 +6,8 @@ bit, whatever n. Philox is counter-based (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11), so any row is reached by advancing
 the counter, without drawing the rows before it. :func:`trial_rng` returns
 trial i's row as a tuple ``(u0, u1)``, sliced from a flat block of
-``_BLOCK`` rows; the last block drawn is kept in a one-entry memo.
+``_BLOCK`` rows, or of just the run's rows for a run shorter than that;
+the last block drawn is kept in a one-entry memo.
 
 A run reads its rows with one :func:`trial_rng` call per trial into one
 ``(n, 2)`` array, and everything after that is one numpy pass. A write
@@ -112,14 +113,14 @@ class RunStats:
     mean_conditional_fidelity_se: float
 
 
-# rows per block: one block costs about 60 us to draw, which a 100-trial run
-# pays in full, and a 1e4-trial run draws 10 of them
+# rows per block: one block costs about 60 us to draw, and a 1e4-trial run
+# draws 10 of them; a shorter run draws its own rows only (_run_rows)
 _BLOCK = 1024
 _DRAWS = 2  # uniforms per trial: a write trial uses both, a remote trial one
 
 
-def _uniform_block(master_seed: int, start: int) -> tuple[float, ...]:
-    """Rows ``start .. start + _BLOCK - 1`` of the run's uniforms, flattened.
+def _uniform_block(master_seed: int, start: int, rows: int = _BLOCK) -> tuple[float, ...]:
+    """Rows ``start .. start + rows - 1`` of the run's uniforms, flattened.
 
     The rows are those of ``Generator(Philox(SeedSequence(master_seed)))
     .random((n, _DRAWS))``: one Philox step yields 4 doubles, so the block
@@ -130,7 +131,7 @@ def _uniform_block(master_seed: int, start: int) -> tuple[float, ...]:
         raise ValueError("trial index must be >= 0")
     bits = np.random.Philox(np.random.SeedSequence(master_seed))
     bits.advance(start * _DRAWS // 4)
-    return tuple(np.random.Generator(bits).random(_BLOCK * _DRAWS).tolist())
+    return tuple(np.random.Generator(bits).random(rows * _DRAWS).tolist())
 
 
 # (type(seed), seed, start, block) of the last block drawn, one immutable
@@ -154,9 +155,20 @@ def trial_rng(master_seed: int, trial_index: int) -> tuple[float, float]:
     return block[k:k + _DRAWS]
 
 
+def _draw_short_run(master_seed: int, n: int) -> None:
+    """Put rows 0 .. n - 1 of a run shorter than a block in the memo, as
+    whole Philox steps (two rows each), so that its :func:`trial_rng` reads
+    draw no more; longer runs draw whole blocks."""
+    global _block_memo
+    if 0 < n < _BLOCK:
+        block = _uniform_block(master_seed, 0, n + n % 2)
+        _block_memo = (type(master_seed), master_seed, 0, block)
+
+
 def _run_rows(master_seed: int, n: int) -> np.ndarray:
     """The ``(n, 2)`` uniforms of an n-trial run, read with one
     :func:`trial_rng` call per trial."""
+    _draw_short_run(master_seed, n)
     rows = chain.from_iterable(map(trial_rng, repeat(master_seed, n), range(n)))
     return np.fromiter(rows, float, _DRAWS * n).reshape(n, _DRAWS)
 

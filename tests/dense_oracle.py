@@ -6,7 +6,10 @@ m_i times and column j n_j times. This shares no code path with the
 monomial-expansion implementation it cross-checks. ``compose`` and
 ``permanent_event_table`` apply the same rule to a whole experiment: its
 elements multiplied into one single-particle matrix, and every output
-amplitude summed from permanents, grouped by detector pattern. The module also holds
+amplitude summed from permanents, grouped by detector pattern.
+``coupler_loss`` and ``permanent_loss`` are the two references for the
+closed-form loss channel: beam splitters into vacuum sinks, traced out
+through the sparse lift or through permanents. The module also holds
 the one-mode references ``apply_creation`` (bosonic raising) and
 ``project_occupation`` (one-mode projection) that the lift and
 ``split_by_pattern`` are checked against; the package itself needs neither.
@@ -147,6 +150,41 @@ def permanent_event_table(state, u: np.ndarray, detectors, keep) -> dict:
         prob = sum(abs(amp) ** 2 for amp in group.values())
         table[det] = (prob, {k: amp / math.sqrt(prob) for k, amp in group.items()})
     return table
+
+
+def _loss_network(state, modes, survival):
+    """The loss channel as a network: one vacuum sink per listed mode, the
+    state embedded on the registry enlarged by the sinks, and one
+    ``loss_coupler`` from each mode into its sink."""
+    from dfsmem.fock import embed_state, photon_mode, register_modes
+    from dfsmem.optics import loss_coupler
+
+    registry = state.registry
+    sinks = [photon_mode("loss-sink", "H", f"of-{registry.index(m)}") for m in modes]
+    big = register_modes(list(registry.labels) + sinks, registry.d)
+    couplers = [loss_coupler(m, sink, survival) for m, sink in zip(modes, sinks)]
+    return embed_state(state, big), sinks, couplers
+
+
+def coupler_loss(state, modes, survival) -> list:
+    """Reference loss channel through the sparse lift: the couplers of
+    :func:`_loss_network` applied with ``apply_elements``, and the sinks
+    traced out by ``split_by_pattern``. [(sink pattern, weight, {pattern on
+    the input registry: normalized amplitude})], in sorted sink order."""
+    from dfsmem.fock import apply_elements, split_by_pattern
+
+    big, sinks, couplers = _loss_network(state, modes, survival)
+    events = split_by_pattern(apply_elements(big, couplers), sinks, state.registry)
+    return [(k, w, dict(s.items())) for k, (w, s) in sorted(events.items())]
+
+
+def permanent_loss(state, modes, survival) -> list:
+    """Reference loss channel from permanents: the couplers composed into
+    one single-particle matrix and sent through :func:`permanent_event_table`
+    with the sinks as its detectors; the shape of :func:`coupler_loss`."""
+    big, sinks, couplers = _loss_network(state, modes, survival)
+    table = permanent_event_table(big, compose(big.registry, couplers), sinks, state.registry)
+    return [(k, w, amps) for k, (w, amps) in sorted(table.items())]
 
 
 def apply_creation(state, mode):

@@ -1,10 +1,14 @@
 import bisect
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from dfsmem import cli, trials
 from dfsmem.cli import (
     COMMANDS,
     CliConfig,
@@ -13,7 +17,9 @@ from dfsmem.cli import (
     parse_amplitude,
     parse_config,
 )
+from dfsmem.noise import NoiseParams
 from dfsmem.protocol import build_write_setup, generate_entanglement, write_branches
+from dfsmem.trials import OracleEntry, OracleReport, RunConfig, run_write_trials
 
 
 def test_parse_amplitude_forms():
@@ -298,3 +304,127 @@ def test_csv_format_for_stats(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "quantity,value"
     assert any(ln.startswith("success_rate,") for ln in lines)
+
+
+# The writers as they were before the one-pass writer (one f-string per CSV
+# cell, a dataclasses.asdict copy and a streamed json.dump for JSON): the
+# reference for the bytes that cli._emit writes.
+def _reference_csv(path, header, rows):
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _reference_json_ready(obj):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _reference_json_ready(dataclasses.asdict(obj))
+    if isinstance(obj, dict):
+        return {str(k): _reference_json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_json_ready(v) for v in obj]
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    return obj
+
+
+def _reference_json(path, obj):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(_reference_json_ready(obj), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _emitted(tmp_path, fmt, header, rows, obj) -> bytes:
+    cfg = CliConfig(command="entangle", output=str(tmp_path / f"out.{fmt}"), format=fmt)
+    return open(cli._emit(cfg, lambda: (header, rows), lambda: obj), "rb").read()
+
+
+def _assert_csv_bytes(tmp_path, header, rows):
+    _reference_csv(tmp_path / "ref.csv", header, rows)
+    assert _emitted(tmp_path, "csv", header, rows, None) == (tmp_path / "ref.csv").read_bytes()
+
+
+def _assert_json_bytes(tmp_path, obj):
+    _reference_json(tmp_path / "ref.json", obj)
+    assert _emitted(tmp_path, "json", [], [], obj) == (tmp_path / "ref.json").read_bytes()
+
+
+NAN = float("nan")
+
+CSV_TABLES = {
+    # every column all floats: repeats, both zeros, inf and nan
+    "floats": [(0.1, -0.0, 2.5, 0.1), (0.1, 0.0, 2.5, 1 / 3), (0.2, 0.1, -0.0, 1 / 3),
+               (NAN, float("inf"), -float("inf"), float("nan")), (0.3, 1e-300, 0.0, 0.1)],
+    # -0.0 alone in a later column, 0.0 alone in an earlier one
+    "zeros-apart": [(0.0, 1.5, -0.0), (0.5, 1.5, -0.0), (0.0, 0.5, -0.0)],
+    "mixed": [("a", 0.0, 1, np.float64(0.1), True), ("b", -0.0, 2, np.float64(-0.0), False),
+              ("c", 0.1, np.int64(3), 0.1, None), ("d,e", 2.0, -4, np.float64(2.0), "x")],
+    "np-floats": [(np.float64(0.1), np.float64(1e-20)), (np.float64(0.1), np.float64(-0.0))],
+    "ragged": [(0.1, 1), ("x",), (0.1, 0.2, 0.3)],
+    "one-column": [(0.25,), (0.25,), (-0.0,)],
+    "empty-rows": [(), ()],
+    "no-rows": [],
+}
+
+
+@pytest.mark.parametrize("name", CSV_TABLES)
+def test_csv_writer_keeps_reference_bytes(tmp_path, name):
+    rows = CSV_TABLES[name]
+    _assert_csv_bytes(tmp_path, [f"c{i}" for i in range(max(map(len, rows), default=2))], rows)
+
+
+_cells = (st.floats(allow_nan=True, allow_infinity=True)
+          | st.sampled_from([0.0, -0.0, 0.1, 1e-300])
+          | st.integers(-5, 5) | st.text(st.characters(codec="ascii"), max_size=3))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 4).flatmap(
+    lambda w: st.lists(st.tuples(*[st.floats() | st.sampled_from([0.0, -0.0, 0.1])] * w)
+                       | st.tuples(*[_cells] * w), max_size=12)))
+def test_csv_writer_keeps_reference_bytes_on_any_rows(tmp_path, rows):
+    _assert_csv_bytes(tmp_path, ["h"], rows)
+
+
+def test_json_writer_keeps_reference_bytes_for_an_oracle_report(tmp_path):
+    entries = (OracleEntry("p[PsiPlus]", 0.25, 0.2500000000000001, 0.0, False),
+               OracleEntry("mean_fidelity", -0.0, float("nan"), float("inf"), True))
+    _assert_json_bytes(tmp_path, OracleReport(entries, 3.0, False))
+
+
+def test_json_writer_keeps_reference_bytes_for_run_stats(tmp_path):
+    noise = NoiseParams(chi=0.7, eta_d=0.8, p_dc=1e-3)
+    _assert_json_bytes(tmp_path, run_write_trials(RunConfig(100, 9, 0.1, 0.6, 0.8j, noise)))
+
+
+def test_json_writer_keeps_reference_bytes_for_complex_values_and_other_keys(tmp_path):
+    payload = {
+        "z": complex(0.6, -0.8), 3: [0.5, (1j, -0.0)], (1, 2): {"inner": -0.0j},
+        True: None, 2.5: [OracleEntry("e", 0.1, 0.2, 0.3, False)], "s": "text",
+    }
+    _assert_json_bytes(tmp_path, payload)
+
+
+def test_emit_builds_only_the_written_form(tmp_path):
+    def unused():
+        raise AssertionError("the other format was built")
+
+    for fmt, csv_table, json_obj in (("csv", lambda: (["a"], [(0.5,)]), unused),
+                                     ("json", unused, lambda: {"a": 0.5})):
+        cfg = CliConfig(command="entangle", output=str(tmp_path / f"x.{fmt}"), format=fmt)
+        cli._emit(cfg, csv_table, json_obj)
+
+
+def test_read_draws_one_philox_step_not_a_block(tmp_path, monkeypatch):
+    drawn = []
+    real = trials._uniform_block
+
+    def counted(seed, start, rows=trials._BLOCK):
+        drawn.append(rows)
+        return real(seed, start, rows)
+
+    monkeypatch.setattr(trials, "_uniform_block", counted)
+    assert cli.trial_rng is trials.trial_rng
+    assert main(["read", "--seed", "987654321", "--output", str(tmp_path / "r.json")]) == 0
+    assert drawn == [2]

@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dfsmem import fock, noise, optics
 from dfsmem.fock import (
     MixedState,
     OpticalElement,
@@ -34,7 +36,7 @@ from dfsmem.noise import (
     preparation_time,
 )
 from dfsmem.protocol import build_write_setup, entangled_state, ideal_entangled_state
-from dense_oracle import random_state, random_unitary
+from dense_oracle import coupler_loss, permanent_loss, random_state, random_unitary
 
 
 def test_p1_lossless_limit():
@@ -245,6 +247,109 @@ def test_apply_loss_two_modes_equals_mode_by_mode(case):
         assert fidelity_mixed(joint, probe) == pytest.approx(
             fidelity_mixed(chained, probe), abs=1e-12
         )
+
+
+def _loss_gap(mixed, reference) -> float:
+    """Largest weight or amplitude difference between apply_loss's
+    components and a reference's, paired in order; inf when the number of
+    components differs."""
+    if len(mixed.components) != len(reference):
+        return math.inf
+    gap = 0.0
+    for (w, s), (_, w_ref, amps) in zip(mixed.components, reference):
+        keys = set(s.support()) | set(amps)
+        gap = max(gap, abs(w - w_ref), *(abs(s.amplitude(k) - amps.get(k, 0j)) for k in keys))
+    return gap
+
+
+@st.composite
+def _lossy_states(draw):
+    """random_state on 1-3 lossy modes and one lossless spectator, d 3 or 4,
+    and a survival in [0, 1] with both ends drawn on purpose."""
+    k = draw(st.integers(1, 3))
+    d = draw(st.sampled_from([3, 4]))
+    lossy = [photon_mode("stokes", "H", f"m{i}") for i in range(k)]
+    reg = register_modes([*lossy, photon_mode("stokes", "V", "spectator")], d)
+    state = random_state(reg, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    order = draw(st.permutations(lossy))
+    survival = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return state, order, survival
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_lossy_states())
+def test_apply_loss_matches_coupler_and_permanent_references(case):
+    state, modes, survival = case
+    couplers = coupler_loss(state, modes, survival)
+    assert _loss_gap(apply_loss(state, modes, survival), couplers) <= 1e-15
+    permanents = permanent_loss(state, modes, survival)
+    assert _loss_gap(apply_loss(state, modes, survival), permanents) <= 1e-15
+    assert [k for k, _, _ in couplers] == [k for k, _, _ in permanents]
+
+
+def _two_photon_case():
+    m0, m1 = photon_mode("stokes", "H", "m0"), photon_mode("stokes", "H", "m1")
+    reg = register_modes([m0, m1, photon_mode("stokes", "V", "spectator")], 3)
+    state = PureState(reg, {(2, 0, 0): 0.6, (1, 1, 0): 0.48j, (0, 1, 1): 0.64}).normalize()
+    return state, [m0, m1], 0.3
+
+
+def test_loss_references_catch_swapped_survival():
+    state, modes, survival = _two_photon_case()
+    reference = coupler_loss(state, modes, survival)
+    assert _loss_gap(apply_loss(state, modes, survival), reference) <= 1e-15
+    assert _loss_gap(apply_loss(state, modes, 1.0 - survival), reference) > 1e-3
+
+
+def test_loss_references_catch_a_lossless_mode():
+    state, modes, survival = _two_photon_case()
+    for kept in (modes[:1], modes[1:]):
+        assert _loss_gap(apply_loss(state, kept, survival),
+                         coupler_loss(state, modes, survival)) > 1e-3
+
+
+def test_loss_references_catch_a_dropped_binomial_factor(monkeypatch):
+    state, modes, survival = _two_photon_case()
+    reference = permanent_loss(state, modes, survival)
+    real = noise._loss_steps
+
+    def no_binomial(surv, d):
+        return [[(k, den, c / math.sqrt(math.comb(n, k)), sf) for k, den, c, sf in row]
+                for n, row in enumerate(real(surv, d))]
+
+    monkeypatch.setattr(noise, "_loss_steps", no_binomial)
+    # without the factor the channel loses trace, which MixedState would
+    # reject; a plain holder lets the comparison itself see the error
+    monkeypatch.setattr(noise, "MixedState", lambda parts: SimpleNamespace(components=parts))
+    assert _loss_gap(apply_loss(state, modes, survival), reference) > 1e-3
+
+
+def test_apply_loss_builds_no_network(monkeypatch):
+    state, modes, survival = _two_photon_case()
+    reference = coupler_loss(state, modes, survival)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("apply_loss built a network")
+
+    monkeypatch.setattr(fock, "apply_elements", forbidden)
+    monkeypatch.setattr(fock, "apply_unitary", forbidden)
+    monkeypatch.setattr(fock.ModeRegistry, "__init__", forbidden)
+    monkeypatch.setattr(fock.OpticalElement, "__init__", forbidden)
+    monkeypatch.setattr(optics, "loss_coupler", forbidden)
+    assert _loss_gap(apply_loss(state, modes, survival), reference) <= 1e-15
+
+
+@pytest.mark.parametrize("modes, survival, message", [
+    pytest.param([PH], -0.1, r"survival -0.1 outside \[0, 1\]", id="survival-below-0"),
+    pytest.param([PH], 1.1, r"survival 1.1 outside \[0, 1\]", id="survival-above-1"),
+    pytest.param([photon_mode("stokes", "H", "nowhere")], 0.5, "is not registered",
+                 id="unregistered-mode"),
+    pytest.param([PH, PV, PH], 0.5, "listed twice", id="repeated-mode"),
+])
+def test_apply_loss_rejects_bad_arguments(modes, survival, message):
+    state = basis_state(register_modes([PH, PV], 3), {PH: 1})
+    with pytest.raises(ValueError, match=message):
+        apply_loss(state, modes, survival)
 
 
 @pytest.mark.parametrize("det", [

@@ -541,6 +541,46 @@ def test_runs_read_one_row_per_trial(monkeypatch, tmp_path, run, n):
     assert len(path.read_text().splitlines()) == n + 1
 
 
+@pytest.mark.parametrize("n", [1, 99, 100, 1023, 1024, 1025])
+def test_run_rows_match_numpy_for_any_run_length(monkeypatch, n):
+    monkeypatch.setattr(trials, "_block_memo", (None, None, 0, ()))
+    assert np.array_equal(trials._run_rows(41, n), _numpy_rows(41, n))
+
+
+@pytest.mark.parametrize("n, drawn", [
+    (1, [(0, 2)]), (99, [(0, 100)]), (100, [(0, 100)]), (1023, [(0, 1024)]),
+    (1024, [(0, 1024)]), (1025, [(0, 1024), (1024, 1024)]),
+])
+def test_a_run_shorter_than_a_block_draws_its_own_rows(monkeypatch, n, drawn):
+    # whole Philox steps (two rows) for a short run; whole blocks otherwise
+    calls = []
+    real = trials._uniform_block
+
+    def counted(seed, start, rows=trials._BLOCK):
+        calls.append((start, rows))
+        return real(seed, start, rows)
+
+    monkeypatch.setattr(trials, "_uniform_block", counted)
+    monkeypatch.setattr(trials, "_block_memo", (None, None, 0, ()))
+    trials._run_rows(43, n)
+    assert calls == drawn
+
+
+def test_a_100_trial_run_draws_at_most_100_rows(monkeypatch):
+    rows = []
+    real = trials._uniform_block
+
+    def counted(seed, start, n=trials._BLOCK):
+        rows.append(n)
+        return real(seed, start, n)
+
+    monkeypatch.setattr(trials, "_uniform_block", counted)
+    for run in (run_write_trials, run_remote_trials):
+        rows.clear()
+        run(RunConfig(trial_count=100, master_seed=2**33 + 1, noise=NOISY))
+        assert 0 < sum(rows) <= 100
+
+
 def test_trial_rng_memo_keeps_seeds_apart():
     # seeds interleaved across a block edge each read numpy's own rows
     a, b = 11, 2**70 + 3

@@ -8,7 +8,11 @@ detection and with the noisy detection of tools/cli_grid.py (chi 0.7, eta_d
 0.8, p_dc 1e-3). One untimed call warms each stage first; the table then holds
 the median of REPEATS timed calls, in milliseconds, as Markdown. Stages that
 take no detector model (the emission state, the analyzer split and the read)
-are timed once and printed in both columns. A second table times the sampler:
+are timed once and printed in both columns; so are the loss channel
+(apply_loss on the fibers of end_to_end_fidelity and on the read output, at a
+new survival each call, so no table keyed by it can warm) and the output
+writer (cli._emit: the curves-fig4b CSV at the README flags with 100 points,
+and the JSON of a 100-trial teleport's RunStats). A second table times the sampler:
 run_write_trials and run_remote_trials at SAMPLER_TRIALS noisy trials, with and
 without a records CSV, as the median of SAMPLER_REPEATS runs in microseconds
 per trial (each run's event-table build included), and the row reads alone:
@@ -22,6 +26,8 @@ script imports src/ next to itself.
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import itertools
 import statistics
 import sys
 import tempfile
@@ -31,8 +37,10 @@ from typing import Callable
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dfsmem.noise import NoiseParams, end_to_end_fidelity  # noqa: E402
+from dfsmem import cli  # noqa: E402
+from dfsmem.noise import NoiseParams, apply_loss, dF_vs_eta, end_to_end_fidelity  # noqa: E402
 from dfsmem.protocol import (  # noqa: E402
+    build_read_setup,
     build_write_setup,
     entangled_state,
     read_memory,
@@ -64,11 +72,30 @@ def median_ms(call, repeats: int = REPEATS) -> float:
     return 1e3 * statistics.median(times)
 
 
-def stages(noise: NoiseParams) -> dict[str, Callable[[], object]]:
+def emitter(tmp: str, argv: list[str], header: list[str], rows: list[tuple], obj):
+    """One cli._emit call writing ``obj`` (JSON) or ``rows`` (CSV) under
+    ``tmp``. A checkout older than the one-pass writer takes (cfg, header,
+    rows, json_obj) where a newer one takes two builders."""
+    cfg = cli.parse_config([*argv, "--output", f"{tmp}/{argv[0]}"])
+    if "csv_table" in inspect.signature(cli._emit).parameters:
+        return lambda: cli._emit(cfg, lambda: (header, rows), lambda: obj)
+    return lambda: cli._emit(cfg, header, rows, obj)
+
+
+def stages(noise: NoiseParams, tmp: str) -> dict[str, Callable[[], object]]:
     setup = build_write_setup(D)
     cfg = RunConfig(1, 0, PC, ALPHA, BETA, noise, truncation=D)
     state = entangled_state(PC, setup)
     record = write_memory(ALPHA, BETA, PC, trial_rng(0, 0), setup)
+    fibers = [setup.photon("H", "fiber"), setup.photon("V", "fiber")]
+    read_state = read_memory(record, 1.0).components[0][1]  # the read output before loss
+    read_setup = build_read_setup(D)
+    out = [read_setup.out_h, read_setup.out_v]
+    fresh = itertools.count(1)  # a new survival per call
+    fig4b = ["curves-fig4b", "--t-list", "2e-05;3e-05;4e-05", "--points", "100"]
+    grid = cli._grid(0.1, 1.0, 100)
+    curves = [(eta, dF, T) for T in (2e-5, 3e-5, 4e-5) for eta, dF in dF_vs_eta(T, 10e6, grid)]
+    stats = run_write_trials(RunConfig(100, 1, PC, ALPHA, BETA, noise, truncation=D))
     return {
         "entangled_state": lambda: entangled_state(PC, setup),
         "write_events": lambda: write_events(state, ALPHA, BETA, setup),
@@ -76,19 +103,27 @@ def stages(noise: NoiseParams) -> dict[str, Callable[[], object]]:
         "_remote_event_table": lambda: _remote_event_table(dataclasses.replace(cfg)),
         "end_to_end_fidelity": lambda: end_to_end_fidelity(PC, noise, ALPHA, BETA),
         "read_memory": lambda: read_memory(record, 0.7),
+        "apply_loss, fibers": lambda: apply_loss(state, fibers, 0.7 - 1e-9 * next(fresh)),
+        "apply_loss, read output": lambda: apply_loss(read_state, out,
+                                                      0.7 - 1e-9 * next(fresh)),
+        "_emit, curves-fig4b CSV": emitter(tmp, fig4b, ["eta_prime", "delta_F", "T_seconds"],
+                                           curves, None),
+        "_emit, teleport RunStats JSON": emitter(tmp, ["teleport"], [], [], stats),
     }
 
 
 def main() -> int:
-    detection_free = {"entangled_state", "write_events", "read_memory"}
-    ideal = stages(NoiseParams(pc=PC))
-    noisy = stages(NoiseParams(pc=PC, **NOISY))
-    print(f"| stage (pc {PC}, d {D}, median of {REPEATS}) | ideal ms | noisy ms |")
-    print("|---|---|---|")
-    for name in ideal:
-        t_ideal = median_ms(ideal[name])
-        t_noisy = t_ideal if name in detection_free else median_ms(noisy[name])
-        print(f"| `{name}` | {t_ideal:.3f} | {t_noisy:.3f} |")
+    detection_free = {"entangled_state", "write_events", "read_memory", "apply_loss, fibers",
+                      "apply_loss, read output", "_emit, curves-fig4b CSV"}
+    with tempfile.TemporaryDirectory() as tmp:
+        ideal = stages(NoiseParams(pc=PC), tmp)
+        noisy = stages(NoiseParams(pc=PC, **NOISY), tmp)
+        print(f"| stage (pc {PC}, d {D}, median of {REPEATS}) | ideal ms | noisy ms |")
+        print("|---|---|---|")
+        for name in ideal:
+            t_ideal = median_ms(ideal[name])
+            t_noisy = t_ideal if name in detection_free else median_ms(noisy[name])
+            print(f"| `{name}` | {t_ideal:.3f} | {t_noisy:.3f} |")
     print()
     print(f"| sampler ({SAMPLER_TRIALS} noisy trials, median of {SAMPLER_REPEATS}) "
           f"| us per trial |")
