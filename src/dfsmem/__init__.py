@@ -24,7 +24,6 @@ from .protocol import (
     LogicalQubitMap,
     PauliMark,
     TrialRecord,
-    encode_spatial,
     generate_entanglement,
     pauli_mark,
     read_memory,

@@ -121,19 +121,19 @@ class CliConfig:
             raise ValueError("points must be >= 1")
         if not 0.0 < self.eta_prime <= 1.0:
             raise ValueError(f"eta_prime={self.eta_prime} outside (0, 1]")
-        if self.t_min <= 0 or self.t_max < self.t_min:
-            raise ValueError("need 0 < t_min <= t_max")
+        if not 0.0 < self.t_min <= self.t_max < math.inf:
+            raise ValueError("need 0 < t_min <= t_max, both finite")
         if not 0.0 < self.eta_min <= self.eta_max <= 1.0:
             raise ValueError("need 0 < eta_min <= eta_max <= 1")
-        if any(t <= 0 for t in self.t_list):
-            raise ValueError("t_list entries must be positive")
+        if not all(0.0 < t < math.inf for t in self.t_list):
+            raise ValueError("t_list entries must be positive and finite")
         if self.resolved_format() not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.format!r}")
         directory = os.path.dirname(self.output_path()) or "."
         if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
             raise ValueError(f"output directory {directory!r} is missing or not writable")
         total = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(total - 1.0) > NORMALIZATION_GUARD:
+        if not abs(total - 1.0) <= NORMALIZATION_GUARD:  # NaN fails it too
             raise ValueError(f"(alpha, beta) not normalized: |a|^2+|b|^2 = {total}")
         if abs(total - 1.0) > 1e-12:
             norm = math.sqrt(total)

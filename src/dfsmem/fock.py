@@ -261,11 +261,6 @@ def superposition(
     return PureState(registry, table)
 
 
-def basis_state(registry: ModeRegistry, occupations: Mapping[ModeLabel, int]) -> PureState:
-    """Occupation eigenstate with the given per-mode counts (zero elsewhere)."""
-    return superposition(registry, [(occupations, 1.0)])
-
-
 def _monomial_expand(
     occ: Sequence[int], matrix: np.ndarray
 ) -> dict[tuple[int, ...], complex]:
@@ -425,32 +420,6 @@ def split_by_pattern(
         key: (probs[key], restrict(PureState._trusted(reg, amp).normalize()))
         for key, amp in groups.items()
     }
-
-
-def product_state(a: PureState, b: PureState) -> PureState:
-    """Merge two states on the same registry that excite disjoint mode sets."""
-    if a.registry != b.registry:
-        raise ValueError("states live on different registries")
-    n = len(a.registry)
-    a_max = [0] * n
-    for p in a.support():
-        for i, o in enumerate(p):
-            a_max[i] = max(a_max[i], o)
-    b_max = [0] * n
-    for p in b.support():
-        for i, o in enumerate(p):
-            b_max[i] = max(b_max[i], o)
-    for i in range(n):
-        if a_max[i] and b_max[i]:
-            raise ValueError(
-                f"both factors excite mode {a.registry.labels[i]}; product is ambiguous"
-            )
-    out: dict[tuple[int, ...], complex] = {}
-    for pa, va in a.items():
-        for pb, vb in b.items():
-            key = tuple(x + y for x, y in zip(pa, pb))
-            out[key] = out.get(key, 0j) + va * vb
-    return PureState(a.registry, out)
 
 
 def _restrictor(src: ModeRegistry, registry: ModeRegistry):

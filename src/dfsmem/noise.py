@@ -62,12 +62,13 @@ class NoiseParams:
                 raise ValueError(f"{name}={v} outside [0, 1]")
         if not 0.0 <= self.p_dc < 1.0:
             raise ValueError(f"p_dc={self.p_dc} outside [0, 1)")
-        if self.L0 < 0.0:
-            raise ValueError("L0 must be nonnegative")
-        if self.L_att <= 0.0:
-            raise ValueError("L_att must be positive")
-        if self.f_p <= 0.0:
-            raise ValueError("f_p must be positive")
+        # each test is written to fail on NaN, and the open ends on infinity
+        if not 0.0 <= self.L0 < math.inf:
+            raise ValueError(f"L0={self.L0} must be nonnegative and finite")
+        if not 0.0 < self.L_att < math.inf:
+            raise ValueError(f"L_att={self.L_att} must be positive and finite")
+        if not 0.0 < self.f_p < math.inf:
+            raise ValueError(f"f_p={self.f_p} must be positive and finite")
 
     @property
     def attenuation(self) -> float:

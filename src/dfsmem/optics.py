@@ -1,17 +1,16 @@
 """Constructors for the optical elements used by the memory protocol.
 
 Phase conventions: the polarizing beam splitter routes with unit matrix
-elements (no reflection phase), and the spatial splitter completes its
-unitary with the standard (-conj(beta), conj(alpha)) second column. Any
-self-consistent convention works because the unused ports start in vacuum;
-the detector-mapping tests pin these down end to end.
+elements (no reflection phase). Any self-consistent convention works
+because the unused ports start in vacuum; the detector-mapping tests pin
+these down end to end.
 
 The fixed-matrix constructors (``qwp``, ``pbs``, ``hwp``, ``swap`` and
 ``pol_rotator`` through it, ``bs50``) return shared elements: equal
 arguments give the same :class:`~dfsmem.fock.OpticalElement`, whose matrix
 is read-only and whose Fock-lift table therefore carries over from one
-request to the next. ``mz_split``, ``loss_coupler`` and ``phase_shifter``
-depend on continuous parameters and build a new element per call.
+request to the next. ``phase_shifter`` depends on continuous parameters
+and builds a new element per call.
 """
 
 from __future__ import annotations
@@ -31,9 +30,10 @@ _SHARED_ELEMENTS = 64
 
 
 def check_amplitude_pair(alpha: complex, beta: complex) -> None:
-    """Reject a qubit (alpha, beta) whose weights do not sum to one."""
+    """Reject a qubit (alpha, beta) whose weights do not sum to one; a NaN
+    or infinite amplitude fails the test too."""
     total = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(total - 1.0) > AMPLITUDE_PAIR_TOL:
+    if not abs(total - 1.0) <= AMPLITUDE_PAIR_TOL:
         raise ValueError(f"(alpha, beta) not normalized: |a|^2+|b|^2 = {total}")
 
 
@@ -96,43 +96,6 @@ def swap(name: str, mode_a: ModeLabel, mode_b: ModeLabel) -> OpticalElement:
 def pol_rotator(mode_h: ModeLabel, mode_v: ModeLabel) -> OpticalElement:
     """90-degree polarization rotator: swaps the H and V amplitudes."""
     return swap("pol_rotator", mode_h, mode_v)
-
-
-def loss_coupler(mode: ModeLabel, sink: ModeLabel, survival: float) -> OpticalElement:
-    """Beam splitter of transmissivity sqrt(survival) from ``mode`` into a
-    vacuum ``sink``; tracing the sink out leaves the lossy channel, which
-    :func:`dfsmem.noise.apply_loss` computes in closed form (the tests keep
-    this element as its reference)."""
-    if not 0.0 <= survival <= 1.0:
-        raise ValueError(f"survival {survival} outside [0, 1]")
-    t = math.sqrt(survival)
-    r = math.sqrt(1.0 - survival)
-    return OpticalElement("loss_coupler", (mode, sink), np.array([[t, -r], [r, t]]))
-
-
-def mz_split(
-    in_mode: ModeLabel,
-    out_a: ModeLabel,
-    out_b: ModeLabel,
-    alpha: complex,
-    beta: complex,
-) -> OpticalElement:
-    """Mach-Zehnder spatial splitter: in -> alpha*out_a + beta*out_b.
-
-    (alpha, beta) must be normalized; the caller applies one copy per
-    polarization so the split is polarization independent.
-    """
-    check_amplitude_pair(alpha, beta)
-    modes = (in_mode, out_a, out_b)
-    m = np.zeros((3, 3), dtype=complex)
-    m[1, 0] = alpha
-    m[2, 0] = beta
-    # vacuum-port completion: second column (-conj(beta), conj(alpha)),
-    # third column routes out_b's empty port back to the input.
-    m[1, 1] = -np.conj(beta)
-    m[2, 1] = np.conj(alpha)
-    m[0, 2] = 1.0
-    return OpticalElement("mz_split", modes, m)
 
 
 @lru_cache(maxsize=_SHARED_ELEMENTS)

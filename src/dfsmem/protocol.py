@@ -37,14 +37,12 @@ from .fock import (
     ModeRegistry,
     OpticalElement,
     PureState,
+    TruncationOverflowError,
     apply_elements,
     apply_unitary,
     atomic_mode,
-    basis_state,
-    born_probabilities,
     embed_state,
     photon_mode,
-    product_state,
     project_total_occupation,
     register_modes,
     split_by_pattern,
@@ -55,7 +53,6 @@ from .optics import (
     bs50,
     check_amplitude_pair,
     hwp,
-    mz_split,
     pbs,
     phase_shifter,
     pol_rotator,
@@ -180,10 +177,21 @@ class WriteSetup:
         self.atomic_registry = register_modes([self.s_l, self.s_r], d)
         self.logical = LogicalQubitMap(left=self.s_l, right=self.s_r)
         # the analyzer's outputs live on the detector and atomic modes alone;
-        # input pattern -> _analyzer_entry(self, pattern), filled as
-        # write_events meets patterns
+        # input pattern -> _analyzer_entry(self, pattern, state), filled as
+        # write_events meets patterns it can hold
         self._events_registry = register_modes([*self.detectors, self.s_l, self.s_r], d)
-        self._analyzer: dict[tuple[int, ...], tuple | None] = {}
+        self._analyzer: dict[tuple[int, ...], tuple] = {}
+        reg = self.registry
+        self._fiber = tuple(reg.index(self.photon(pol, "fiber")) for pol in ("H", "V"))
+        # path-a, path-b per polarization: the encoder's two output ports
+        self._paths = tuple(reg.index(self.photon(pol, spot))
+                            for pol in ("H", "V") for spot in ("path-a", "path-b"))
+        # where the analyzer's photons come from: the fiber, which the
+        # encoder empties onto the paths, and the analyzer's own modes
+        self._analyzer_inputs = self._fiber + tuple(
+            {reg.index(m) for el in self.bsm_elements() for m in el.modes})
+        self._kept = tuple(reg.index(m) for m in self._events_registry.labels)
+        self._dropped = tuple(i for i in range(len(reg)) if i not in self._kept)
 
     def photon(self, polarization: str, spatial: str) -> ModeLabel:
         return self._photon[(polarization, spatial)]
@@ -205,13 +213,6 @@ class WriteSetup:
                 ph("H", "arm-L"), ph("V", "arm-L"), ph("H", "arm-R"), ph("V", "arm-R"),
                 ph("H", "fiber"), ph("V", "fiber"), ph("H", "dump"), ph("V", "dump"),
             ),
-        ]
-
-    def encode_elements(self, alpha: complex, beta: complex) -> list[OpticalElement]:
-        ph = self.photon
-        return [
-            mz_split(ph("H", "fiber"), ph("H", "path-a"), ph("H", "path-b"), alpha, beta),
-            mz_split(ph("V", "fiber"), ph("V", "path-a"), ph("V", "path-b"), alpha, beta),
         ]
 
     def bsm_elements(self) -> list[OpticalElement]:
@@ -294,27 +295,9 @@ def ideal_entangled_state(setup: WriteSetup | None = None) -> PureState:
     ])
 
 
-def encode_spatial(
-    state: PureState,
-    alpha: complex,
-    beta: complex,
-    setup: WriteSetup | None = None,
-) -> PureState:
-    """Split the photon over two spatial paths with amplitudes (alpha, beta).
-
-    The split acts identically on both polarization copies; the target path
-    modes must start empty.
-    """
-    setup = setup or build_write_setup()
-    paths = [setup.photon(pol, spot) for pol in ("H", "V") for spot in ("path-a", "path-b")]
-    weights = born_probabilities(state, paths)  # one pass over the support
-    for k in range(len(paths)):
-        if sum(w for pattern, w in weights.items() if pattern[k]) > 1e-9:
-            raise ValueError("spatial target modes are not empty")
-    return apply_elements(state, setup.encode_elements(alpha, beta))
-
-
-def _analyzer_entry(setup: WriteSetup, pattern: tuple[int, ...]) -> tuple | None:
+def _analyzer_entry(
+    setup: WriteSetup, pattern: tuple[int, ...], state: PureState
+) -> tuple:
     """One input pattern's path through the encoder and the analyzer, as
     ``((p, q, ((output, c), ...)), ...)``: the pattern leaves
     sum alpha^p beta^q c |output>, each output a pattern on
@@ -323,27 +306,27 @@ def _analyzer_entry(setup: WriteSetup, pattern: tuple[int, ...]) -> tuple | None
     The n_H, n_V fiber photons split onto path-a/path-b as k, l with weight
     sqrt(C(n_H, k) C(n_V, l)) and monomial alpha^(k+l) beta^(n_H+n_V-k-l),
     and each split is lifted once through :meth:`WriteSetup.bsm_elements`.
-    None when the pattern needs the reference path: an occupied path mode,
-    d or more photons in the analyzer (a lift could spill past the
-    truncation), or photons left outside the detector and atomic modes.
+    A pattern the table cannot hold raises, whatever its amplitude: a photon
+    on a path mode (ValueError), d or more photons in the analyzer
+    (:class:`TruncationOverflowError`, whose ``lost_weight`` is the weight
+    of every such pattern of ``state``), or a photon left outside the
+    detector and atomic modes (ValueError).
     """
     reg = setup.registry
-    ph = setup.photon
-    fiber_h, fiber_v, a_h, b_h, a_v, b_v = (
-        reg.index(ph(pol, spot)) for pol, spot in (
-            ("H", "fiber"), ("V", "fiber"), ("H", "path-a"), ("H", "path-b"),
-            ("V", "path-a"), ("V", "path-b"),
-        )
-    )
-    elements = setup.bsm_elements()
-    analyzer = {reg.index(m) for el in elements for m in el.modes}
+    if any(pattern[i] for i in setup._paths):
+        raise ValueError("spatial target modes are not empty")
+
+    def overflows(p: tuple[int, ...]) -> bool:
+        return sum(p[i] for i in setup._analyzer_inputs) >= reg.d
+
+    if overflows(pattern):
+        lost = sum(a.real * a.real + a.imag * a.imag for p, a in state.items() if overflows(p))
+        raise TruncationOverflowError(
+            f"the write analyzer holds at most d - 1 = {reg.d - 1} photons", lost)
+    fiber_h, fiber_v = setup._fiber
+    a_h, b_h, a_v, b_v = setup._paths
     n_h, n_v = pattern[fiber_h], pattern[fiber_v]
-    if any(pattern[i] for i in (a_h, b_h, a_v, b_v)) or (
-        n_h + n_v + sum(pattern[i] for i in analyzer) >= reg.d
-    ):
-        return None
-    kept = [reg.index(m) for m in setup._events_registry.labels]
-    dropped = [i for i in range(len(reg)) if i not in kept]
+    elements = setup.bsm_elements()
     monomials: dict[int, dict[tuple[int, ...], complex]] = {}
     for k in range(n_h + 1):
         for l in range(n_v + 1):
@@ -354,9 +337,9 @@ def _analyzer_entry(setup: WriteSetup, pattern: tuple[int, ...]) -> tuple | None
             lifted = apply_elements(PureState._trusted(reg, {tuple(split): weight}), elements)
             terms = monomials.setdefault(k + l, {})
             for out, c in lifted.items():
-                if any(out[i] for i in dropped):
-                    return None
-                key = tuple(out[i] for i in kept)
+                if any(out[i] for i in setup._dropped):
+                    raise ValueError("a photon is left outside the detector and atomic modes")
+                key = tuple(out[i] for i in setup._kept)
                 terms[key] = terms.get(key, 0j) + c
     return tuple((p, n_h + n_v - p, tuple(terms.items())) for p, terms in monomials.items())
 
@@ -376,9 +359,8 @@ def write_events(
     outputs are fixed monomials in (alpha, beta), tabled on the setup
     (:func:`_analyzer_entry`). A call sums ``a * alpha^p beta^q * c`` over
     the input support and the table terms in order, then splits once per
-    detector pattern. A state with a pattern the table cannot hold runs
-    the reference path, :func:`encode_spatial` and the analyzer's Fock
-    lift, which also rejects occupied path modes.
+    detector pattern. A state with a pattern the table cannot hold raises
+    :func:`_analyzer_entry`'s error, and no such pattern is tabled.
     """
     table = setup._analyzer
     inputs = []
@@ -386,11 +368,7 @@ def write_events(
         try:
             entry = table[pattern]
         except KeyError:
-            entry = table[pattern] = _analyzer_entry(setup, pattern)
-        if entry is None:
-            analyzed = apply_elements(encode_spatial(state, alpha, beta, setup),
-                                      setup.bsm_elements())
-            return split_by_pattern(analyzed, setup.detectors, setup.atomic_registry)
+            entry = table[pattern] = _analyzer_entry(setup, pattern, state)
         inputs.append((a, entry))
     check_amplitude_pair(alpha, beta)
     # an entry holds at most d - 1 photons
@@ -692,15 +670,13 @@ def _transfer_table(setup: RemoteSetup) -> tuple:
     with the fixed resource (|l1 r2> + |l2 r1>)/sqrt(2), lifted once through
     :meth:`RemoteSetup.transfer_elements`; outputs are patterns on
     ``setup._events_registry``."""
-    resource = superposition(setup.registry, [
-        ({setup.l1: 1, setup.r2: 1}, 1 / math.sqrt(2)),
-        ({setup.l2: 1, setup.r1: 1}, 1 / math.sqrt(2)),
-    ])
     kept = [setup.registry.index(m) for m in setup._events_registry.labels]
     lifted = []
     for mode in (setup.i2, setup.i1):
-        sender = basis_state(setup.registry, {mode: 1})
-        state = apply_elements(product_state(sender, resource), setup.transfer_elements())
+        state = apply_elements(superposition(setup.registry, [
+            ({mode: 1, setup.l1: 1, setup.r2: 1}, 1 / math.sqrt(2)),
+            ({mode: 1, setup.l2: 1, setup.r1: 1}, 1 / math.sqrt(2)),
+        ]), setup.transfer_elements())
         lifted.append({tuple(p[i] for i in kept): a for p, a in state.items()})
     v1, v2 = lifted
     keys = list(v1) + [key for key in v2 if key not in v1]

@@ -8,11 +8,16 @@ monomial-expansion implementation it cross-checks. ``compose`` and
 elements multiplied into one single-particle matrix, and every output
 amplitude summed from permanents, grouped by detector pattern.
 ``coupler_loss`` and ``permanent_loss`` are the two references for the
-closed-form loss channel: beam splitters into vacuum sinks, traced out
-through the sparse lift or through permanents. The module also holds
-the one-mode references ``apply_creation`` (bosonic raising) and
-``project_occupation`` (one-mode projection) that the lift and
-``split_by_pattern`` are checked against; the package itself needs neither.
+closed-form loss channel: ``loss_coupler`` beam splitters into vacuum
+sinks, traced out through the sparse lift or through permanents. The
+write's encoder lives here as its reference too: ``mz_split``, one per
+polarization in ``encode_elements``, applied by ``encode_spatial``, which
+the compiled analyzer table of ``protocol.write_events`` is checked
+against. The module also holds the one-mode references ``apply_creation``
+(bosonic raising) and ``project_occupation`` (one-mode projection) that the
+lift and ``split_by_pattern`` are checked against, and the state builders
+``basis_state`` and ``product_state``; the package itself needs none of
+these.
 """
 
 import itertools
@@ -152,12 +157,107 @@ def permanent_event_table(state, u: np.ndarray, detectors, keep) -> dict:
     return table
 
 
+def basis_state(registry, occupations):
+    """Occupation eigenstate with the given per-mode counts (zero elsewhere)."""
+    from dfsmem.fock import PureState
+
+    pattern = [0] * len(registry)
+    for label, n in occupations.items():
+        pattern[registry.index(label)] = n
+    return PureState(registry, {tuple(pattern): 1.0})
+
+
+def product_state(a, b):
+    """Merge two states on the same registry that excite disjoint mode sets."""
+    from dfsmem.fock import PureState
+
+    if a.registry != b.registry:
+        raise ValueError("states live on different registries")
+    n = len(a.registry)
+    a_max = [0] * n
+    for p in a.support():
+        for i, o in enumerate(p):
+            a_max[i] = max(a_max[i], o)
+    b_max = [0] * n
+    for p in b.support():
+        for i, o in enumerate(p):
+            b_max[i] = max(b_max[i], o)
+    for i in range(n):
+        if a_max[i] and b_max[i]:
+            raise ValueError(
+                f"both factors excite mode {a.registry.labels[i]}; product is ambiguous"
+            )
+    out: dict[tuple[int, ...], complex] = {}
+    for pa, va in a.items():
+        for pb, vb in b.items():
+            key = tuple(x + y for x, y in zip(pa, pb))
+            out[key] = out.get(key, 0j) + va * vb
+    return PureState(a.registry, out)
+
+
+def mz_split(in_mode, out_a, out_b, alpha: complex, beta: complex):
+    """Mach-Zehnder spatial splitter: in -> alpha*out_a + beta*out_b.
+
+    (alpha, beta) must be normalized; one copy per polarization makes the
+    split polarization independent. The unitary is completed with the
+    (-conj(beta), conj(alpha)) second column, and the third column routes
+    out_b's empty port back to the input.
+    """
+    from dfsmem.fock import OpticalElement
+    from dfsmem.optics import check_amplitude_pair
+
+    check_amplitude_pair(alpha, beta)
+    m = np.zeros((3, 3), dtype=complex)
+    m[1, 0] = alpha
+    m[2, 0] = beta
+    m[1, 1] = -np.conj(beta)
+    m[2, 1] = np.conj(alpha)
+    m[0, 2] = 1.0
+    return OpticalElement("mz_split", (in_mode, out_a, out_b), m)
+
+
+def encode_elements(setup, alpha: complex, beta: complex) -> list:
+    """The write's encoder on a ``protocol.WriteSetup``: one ``mz_split``
+    from the fiber onto path-a/path-b per polarization."""
+    ph = setup.photon
+    return [
+        mz_split(ph(pol, "fiber"), ph(pol, "path-a"), ph(pol, "path-b"), alpha, beta)
+        for pol in ("H", "V")
+    ]
+
+
+def encode_spatial(state, alpha: complex, beta: complex, setup):
+    """Split the photon over two spatial paths with amplitudes (alpha, beta)
+    by lifting :func:`encode_elements`. The target path modes must start
+    empty: a path weight above 1e-9 raises."""
+    from dfsmem.fock import apply_elements, born_probabilities
+
+    paths = [setup.photon(pol, spot) for pol in ("H", "V") for spot in ("path-a", "path-b")]
+    weights = born_probabilities(state, paths)
+    for k in range(len(paths)):
+        if sum(w for pattern, w in weights.items() if pattern[k]) > 1e-9:
+            raise ValueError("spatial target modes are not empty")
+    return apply_elements(state, encode_elements(setup, alpha, beta))
+
+
+def loss_coupler(mode, sink, survival: float):
+    """Beam splitter of transmissivity sqrt(survival) from ``mode`` into a
+    vacuum ``sink``; tracing the sink out leaves the lossy channel that
+    ``noise.apply_loss`` computes in closed form."""
+    from dfsmem.fock import OpticalElement
+
+    if not 0.0 <= survival <= 1.0:
+        raise ValueError(f"survival {survival} outside [0, 1]")
+    t = math.sqrt(survival)
+    r = math.sqrt(1.0 - survival)
+    return OpticalElement("loss_coupler", (mode, sink), np.array([[t, -r], [r, t]]))
+
+
 def _loss_network(state, modes, survival):
     """The loss channel as a network: one vacuum sink per listed mode, the
     state embedded on the registry enlarged by the sinks, and one
     ``loss_coupler`` from each mode into its sink."""
     from dfsmem.fock import embed_state, photon_mode, register_modes
-    from dfsmem.optics import loss_coupler
 
     registry = state.registry
     sinks = [photon_mode("loss-sink", "H", f"of-{registry.index(m)}") for m in modes]

@@ -12,17 +12,15 @@ from dfsmem.fock import (
     PureState,
     apply_elements,
     apply_unitary,
-    basis_state,
     born_probabilities,
     embed_state,
     fidelity_pure,
     photon_mode,
-    product_state,
     register_modes,
     superposition,
 )
 from dfsmem.noise import NoiseParams, end_to_end_fidelity
-from dfsmem.optics import loss_coupler, phase_shifter
+from dfsmem.optics import phase_shifter
 from dfsmem.protocol import (
     BellOutcome,
     REMOTE_CLICK_RULE,
@@ -36,7 +34,13 @@ from dfsmem.protocol import (
 )
 from dfsmem.trials import RunConfig, oracle_check, run_remote_trials
 from dfsmem.cli import main
-from dense_oracle import sparse_vs_dense
+from dense_oracle import (
+    basis_state,
+    encode_elements,
+    loss_coupler,
+    product_state,
+    sparse_vs_dense,
+)
 
 
 def random_qubit(rng) -> tuple[complex, complex]:
@@ -201,7 +205,7 @@ def test_criterion_7_oracle_equivalence():
         state = joint_emission_state(0.05, setup)
         elements = (
             setup.entangle_elements()
-            + setup.encode_elements(alpha, beta)
+            + encode_elements(setup, alpha, beta)
             + setup.bsm_elements()
         )
         for el in elements:

@@ -76,6 +76,18 @@ CONFIG_MISTAKES = [
     pytest.param(["--format", "xml"], None, id="format"),
     pytest.param(["--output", "/missing-dir/x.json"], None, id="output"),
     pytest.param([], "12.5", id="env-seed"),
+    # non-finite values, each a test that NaN or infinity used to pass
+    pytest.param(["--alpha", "nan"], None, id="alpha-nan"),
+    pytest.param(["--t-min", "nan"], None, id="t-min-nan"),
+    pytest.param(["--t-max", "nan"], None, id="t-max-nan"),
+    pytest.param(["--t-max", "inf"], None, id="t-max-inf"),
+    pytest.param(["--t-list", "nan"], None, id="t-list-nan"),
+    pytest.param(["--f-p", "nan"], None, id="f-p-nan"),
+    pytest.param(["--f-p", "inf"], None, id="f-p-inf"),
+    pytest.param(["--l0", "nan"], None, id="l0-nan"),
+    pytest.param(["--l0", "inf"], None, id="l0-inf"),
+    pytest.param(["--l-att", "nan"], None, id="l-att-nan"),
+    pytest.param(["--l-att", "inf"], None, id="l-att-inf"),
 ]
 
 

@@ -17,13 +17,11 @@ from dfsmem.fock import (
     TruncationOverflowError,
     apply_unitary,
     atomic_mode,
-    basis_state,
     born_probabilities,
     fidelity_mixed,
     fidelity_pure,
     inner,
     photon_mode,
-    product_state,
     register_modes,
     restrict_state,
     split_by_pattern,
@@ -33,8 +31,10 @@ from dfsmem.fock import (
 from dfsmem import optics
 from dense_oracle import (
     apply_creation,
+    basis_state,
     dense_apply,
     max_amplitude_diff,
+    product_state,
     project_occupation,
     random_state,
     random_unitary,
@@ -516,7 +516,7 @@ def test_fixed_optics_constructors_return_shared_read_only_elements():
     with pytest.raises(ValueError):
         el.matrix[0, 0] = 2.0
     # elements with continuous parameters are built per call
-    assert optics.mz_split(*labels[:3], 0.6, 0.8) is not optics.mz_split(*labels[:3], 0.6, 0.8)
+    assert optics.phase_shifter(labels[:1], [0.3]) is not optics.phase_shifter(labels[:1], [0.3])
 
 
 def test_lift_table_shared_between_threads():

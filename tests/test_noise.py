@@ -8,12 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dfsmem import fock, noise, optics
+from dfsmem import fock, noise
 from dfsmem.fock import (
     MixedState,
     OpticalElement,
     apply_unitary,
-    basis_state,
     fidelity_mixed,
     fidelity_pure,
     photon_mode,
@@ -36,7 +35,7 @@ from dfsmem.noise import (
     preparation_time,
 )
 from dfsmem.protocol import build_write_setup, entangled_state, ideal_entangled_state
-from dense_oracle import coupler_loss, permanent_loss, random_state, random_unitary
+from dense_oracle import basis_state, coupler_loss, permanent_loss, random_state, random_unitary
 
 
 def test_p1_lossless_limit():
@@ -154,6 +153,13 @@ PV = photon_mode("stokes", "V", "line")
 def test_noise_rejects_invalid_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(NoiseParams)])
+def test_noise_params_reject_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        NoiseParams(**{name: value})
 
 
 def test_apply_loss_survival_one():
@@ -335,7 +341,6 @@ def test_apply_loss_builds_no_network(monkeypatch):
     monkeypatch.setattr(fock, "apply_unitary", forbidden)
     monkeypatch.setattr(fock.ModeRegistry, "__init__", forbidden)
     monkeypatch.setattr(fock.OpticalElement, "__init__", forbidden)
-    monkeypatch.setattr(optics, "loss_coupler", forbidden)
     assert _loss_gap(apply_loss(state, modes, survival), reference) <= 1e-15
 
 

@@ -5,15 +5,14 @@ import pytest
 
 from dfsmem.fock import (
     apply_unitary,
-    basis_state,
     photon_mode,
     register_modes,
     PureState,
 )
 from dfsmem.optics import (
-    bs50, hwp, loss_coupler, mz_split, pbs, phase_shifter, pol_rotator, qwp,
+    bs50, hwp, pbs, phase_shifter, pol_rotator, qwp,
 )
-from dense_oracle import random_state
+from dense_oracle import basis_state, loss_coupler, mz_split, random_state
 
 IN_R = photon_mode("stokes", "Rcirc", "arm")
 IN_L = photon_mode("stokes", "Lcirc", "arm")

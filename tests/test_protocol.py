@@ -6,23 +6,28 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import compose, permanent_event_table
+from dense_oracle import (
+    basis_state,
+    compose,
+    encode_elements,
+    encode_spatial,
+    permanent_event_table,
+    product_state,
+)
 from dfsmem.fock import (
     PureState,
     TruncationOverflowError,
     apply_elements,
     apply_unitary,
-    basis_state,
     born_probabilities,
     fidelity_mixed,
     fidelity_pure,
-    product_state,
     project_total_occupation,
     split_by_pattern,
     superposition,
 )
 from dfsmem import protocol
-from dfsmem.optics import phase_shifter
+from dfsmem.optics import check_amplitude_pair, phase_shifter
 from dfsmem.protocol import (
     BellOutcome,
     OUTCOME_OF_DETECTOR,
@@ -36,7 +41,6 @@ from dfsmem.protocol import (
     build_remote_setup,
     build_write_setup,
     classify_remote_clicks,
-    encode_spatial,
     entangled_state,
     generate_entanglement,
     ideal_entangled_state,
@@ -251,6 +255,18 @@ def test_write_branches_basis_state_routing():
     assert fidelity_pure(branches[BellOutcome.PHI_PLUS].atomic_state, one) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [
+    (math.nan, 0.7), (0.6, complex(0.8, math.nan)), (math.inf, 0.0),
+])
+def test_write_branches_rejects_a_non_finite_amplitude(alpha, beta):
+    # NaN fails every comparison, so the normalization test is written to
+    # fail on it rather than pass
+    with pytest.raises(ValueError, match="normalized"):
+        check_amplitude_pair(alpha, beta)
+    with pytest.raises(ValueError, match="normalized"):
+        write_branches(alpha, beta, 0.1)
+
+
 def test_write_branches_teleportation_identity():
     rng = np.random.default_rng(21)
     setup = build_write_setup()
@@ -461,7 +477,8 @@ def _sender(setup, alpha, beta):
 
 
 def _lifted_write(state, alpha, beta, setup):
-    """The write's reference path: the encoder and the analyzer lifted."""
+    """The write's reference path: the oracle's encoder and the analyzer
+    lifted."""
     analyzed = apply_elements(encode_spatial(state, alpha, beta, setup), setup.bsm_elements())
     return split_by_pattern(analyzed, setup.detectors, setup.atomic_registry)
 
@@ -526,31 +543,57 @@ def test_write_events_rejects_occupied_path_and_unnormalized_qubit():
         remote_transfer(1.0, 0.5)
 
 
-def test_write_events_accepts_and_rejects_what_the_lift_does():
-    setup = build_write_setup(3)
+def test_write_events_rejects_what_the_table_cannot_hold():
+    setup = WriteSetup(3)  # a fresh table, to see what it keeps
     fiber_h, fiber_v = setup.photon("H", "fiber"), setup.photon("V", "fiber")
-    # a path mode and the analyzer's truncation both touched at weights the
-    # lift tolerates (below 1e-9 and below the overflow tolerance)
-    for stray in ({setup.photon("H", "path-b"): 1}, {fiber_h: 2, fiber_v: 1}):
-        state = superposition(setup.registry, [
-            ({setup.s_l: 1, fiber_h: 1}, 1.0), ({setup.s_r: 1, fiber_v: 1}, 1.0), (stray, 1e-7),
+
+    def with_stray(stray, weight):
+        return superposition(setup.registry, [
+            ({setup.s_l: 1, fiber_h: 1}, 1.0), ({setup.s_r: 1, fiber_v: 1}, 1.0), (stray, weight),
         ]).normalize()
-        got = write_events(state, 0.6, 0.8j, setup)
-        want = _lifted_write(state, 0.6, 0.8j, setup)
-        assert {k: (p, list(s.items())) for k, (p, s) in got.items()} == \
-            {k: (p, list(s.items())) for k, (p, s) in want.items()}
-    # and rejects what it rejects: photons left on the emission arms (no
-    # eraser) do not factorize against the atoms ...
-    emitted = joint_emission_state(0.1, setup)
-    for events in (_lifted_write, write_events):
-        with pytest.raises(ValueError, match="factorize"):
-            events(emitted, 0.6, 0.8j, setup)
-    # ... and three photons at full weight spill at d = 3
+
+    # a path photon, three photons in the analyzer at d = 3, and a photon
+    # the analyzer never reaches: each raises its own error at any weight
+    strays = (
+        ({setup.photon("H", "path-b"): 1}, ValueError, "spatial target modes are not empty"),
+        ({fiber_h: 2, fiber_v: 1}, TruncationOverflowError, "at most d - 1 = 2 photons"),
+        ({setup.photon("H", "dump"): 1}, ValueError,
+         "left outside the detector and atomic modes"),
+    )
+    for stray, error, message in strays:
+        for weight in (1e-7, 1.0):
+            state = with_stray(stray, weight)
+            for _ in range(2):  # an error pattern is not tabled: it raises again
+                with pytest.raises(error, match=message) as info:
+                    write_events(state, 0.6, 0.8j, setup)
+                assert type(info.value) is error
+            if error is TruncationOverflowError:
+                assert info.value.lost_weight == pytest.approx(weight**2 / (2 + weight**2),
+                                                               rel=1e-12)
+    assert len(setup._analyzer) == 2  # the two one-photon patterns
+    # photons left on the emission arms (no eraser) never reach the analyzer
+    with pytest.raises(ValueError, match="left outside"):
+        write_events(joint_emission_state(0.1, setup), 0.6, 0.8j, setup)
     spilling = basis_state(setup.registry, {fiber_h: 2, fiber_v: 1})
+    with pytest.raises(TruncationOverflowError) as info:
+        write_events(spilling, 0.6, 0.8j, setup)
+    assert info.value.lost_weight == 1.0
+
+    # the reference path keeps its tolerances: it accepts each stray at
+    # 1e-7 (a path weight below 1e-9, an overflow below the lift's
+    # tolerance, a dump photon that factorizes) ...
+    for stray, _, _ in strays:
+        events = _lifted_write(with_stray(stray, 1e-7), 0.6, 0.8j, setup)
+        for k in range(4):
+            assert events[_single_click(k)][0] == pytest.approx(0.25, abs=1e-12)
+    # ... and rejects a path photon at full weight, arm photons that do not
+    # factorize against the atoms, and three photons at full weight
+    with pytest.raises(ValueError, match="not empty"):
+        _lifted_write(with_stray(strays[0][0], 1.0), 0.6, 0.8j, setup)
+    with pytest.raises(ValueError, match="factorize"):
+        _lifted_write(joint_emission_state(0.1, setup), 0.6, 0.8j, setup)
     with pytest.raises(TruncationOverflowError):
         _lifted_write(spilling, 0.6, 0.8j, setup)
-    with pytest.raises(TruncationOverflowError):
-        write_events(spilling, 0.6, 0.8j, setup)
 
 
 def _bits(events):
@@ -620,12 +663,12 @@ def test_permanent_oracle_matches_write_events(d, qubit):
         return permanent_event_table(emitted, u.conj() if conj else u,
                                      setup.detectors, setup.atomic_registry)
 
-    encode, bsm = setup.encode_elements(alpha, beta), setup.bsm_elements()
+    encode, bsm = encode_elements(setup, alpha, beta), setup.bsm_elements()
     assert _agrees(oracle(encode, bsm), events)
     # negative controls: a half-wave plate dropped, alpha and beta swapped,
     # the composed matrix conjugated
     assert not _agrees(oracle(encode, bsm[:1] + bsm[2:]), events)
-    assert not _agrees(oracle(setup.encode_elements(beta, alpha), bsm), events)
+    assert not _agrees(oracle(encode_elements(setup, beta, alpha), bsm), events)
     assert not _agrees(oracle(encode, bsm, conj=True), events)
 
 

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
+from dense_oracle import basis_state
 from dfsmem.fock import (
-    basis_state,
     born_probabilities,
     fidelity_pure,
     vacuum,

@@ -1,4 +1,5 @@
 import bisect
+import cmath
 import dataclasses
 import math
 
@@ -7,9 +8,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import compose, encode_elements, permanent_event_table
 from dfsmem import trials
 from dfsmem.noise import NoiseParams, p1_analytic, preparation_time
-from dfsmem.protocol import _herald_rounds, event_cdf, write_memory
+from dfsmem.protocol import (
+    OUTCOME_OF_DETECTOR,
+    WRITE_CLICK_RULE,
+    BellOutcome,
+    _herald_rounds,
+    build_write_setup,
+    event_cdf,
+    joint_emission_state,
+    write_memory,
+)
 from dfsmem.trials import (
     DetectorSpec,
     RunConfig,
@@ -587,3 +598,87 @@ def test_trial_rng_memo_keeps_seeds_apart():
     for i in (trials._BLOCK - 2, trials._BLOCK - 1, trials._BLOCK, 0, trials._BLOCK + 1):
         for seed in (a, b, a):
             assert np.array_equal(_stream_row(seed, i), _numpy_row(seed, i)), (seed, i)
+
+
+# -- the folded write table against the permanent oracle ----------------------
+
+_QUBIT = st.tuples(
+    st.floats(0.0, math.pi / 2), st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)
+).map(lambda t: (math.cos(t[0]) * cmath.exp(1j * t[1]), math.sin(t[0]) * cmath.exp(1j * t[2])))
+
+# each Bell outcome's correction on the dual-rail amplitudes (c0, c1), as in
+# the protocol's detector table: D1 I, D2 Z, D3 X, D4 ZX (X first, then Z)
+_CORRECTION = {
+    BellOutcome.PSI_PLUS: lambda c0, c1: (c0, c1),
+    BellOutcome.PSI_MINUS: lambda c0, c1: (c0, -c1),
+    BellOutcome.PHI_PLUS: lambda c0, c1: (c1, c0),
+    BellOutcome.PHI_MINUS: lambda c0, c1: (c1, -c0),
+}
+
+
+def _permanent_write_fold(pc, d, alpha, beta, det, rule=WRITE_CLICK_RULE):
+    """The noisy write's event table from permanents: the emission sent
+    through the composed eraser, encoder and analyzer
+    (:func:`dense_oracle.permanent_event_table`), each detector pattern, in
+    sorted order, weighted by ``det.clicks_probability`` for every click
+    vector of ``rule`` that can fire. Returns the herald probability, the
+    conditional probabilities, the outcome indices (into
+    ``OUTCOME_OF_DETECTOR``) and the corrected fidelities."""
+    setup = build_write_setup(d)
+    u = compose(setup.registry, setup.entangle_elements() + encode_elements(setup, alpha, beta)
+                + setup.bsm_elements())
+    table = permanent_event_table(joint_emission_state(pc, setup), u, setup.detectors,
+                                  setup.atomic_registry)
+    probs, index, fids = [], [], []
+    for pattern in sorted(table):
+        p, amps = table[pattern]
+        # |0> excites the right ensemble, |1> the left; atomic order (L, R)
+        c0, c1 = amps.get((0, 1), 0j), amps.get((1, 0), 0j)
+        for clicks, outcome in rule.items():
+            w = det.clicks_probability(pattern, clicks)
+            if w <= 0.0:
+                continue
+            x0, x1 = _CORRECTION[outcome](c0, c1)
+            probs.append(p * w)
+            index.append(OUTCOME_OF_DETECTOR.index(outcome))
+            fids.append(abs(alpha.conjugate() * x0 + beta.conjugate() * x1) ** 2)
+    herald = sum(probs)
+    return herald, [q / herald for q in probs] if herald > 0.0 else probs, index, fids
+
+
+def _fold_matches(table, oracle, tol=1e-12) -> bool:
+    herald, cond, index, fids = oracle
+    return (abs(table.herald_probability - herald) <= tol
+            and len(table.probabilities) == len(cond)
+            and np.allclose(table.probabilities, cond, rtol=0.0, atol=tol)
+            and table.outcome_index.tolist() == index
+            and np.allclose(table.fidelity, fids, rtol=0.0, atol=tol))
+
+
+def _noisy_write_config(pc, d, qubit, eta, p_dc):
+    # at zero distance eta_prime is chi itself
+    return RunConfig(1, 0, pc=pc, alpha=qubit[0], beta=qubit[1],
+                     noise=NoiseParams(chi=eta, p_dc=p_dc), truncation=d)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pc=st.floats(0.0, 0.45, exclude_min=True, exclude_max=True),
+       d=st.sampled_from([3, 4]), qubit=_QUBIT,
+       eta=st.floats(0.0, 1.0), p_dc=st.floats(0.0, 0.01))
+def test_folded_write_table_matches_permanent_oracle(pc, d, qubit, eta, p_dc):
+    table = trials._write_event_table(_noisy_write_config(pc, d, qubit, eta, p_dc))
+    oracle = _permanent_write_fold(pc, d, *qubit, DetectorSpec(eta, p_dc))
+    assert _fold_matches(table, oracle)
+
+
+def test_folded_write_table_oracle_negative_controls():
+    qubit = (0.5 * cmath.exp(0.3j), 0.8660254037844386 * cmath.exp(-1.1j))
+    table = trials._write_event_table(_noisy_write_config(0.2, 3, qubit, 0.8, 1e-3))
+    assert _fold_matches(table, _permanent_write_fold(0.2, 3, *qubit, DetectorSpec(0.8, 1e-3)))
+    # the efficiency swapped with its complement
+    assert not _fold_matches(table, _permanent_write_fold(0.2, 3, *qubit, DetectorSpec(0.2, 1e-3)))
+    # the click rule's outcomes permuted over its click vectors
+    clicks, outcomes = list(WRITE_CLICK_RULE), list(WRITE_CLICK_RULE.values())
+    permuted = dict(zip(clicks, outcomes[1:] + outcomes[:1]))
+    assert not _fold_matches(table, _permanent_write_fold(0.2, 3, *qubit, DetectorSpec(0.8, 1e-3),
+                                                          rule=permuted))

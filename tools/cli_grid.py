@@ -8,7 +8,8 @@ remote-transfer and oracle-check; the two curve commands at the README
 example flags; end_to_end_fidelity and the remote oracle_check at the three
 pc, ideal and noisy; and, at the three pc with noisy detection, the records
 CSV and statistics of run_write_trials (with a round cap that censors trials)
-and run_remote_trials.
+and run_remote_trials; and one command per non-finite configuration value,
+each of which must exit 2 and write nothing.
 Each CLI file holds the output the command wrote, its exit code and its stdout
 with OUTDIR stripped. Run the script from two checkouts into two
 directories; ``diff -r`` between them then lists every output that changed.
@@ -59,6 +60,21 @@ CURVES = {
     "curves-fig4b": ["--t-list", "2e-05;3e-05;4e-05", "--points", "50"],
 }
 
+# command and flags of each non-finite value the configuration rejects
+MISTAKES = {
+    "alpha-nan": ["teleport", "--alpha", "nan"],
+    "t-min-nan": ["curves-fig4a", "--t-min", "nan"],
+    "t-max-nan": ["curves-fig4a", "--t-max", "nan"],
+    "t-max-inf": ["curves-fig4a", "--t-max", "inf"],
+    "t-list-nan": ["curves-fig4b", "--t-list", "nan"],
+    "f-p-nan": ["teleport", "--f-p", "nan"],
+    "f-p-inf": ["teleport", "--f-p", "inf"],
+    "l0-nan": ["teleport", "--l0", "nan"],
+    "l0-inf": ["teleport", "--l0", "inf"],
+    "l-att-nan": ["teleport", "--l-att", "nan"],
+    "l-att-inf": ["teleport", "--l-att", "inf"],
+}
+
 
 def run_cli(outdir: Path, name: str, argv: list[str]) -> None:
     """Run one command, then replace its output by output + exit code + stdout."""
@@ -88,6 +104,8 @@ def main_grid(outdir: Path) -> int:
             run_cli(outdir, f"{command}_pc{pc}_d{d}_q{k}_{detection}.json", argv)
     for command, flags in CURVES.items():
         run_cli(outdir, f"{command}.csv", [command, *flags])
+    for name, (command, *flags) in MISTAKES.items():
+        run_cli(outdir, f"mistake_{name}.json", [command, "--trials", "2000", *flags])
     for pc, detection in itertools.product(PCS, DETECTION):
         noise = NoiseParams(pc=float(pc), **(NOISY if detection == "noisy" else {}))
         report = end_to_end_fidelity(float(pc), noise)
