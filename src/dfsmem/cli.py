@@ -1,8 +1,9 @@
 """Command-line front end: experiment dispatch plus CSV/JSON emission.
 
-Each field ``foo_bar`` of :class:`CliConfig` is the flag ``--foo-bar`` and the
-config-file key ``foo_bar``; flags may come before or after the command, and
-every command accepts every flag. Values resolve as hard defaults, then
+Each field ``foo_bar`` of :class:`CliConfig` is the flag ``--foo-bar``, spelled
+in full, and the config-file key ``foo_bar``; flags may come before or after
+the command, every command accepts every flag, and ``--foo-bar=value`` is the
+form a value with a leading minus needs. Values resolve as hard defaults, then
 ``DFS_SIM_SEED`` (the seed only), then a ``--config`` key=value file, then
 explicit flags. Amplitudes parse as "re,im" or "mag@degrees". Exit codes:
 0 success, 1 simulation failure, 2 configuration error (every bad parameter).
@@ -17,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fock import fidelity_mixed, fidelity_pure
 from .noise import NoiseParams, dF_vs_eta, fidelity_vs_T
@@ -85,8 +86,8 @@ def parse_float_list(text: str) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class CliConfig:
     """One CLI invocation, validated on construction: ``RunConfig`` and
-    ``NoiseParams`` check the fields :meth:`run_config` hands them, and
-    ``__post_init__`` checks the rest."""
+    ``NoiseParams`` check the fields they are built from, once, into
+    :attr:`run_config`, and ``__post_init__`` checks the rest."""
 
     command: str
     pc: float = 0.01
@@ -112,9 +113,21 @@ class CliConfig:
     eta_max: float = 1.0
     output: str = ""
     format: str = ""
+    run_config: RunConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.run_config()
+        total = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        if 1e-12 < abs(total - 1.0) <= NORMALIZATION_GUARD:  # near-unit: renormalize
+            norm = math.sqrt(total)
+            object.__setattr__(self, "alpha", self.alpha / norm)
+            object.__setattr__(self, "beta", self.beta / norm)
+        noise = NoiseParams(chi=self.chi, eta_d=self.eta_d, p_dc=self.p_dc,
+                            L0=self.l0, L_att=self.l_att, f_p=self.f_p)
+        object.__setattr__(self, "run_config", RunConfig(
+            trial_count=self.trials, master_seed=self.seed, pc=self.pc,
+            alpha=self.alpha, beta=self.beta, noise=noise,
+            threads=self.threads, truncation=self.truncation,
+        ))
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(f"efficiency={self.efficiency} outside [0, 1]")
         if self.points < 1:
@@ -132,22 +145,8 @@ class CliConfig:
         directory = os.path.dirname(self.output_path()) or "."
         if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
             raise ValueError(f"output directory {directory!r} is missing or not writable")
-        total = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if not abs(total - 1.0) <= NORMALIZATION_GUARD:  # NaN fails it too
             raise ValueError(f"(alpha, beta) not normalized: |a|^2+|b|^2 = {total}")
-        if abs(total - 1.0) > 1e-12:
-            norm = math.sqrt(total)
-            object.__setattr__(self, "alpha", self.alpha / norm)
-            object.__setattr__(self, "beta", self.beta / norm)
-
-    def run_config(self) -> RunConfig:
-        noise = NoiseParams(chi=self.chi, eta_d=self.eta_d, p_dc=self.p_dc,
-                            L0=self.l0, L_att=self.l_att, f_p=self.f_p)
-        return RunConfig(
-            trial_count=self.trials, master_seed=self.seed, pc=self.pc,
-            alpha=self.alpha, beta=self.beta, noise=noise,
-            threads=self.threads, truncation=self.truncation,
-        )
 
     def output_path(self) -> str:
         return self.output or f"{self.command}.{self.resolved_format()}"
@@ -162,7 +161,7 @@ class CliConfig:
 _CODECS = {float: float, int: int, str: str, complex: parse_amplitude, tuple: parse_float_list}
 _PARAMS = {
     f.name: _CODECS[type(f.default)] for f in dataclasses.fields(CliConfig)
-    if f.name != "command"
+    if f.init and f.name != "command"
 }
 
 
@@ -174,6 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfsmem",
         description="decoherence-free atomic-ensemble quantum memory simulator",
+        allow_abbrev=False,  # an abbreviated flag is a configuration mistake
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="key=value parameter file")
@@ -331,7 +331,7 @@ def run(cfg: CliConfig) -> int:
 
     if cfg.command in ("teleport", "remote-transfer"):
         run_trials = run_write_trials if cfg.command == "teleport" else run_remote_trials
-        stats = run_trials(cfg.run_config())
+        stats = run_trials(cfg.run_config)
         path = _emit(cfg, lambda: _stats_rows(stats), lambda: stats)
         print(
             f"{cfg.command}: success_rate={stats.success_rate:.6g} "
@@ -401,7 +401,7 @@ def run(cfg: CliConfig) -> int:
         return 0
 
     if cfg.command == "oracle-check":
-        report = oracle_check(cfg.run_config())
+        report = oracle_check(cfg.run_config)
         path = _emit(
             cfg,
             lambda: (["name", "empirical", "exact", "sigma_distance", "flagged"],

@@ -455,17 +455,3 @@ def restrict_state(state: PureState, registry: ModeRegistry) -> PureState:
     """
     return _restrictor(state.registry, registry)(state)
 
-
-def embed_state(state: PureState, registry: ModeRegistry) -> PureState:
-    """Extend a state onto a larger registry, new modes in vacuum."""
-    src = state.registry
-    if registry.d != src.d:
-        raise ValueError("registries disagree on truncation")
-    pos = [registry.index(lab) for lab in src.labels]
-    out: dict[tuple[int, ...], complex] = {}
-    for pattern, a in state.items():
-        new = [0] * len(registry)
-        for p, o in zip(pos, pattern):
-            new[p] = o
-        out[tuple(new)] = a
-    return PureState(registry, out)

@@ -250,8 +250,10 @@ def apply_loss(
     for lost in sorted(groups):
         kept = PureState._trusted(registry, groups[lost])
         weight = kept.norm_squared()
-        if weight:
-            components.append((weight, kept.normalize()))
+        if weight:  # normalized by the weight just summed, as normalize() would
+            norm = math.sqrt(weight)
+            components.append(
+                (weight, PureState._trusted(registry, {p: a / norm for p, a in kept.items()})))
     return MixedState(tuple(components))
 
 

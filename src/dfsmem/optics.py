@@ -5,27 +5,23 @@ elements (no reflection phase). Any self-consistent convention works
 because the unused ports start in vacuum; the detector-mapping tests pin
 these down end to end.
 
-The fixed-matrix constructors (``qwp``, ``pbs``, ``hwp``, ``swap`` and
-``pol_rotator`` through it, ``bs50``) return shared elements: equal
-arguments give the same :class:`~dfsmem.fock.OpticalElement`, whose matrix
-is read-only and whose Fock-lift table therefore carries over from one
-request to the next. ``phase_shifter`` depends on continuous parameters
-and builds a new element per call.
+The constructors (``qwp``, ``pbs``, ``hwp``, ``swap`` and ``pol_rotator``
+through it, ``bs50``) return shared elements: equal arguments give the same
+:class:`~dfsmem.fock.OpticalElement`, whose matrix is read-only and whose
+Fock-lift table therefore carries over from one request to the next.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .fock import ModeLabel, OpticalElement
 
 AMPLITUDE_PAIR_TOL = 1e-9
-# distinct fixed elements kept per constructor; the CLI grid builds 20 in all
+# distinct elements kept per constructor; the CLI grid builds 15 in all
 _SHARED_ELEMENTS = 64
 
 
@@ -104,10 +100,3 @@ def bs50(mode_1: ModeLabel, mode_2: ModeLabel) -> OpticalElement:
     m = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     return OpticalElement("bs50", (mode_1, mode_2), m)
 
-
-def phase_shifter(modes: Sequence[ModeLabel], phases: Sequence[float]) -> OpticalElement:
-    """Diagonal element exp(i*phi_k) on each listed mode."""
-    if len(modes) != len(phases):
-        raise ValueError("one phase per mode required")
-    m = np.diag([cmath.exp(1j * p) for p in phases])
-    return OpticalElement("phase_shifter", tuple(modes), m)

@@ -39,9 +39,7 @@ from .fock import (
     PureState,
     TruncationOverflowError,
     apply_elements,
-    apply_unitary,
     atomic_mode,
-    embed_state,
     photon_mode,
     project_total_occupation,
     register_modes,
@@ -54,7 +52,6 @@ from .optics import (
     check_amplitude_pair,
     hwp,
     pbs,
-    phase_shifter,
     pol_rotator,
     qwp,
     swap,
@@ -125,20 +122,24 @@ class LogicalQubitMap:
 def apply_logical_pauli(
     state: PureState, mark: PauliMark, qmap: LogicalQubitMap
 ) -> PureState:
-    """Apply I/Z/X/ZX on the dual-rail logical qubit; global phases are not
-    tracked (the mark is classical side information)."""
-    if mark in (PauliMark.X, PauliMark.ZX):  # ZX: X first, then Z
-        state = apply_unitary(state, swap("logical_x", qmap.left, qmap.right))
-    if mark in (PauliMark.Z, PauliMark.ZX):
-        state = apply_unitary(state, _sign_flip(qmap.left))
-    return state
-
-
-@lru_cache(maxsize=16)
-def _sign_flip(mode: ModeLabel) -> OpticalElement:
-    """(-1)^n on ``mode``, the Z mark's sign on |1>; shared like the
-    fixed-matrix elements, so its lift table carries over between calls."""
-    return phase_shifter([mode], [math.pi])
+    """Apply I/Z/X/ZX on the dual-rail logical qubit, on the pattern table:
+    X exchanges the two rails' occupations, Z multiplies each amplitude by
+    (-1)^n of the left rail, and ZX is X first, then Z. Global phases are
+    not tracked (the mark is classical side information)."""
+    if mark is PauliMark.I:
+        return state
+    reg = state.registry
+    left, right = reg.index(qmap.left), reg.index(qmap.right)
+    flip = mark in (PauliMark.X, PauliMark.ZX)
+    sign = mark in (PauliMark.Z, PauliMark.ZX)
+    out: dict[tuple[int, ...], complex] = {}
+    for pattern, a in state.items():
+        if flip:
+            p = list(pattern)
+            p[left], p[right] = pattern[right], pattern[left]
+            pattern = tuple(p)
+        out[pattern] = -a if sign and pattern[left] % 2 else a
+    return PureState._trusted(reg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -505,42 +506,18 @@ def write_memory(
 
 
 class ReadSetup:
-    """Registry and elements for retrieval and recombination."""
+    """The read-out's output pair: the anti-Stokes H and V modes of the
+    ``out`` port, and the atomic pair it reads from."""
 
     def __init__(self, d: int = 3):
         self.d = d
-        self.s_l = atomic_mode("ensemble-L")
-        self.s_r = atomic_mode("ensemble-R")
-        spots = [
-            ("H", "read-L"), ("V", "read-L"), ("H", "read-R"), ("V", "read-R"),
-            ("H", "out"), ("V", "out"), ("H", "spill"), ("V", "spill"),
-        ]
-        self._photon = {key: photon_mode("anti-stokes", *key) for key in spots}
-        self.registry = register_modes(
-            [self.s_l, self.s_r] + [self._photon[k] for k in spots], d
-        )
-        self.out_h = self.photon("H", "out")
-        self.out_v = self.photon("V", "out")
+        self.atomic_registry = register_modes(
+            [atomic_mode("ensemble-L"), atomic_mode("ensemble-R")], d)
+        self.out_h = photon_mode("anti-stokes", "H", "out")
+        self.out_v = photon_mode("anti-stokes", "V", "out")
+        self.registry = register_modes([self.out_h, self.out_v], d)
         # the retrieved polarization qubit, |1> = H
         self.out_logical = LogicalQubitMap(left=self.out_h, right=self.out_v)
-
-    def photon(self, polarization: str, spatial: str) -> ModeLabel:
-        return self._photon[(polarization, spatial)]
-
-    def recombine(self) -> OpticalElement:
-        ph = self.photon
-        return pbs(
-            ph("H", "read-L"), ph("V", "read-L"), ph("H", "read-R"), ph("V", "read-R"),
-            ph("H", "out"), ph("V", "out"), ph("H", "spill"), ph("V", "spill"),
-        )
-
-    def read_elements(self) -> list[OpticalElement]:
-        """Lossless retrieval of both ensembles, then the recombining PBS."""
-        return [
-            swap("retrieval_swap", self.s_l, self.photon("H", "read-L")),
-            swap("retrieval_swap", self.s_r, self.photon("V", "read-R")),
-            self.recombine(),
-        ]
 
 
 @lru_cache(maxsize=8)
@@ -555,20 +532,25 @@ def read_memory(record: TrialRecord, retrieval_efficiency: float) -> MixedState:
     At unit efficiency the output polarization qubit on the ``out`` port is
     alpha|V> + beta|H> for a stored alpha|0> + beta|1>; below unit efficiency
     the excitation survives with the given probability and is otherwise
-    replaced by vacuum. The state is lifted through
-    :meth:`ReadSetup.read_elements` once and traced once by
-    :func:`dfsmem.noise.apply_loss`.
+    replaced by vacuum. Retrieval maps ensemble-L onto an H and ensemble-R
+    onto a V anti-Stokes mode, and the recombining PBS routes those two one
+    to one onto out H and out V, with unit amplitudes: the read-out is a
+    relabelling of the stored pattern table onto the output pair, then
+    :func:`apply_logical_pauli` and :func:`dfsmem.noise.apply_loss`. A
+    stored state that is not on the write's atomic pair raises ValueError.
     """
     if not record.success:
         raise ValueError("cannot read an unsuccessful write record")
-    setup = build_read_setup(record.atomic_state.registry.d)
-    state = apply_elements(
-        embed_state(record.atomic_state, setup.registry), setup.read_elements()
-    )
+    stored = record.atomic_state
+    setup = build_read_setup(stored.registry.d)
+    if stored.registry != setup.atomic_registry:
+        raise ValueError("the stored state is not on the write's atomic pair "
+                         "(ensemble-L, ensemble-R)")
+    # ensemble-L -> out H and ensemble-R -> out V keep each pattern as it is
+    state = PureState._trusted(setup.registry, dict(stored.items()))
     state = apply_logical_pauli(state, record.mark, setup.out_logical)
-    # Retrieval loss may act last: the PBS maps read-L H and read-R V one to
-    # one onto out H and out V, and every mark commutes with equal loss on
-    # that pair (X swaps the two modes, Z is a phase).
+    # Retrieval loss may act last: every mark commutes with equal loss on
+    # the output pair (X swaps the two modes, Z is a sign).
     return apply_loss(state, [setup.out_h, setup.out_v], retrieval_efficiency)
 
 

@@ -4,9 +4,11 @@ A short off-resonant Raman pulse leaves each ensemble in a number-correlated
 (two-mode-squeezed-form) state of the collective spin mode and the emitted
 Stokes mode, with amplitudes proportional to pc^(n/2) on |n, n>. This module
 computes pc from the pump and ensemble parameters; the two-ensemble write
-source is :func:`dfsmem.protocol.joint_emission_state`, and retrieval is the
-``retrieval_swap`` stage of :func:`dfsmem.protocol.read_memory` and
-:func:`dfsmem.protocol.remote_transfer`.
+source is :func:`dfsmem.protocol.joint_emission_state`. Retrieval maps each
+ensemble's excitations onto an anti-Stokes mode: :func:`dfsmem.protocol.read_memory`
+writes it as a relabelling of the stored pattern table onto the output pair,
+and :func:`dfsmem.protocol.remote_transfer` lifts it as the ``retrieval_swap``
+stage of its transfer table, once per truncation.
 """
 
 from __future__ import annotations

@@ -220,11 +220,16 @@ def _click_weights(det: DetectorSpec) -> dict:
     return {}
 
 
-def _fold(split, rule, det: DetectorSpec, fidelity):
+def _fold(split, rule, det: DetectorSpec, marked):
     """Events of an exact ``{pattern: (probability, state)}`` split under a
     ``{clicks: (outcome index or -1, mark)}`` rule: the total weight, the
     probabilities divided by it (unless 0), the outcome indices and fidelities
-    (``fidelity(state, mark)`` for a success, 0 for a failure)."""
+    (``|<marked[mark]|state>|^2`` for a success, 0 for a failure).
+
+    ``marked`` holds the target under each success's mark: |<t|P s>|^2 =
+    |<P t|s>|^2 for the self-inverse (up to sign) marks, and with the exact
+    signs of :func:`dfsmem.protocol.apply_logical_pauli` the two agree to
+    the last bit."""
     weights = _click_weights(det)
     probs, index, fids = [], [], []
     for pattern in sorted(split):
@@ -237,13 +242,19 @@ def _fold(split, rule, det: DetectorSpec, fidelity):
                 continue
             probs.append(p_pattern * w)
             index.append(k)
-            fids.append(fidelity(state, mark) if k >= 0 else 0.0)
+            fids.append(fidelity_pure(state, marked[mark]) if k >= 0 else 0.0)
     total = float(sum(probs))
     cond = np.array(probs) / total if total > 0.0 else np.array(probs)
     arrays = cond, np.array(index, dtype=int), np.array(fids)
     for a in arrays:  # the memoised tables are shared between callers
         a.setflags(write=False)
     return (total, *arrays)
+
+
+def _marked(target, rule, qmap) -> dict:
+    """The target under each mark of a success of ``rule``, for :func:`_fold`."""
+    return {mark: apply_logical_pauli(target, mark, qmap)
+            for k, mark in rule.values() if k >= 0}
 
 
 def _last_table(build):
@@ -268,13 +279,9 @@ def _write_event_table(cfg: RunConfig) -> _EventTable:
     setup = build_write_setup(cfg.truncation)
     events = write_events(entangled_state(cfg.pc, setup), cfg.alpha, cfg.beta, setup)
     target = setup.logical.logical_state(setup.atomic_registry, cfg.alpha, cfg.beta)
-    # |<t|P s>|^2 = |<P t|s>|^2 for the self-inverse (up to phase) marks;
-    # equal up to the last bit, since Z is the phase exp(i pi)
     rule = {clicks: (k, pauli_mark(o)) for k, (clicks, o) in enumerate(WRITE_CLICK_RULE.items())}
-    marked = {mark: apply_logical_pauli(target, mark, setup.logical) for _, mark in rule.values()}
     det = DetectorSpec(cfg.noise.eta_prime, cfg.noise.p_dc)
-    herald, cond, idx, fid = _fold(events, rule, det,
-                                   lambda atomic, mark: fidelity_pure(atomic, marked[mark]))
+    herald, cond, idx, fid = _fold(events, rule, det, _marked(target, rule, setup.logical))
     exact_outcomes = {
         o.value: float(cond[idx == k].sum()) for k, o in enumerate(OUTCOME_OF_DETECTOR)
     }
@@ -286,17 +293,10 @@ def _write_event_table(cfg: RunConfig) -> _EventTable:
 def _remote_event_table(cfg: RunConfig) -> _EventTable:
     setup = build_remote_setup(cfg.truncation)
     target = setup.r_logical.logical_state(setup.r_registry, cfg.alpha, cfg.beta)
-
-    # marks act on the branch state, once per state and mark; on the target
-    # (as in the write table) Z's exp(i pi) phase would move these fidelities
-    # in the last bit, which the remote outputs show
-    @functools.cache
-    def fidelity(r_state, mark):
-        return fidelity_pure(apply_logical_pauli(r_state, mark, setup.r_logical), target)
-
     rule = {clicks: (0 if ok else -1, mark) for clicks, (ok, mark) in REMOTE_CLICK_RULE.items()}
     _, cond, idx, fid = _fold(remote_transfer(cfg.alpha, cfg.beta, setup), rule,
-                              DetectorSpec(cfg.noise.eta_prime, cfg.noise.p_dc), fidelity)
+                              DetectorSpec(cfg.noise.eta_prime, cfg.noise.p_dc),
+                              _marked(target, rule, setup.r_logical))
     ok = idx >= 0
     success_prob = float(cond[ok].sum())
     mean_fid = float((cond * fid)[ok].sum() / success_prob) if success_prob else 0.0

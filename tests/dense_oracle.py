@@ -17,9 +17,15 @@ against. The module also holds the one-mode references ``apply_creation``
 (bosonic raising) and ``project_occupation`` (one-mode projection) that the
 lift and ``split_by_pattern`` are checked against, and the state builders
 ``basis_state`` and ``product_state``; the package itself needs none of
-these.
+these. The lifted read-out is the reference for the closed-form marks and
+read-out of ``protocol``: ``phase_shifter`` and ``lifted_logical_pauli``
+(the X mark as a ``logical_x`` swap, the Z mark as a pi phase), and
+``lifted_read`` (the stored state embedded by ``embed_state`` on the
+retrieval registry of ``read_network``, the retrieval swaps and the
+recombining PBS lifted, then the mark and ``noise.apply_loss``).
 """
 
+import cmath
 import itertools
 import math
 
@@ -257,7 +263,7 @@ def _loss_network(state, modes, survival):
     """The loss channel as a network: one vacuum sink per listed mode, the
     state embedded on the registry enlarged by the sinks, and one
     ``loss_coupler`` from each mode into its sink."""
-    from dfsmem.fock import embed_state, photon_mode, register_modes
+    from dfsmem.fock import photon_mode, register_modes
 
     registry = state.registry
     sinks = [photon_mode("loss-sink", "H", f"of-{registry.index(m)}") for m in modes]
@@ -285,6 +291,92 @@ def permanent_loss(state, modes, survival) -> list:
     big, sinks, couplers = _loss_network(state, modes, survival)
     table = permanent_event_table(big, compose(big.registry, couplers), sinks, state.registry)
     return [(k, w, amps) for k, (w, amps) in sorted(table.items())]
+
+
+def embed_state(state, registry):
+    """Extend a state onto a larger registry, new modes in vacuum. A mode of
+    the state that ``registry`` does not hold, or another truncation,
+    raises ValueError."""
+    from dfsmem.fock import PureState
+
+    src = state.registry
+    if registry.d != src.d:
+        raise ValueError("registries disagree on truncation")
+    pos = [registry.index(lab) for lab in src.labels]
+    out: dict[tuple[int, ...], complex] = {}
+    for pattern, a in state.items():
+        new = [0] * len(registry)
+        for p, o in zip(pos, pattern):
+            new[p] = o
+        out[tuple(new)] = a
+    return PureState(registry, out)
+
+
+def phase_shifter(modes, phases):
+    """Diagonal element exp(i*phi_k) on each listed mode."""
+    from dfsmem.fock import OpticalElement
+
+    if len(modes) != len(phases):
+        raise ValueError("one phase per mode required")
+    m = np.diag([cmath.exp(1j * p) for p in phases])
+    return OpticalElement("phase_shifter", tuple(modes), m)
+
+
+def lifted_logical_pauli(state, mark, qmap):
+    """The dual-rail mark through the Fock lift: X as the ``logical_x`` swap
+    of the two rails, then Z as a pi phase on the left rail. exp(i pi)
+    carries an imaginary part of 1.2e-16, so the lifted Z is -1 only to
+    that accuracy."""
+    from dfsmem.fock import apply_unitary
+    from dfsmem.optics import swap
+    from dfsmem.protocol import PauliMark
+
+    if mark in (PauliMark.X, PauliMark.ZX):
+        state = apply_unitary(state, swap("logical_x", qmap.left, qmap.right))
+    if mark in (PauliMark.Z, PauliMark.ZX):
+        state = apply_unitary(state, phase_shifter([qmap.left], [math.pi]))
+    return state
+
+
+def read_network(d: int):
+    """The read-out as an optical network: (registry, elements, out H, out
+    V). Both ensembles are swapped onto anti-Stokes modes (ensemble-L onto
+    H@read-L, ensemble-R onto V@read-R), and a PBS recombines read-L and
+    read-R onto the ``out`` port, its other port ``spill``."""
+    from dfsmem.fock import atomic_mode, photon_mode, register_modes
+    from dfsmem.optics import pbs, swap
+
+    s_l, s_r = atomic_mode("ensemble-L"), atomic_mode("ensemble-R")
+    ph = {(pol, spot): photon_mode("anti-stokes", pol, spot)
+          for spot in ("read-L", "read-R", "out", "spill") for pol in ("H", "V")}
+    registry = register_modes([s_l, s_r, *ph.values()], d)
+    elements = [
+        swap("retrieval_swap", s_l, ph["H", "read-L"]),
+        swap("retrieval_swap", s_r, ph["V", "read-R"]),
+        pbs(*(ph[pol, spot] for spot in ("read-L", "read-R", "out", "spill")
+              for pol in ("H", "V"))),
+    ]
+    return registry, elements, ph["H", "out"], ph["V", "out"]
+
+
+def lifted_read(record, efficiency: float):
+    """``protocol.read_memory`` through the Fock lift: the stored state
+    embedded on :func:`read_network`'s registry, the network lifted, the
+    mark applied by :func:`lifted_logical_pauli` on the output pair, and
+    the loss of ``noise.apply_loss``; each mixture component is returned
+    restricted to the output pair, where ``read_memory`` leaves it."""
+    from dfsmem.fock import (
+        MixedState, apply_elements, register_modes, restrict_state,
+    )
+    from dfsmem.noise import apply_loss
+    from dfsmem.protocol import LogicalQubitMap
+
+    registry, elements, out_h, out_v = read_network(record.atomic_state.registry.d)
+    state = apply_elements(embed_state(record.atomic_state, registry), elements)
+    state = lifted_logical_pauli(state, record.mark, LogicalQubitMap(left=out_h, right=out_v))
+    pair = register_modes([out_h, out_v], registry.d)
+    mixed = apply_loss(state, [out_h, out_v], efficiency)
+    return MixedState(tuple((w, restrict_state(s, pair)) for w, s in mixed.components))
 
 
 def apply_creation(state, mode):

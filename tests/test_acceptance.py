@@ -13,19 +13,16 @@ from dfsmem.fock import (
     apply_elements,
     apply_unitary,
     born_probabilities,
-    embed_state,
     fidelity_pure,
     photon_mode,
     register_modes,
     superposition,
 )
 from dfsmem.noise import NoiseParams, end_to_end_fidelity
-from dfsmem.optics import phase_shifter
 from dfsmem.protocol import (
     BellOutcome,
     REMOTE_CLICK_RULE,
     apply_logical_pauli,
-    build_read_setup,
     build_remote_setup,
     build_write_setup,
     joint_emission_state,
@@ -36,9 +33,12 @@ from dfsmem.trials import RunConfig, oracle_check, run_remote_trials
 from dfsmem.cli import main
 from dense_oracle import (
     basis_state,
+    embed_state,
     encode_elements,
     loss_coupler,
+    phase_shifter,
     product_state,
+    read_network,
     sparse_vs_dense,
 )
 
@@ -212,8 +212,9 @@ def test_criterion_7_oracle_equivalence():
             worst = max(worst, sparse_vs_dense(state, el))
             state = apply_unitary(state, el)
 
-    # the remote and read networks exactly as remote_transfer and
-    # read_memory lift them, then one loss coupler into a sink mode
+    # the remote network exactly as remote_transfer lifts it, and the read
+    # network that read_memory writes in closed form, then one loss coupler
+    # into a sink mode
     remote = build_remote_setup()
     sender = superposition(remote.registry, [({remote.i2: 1}, 0.6), ({remote.i1: 1}, 0.8)])
     resource = superposition(remote.registry, [
@@ -225,14 +226,15 @@ def test_criterion_7_oracle_equivalence():
         worst = max(worst, sparse_vs_dense(state, el))
         state = apply_unitary(state, el)
 
-    read = build_read_setup()
-    state = superposition(read.registry, [({read.s_r: 1}, 0.6), ({read.s_l: 1}, 0.8)])
-    for el in read.read_elements():
+    registry, elements, out_h, _ = read_network(3)
+    s_l, s_r = registry.labels[:2]
+    state = superposition(registry, [({s_r: 1}, 0.6), ({s_l: 1}, 0.8)])
+    for el in elements:
         worst = max(worst, sparse_vs_dense(state, el))
         state = apply_unitary(state, el)
     sink = photon_mode("loss-sink", "H", "read-out")
-    lossy = embed_state(state, register_modes(list(read.registry.labels) + [sink], read.d))
-    worst = max(worst, sparse_vs_dense(lossy, loss_coupler(read.out_h, sink, 0.37)))
+    lossy = embed_state(state, register_modes(list(registry.labels) + [sink], registry.d))
+    worst = max(worst, sparse_vs_dense(lossy, loss_coupler(out_h, sink, 0.37)))
     assert worst < 1e-12
 
     report = oracle_check(

@@ -76,6 +76,8 @@ CONFIG_MISTAKES = [
     pytest.param(["--format", "xml"], None, id="format"),
     pytest.param(["--output", "/missing-dir/x.json"], None, id="output"),
     pytest.param([], "12.5", id="env-seed"),
+    # flags are spelled in full: a unique prefix is not read as its flag
+    pytest.param(["--tri", "7"], None, id="abbreviated-flag"),
     # non-finite values, each a test that NaN or infinity used to pass
     pytest.param(["--alpha", "nan"], None, id="alpha-nan"),
     pytest.param(["--t-min", "nan"], None, id="t-min-nan"),
@@ -100,6 +102,30 @@ def test_every_config_mistake_exits_2(command, flags, env_seed, tmp_path, monkey
     out = tmp_path / "out"
     assert main([command, "--trials", "10", "--output", str(out), *flags]) == 2
     assert not out.exists()
+
+
+def test_flags_take_the_name_equals_value_form(tmp_path, capsys):
+    cfg = parse_config(["teleport", "--alpha=-0.6,0", "--beta=0,0.8", "--trials=7"])
+    assert (cfg.alpha, cfg.beta, cfg.trials) == (complex(-0.6, 0.0), complex(0.0, 0.8), 7)
+    # spaced, a value with a leading minus reads as a flag
+    out = tmp_path / "out"
+    assert main(["teleport", "--alpha", "-0.6,0", "--beta", "0,0.8", "--trials", "7",
+                 "--output", str(out)]) == 2
+    assert "--alpha: expected one argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["teleport", "remote-transfer", "oracle-check"])
+def test_cli_config_builds_its_run_config_once(command, tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "RunConfig", lambda **k: built.append(k) or RunConfig(**k))
+    assert main([command, "--alpha", "0.7071,0", "--beta", "0,0.7071", "--trials", "50",
+                 "--output", str(tmp_path / "out.json")]) == 0
+    assert len(built) == 1
+    # the run reads the renormalized qubit
+    alpha, beta = built[0]["alpha"], built[0]["beta"]
+    assert alpha == parse_config([command, "--alpha", "0.7071,0", "--beta", "0,0.7071"]).alpha
+    assert abs(alpha) ** 2 + abs(beta) ** 2 == pytest.approx(1.0, abs=1e-15)
 
 
 def test_seed_precedence(tmp_path, monkeypatch):

@@ -344,6 +344,19 @@ def test_apply_loss_builds_no_network(monkeypatch):
     assert _loss_gap(apply_loss(state, modes, survival), reference) <= 1e-15
 
 
+def test_apply_loss_sums_each_component_weight_once(monkeypatch):
+    # one sum gives a component its weight and its normalization, and
+    # MixedState's check sums it once more
+    state, modes, survival = _two_photon_case()
+    sums = []
+    norm_squared = PureState.norm_squared
+    monkeypatch.setattr(PureState, "norm_squared",
+                        lambda self: sums.append(self) or norm_squared(self))
+    mixed = apply_loss(state, modes, survival)
+    assert len(mixed.components) > 1
+    assert len(sums) == 2 * len(mixed.components)
+
+
 @pytest.mark.parametrize("modes, survival, message", [
     pytest.param([PH], -0.1, r"survival -0.1 outside \[0, 1\]", id="survival-below-0"),
     pytest.param([PH], 1.1, r"survival 1.1 outside \[0, 1\]", id="survival-above-1"),

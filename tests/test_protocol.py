@@ -11,23 +11,30 @@ from dense_oracle import (
     compose,
     encode_elements,
     encode_spatial,
+    lifted_logical_pauli,
+    lifted_read,
+    max_amplitude_diff,
     permanent_event_table,
+    phase_shifter,
     product_state,
+    random_state,
 )
 from dfsmem.fock import (
     PureState,
     TruncationOverflowError,
+    atomic_mode,
     apply_elements,
     apply_unitary,
     born_probabilities,
     fidelity_mixed,
     fidelity_pure,
     project_total_occupation,
+    register_modes,
     split_by_pattern,
     superposition,
 )
 from dfsmem import protocol
-from dfsmem.optics import check_amplitude_pair, phase_shifter
+from dfsmem.optics import check_amplitude_pair
 from dfsmem.protocol import (
     BellOutcome,
     OUTCOME_OF_DETECTOR,
@@ -691,3 +698,79 @@ def test_permanent_oracle_matches_remote_transfer(d, qubit):
     assert not _agrees(oracle(alpha, beta, elements[:-1]), events)
     assert not _agrees(oracle(beta, alpha, elements), events)
     assert not _agrees(oracle(alpha.conjugate(), beta.conjugate(), elements), events)
+
+
+# The marks and the read-out are written in closed form; the lifted network
+# of tests/dense_oracle.py is their reference. X and the read relabel move
+# amplitudes without arithmetic, so on the one-excitation states a write
+# stores they equal the lift. The lifted Z multiplies by exp(i pi), whose
+# imaginary part is 1.2e-16, and a lift of n >= 2 photons divides and
+# multiplies by sqrt(n!), so Z, ZX and multi-excitation inputs agree to
+# 1e-15.
+
+_MARKS = st.sampled_from(list(PauliMark))
+_EXACT_MARKS = (PauliMark.I, PauliMark.X)
+
+
+def _stored(d, qubit, seed):
+    """A one-excitation logical state (``seed`` None) or a random state of
+    up to d - 1 excitations on the write's atomic pair."""
+    setup = build_write_setup(d)
+    if seed is None:
+        return setup, setup.logical.logical_state(setup.atomic_registry, *qubit)
+    return setup, random_state(setup.atomic_registry, np.random.default_rng(seed))
+
+
+def _marked_record(state, mark):
+    outcome = next(o for o in OUTCOME_OF_DETECTOR if pauli_mark(o) is mark)
+    clicks = tuple(o is outcome for o in OUTCOME_OF_DETECTOR)
+    return TrialRecord(1, clicks, outcome, mark, state, True)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(d=st.sampled_from([3, 4]), qubit=_QUBIT, mark=_MARKS,
+       seed=st.none() | st.integers(0, 2**32 - 1))
+def test_logical_pauli_matches_the_lift(d, qubit, mark, seed):
+    setup, state = _stored(d, qubit, seed)
+    got = apply_logical_pauli(state, mark, setup.logical)
+    want = lifted_logical_pauli(state, mark, setup.logical)
+    assert got.registry == want.registry
+    if seed is None and mark in _EXACT_MARKS:
+        assert list(got.items()) == list(want.items())
+    else:
+        assert max_amplitude_diff(got, dict(want.items())) <= 1e-15
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(d=st.sampled_from([3, 4]), qubit=_QUBIT, mark=_MARKS,
+       seed=st.none() | st.integers(0, 2**32 - 1), efficiency=st.floats(0.0, 1.0))
+def test_read_memory_matches_the_lifted_read(d, qubit, mark, seed, efficiency):
+    _, state = _stored(d, qubit, seed)
+    record = _marked_record(state, mark)
+    got = read_memory(record, efficiency).components
+    want = lifted_read(record, efficiency).components
+    assert len(got) == len(want)
+    assert all(s.registry == build_read_setup(d).registry for _, s in got + want)
+    if seed is None and mark in _EXACT_MARKS:
+        assert [(w, list(s.items())) for w, s in got] == [(w, list(s.items())) for w, s in want]
+    else:
+        for (w, s), (v, t) in zip(got, want):
+            assert abs(w - v) <= 1e-15
+            assert max_amplitude_diff(s, dict(t.items())) <= 1e-15
+
+
+def test_read_memory_reads_only_the_write_atomic_pair():
+    write, remote = build_write_setup(), build_remote_setup()
+    s_l, s_r = write.s_l, write.s_r
+    elsewhere = (
+        remote.r_logical.logical_state(remote.r_registry, 0.6, 0.8),
+        basis_state(register_modes([s_r, s_l], 3), {s_l: 1}),
+        basis_state(register_modes([s_l, s_r, atomic_mode("ensemble-X")], 3), {s_l: 1}),
+    )
+    for state in elsewhere:
+        with pytest.raises(ValueError, match="atomic pair"):
+            read_memory(_marked_record(state, PauliMark.I), 1.0)
+    # the lifted read embeds by label: it rejects a mode the read-out does
+    # not hold, as read_memory does
+    with pytest.raises(ValueError, match="not registered"):
+        lifted_read(_marked_record(elsewhere[0], PauliMark.I), 1.0)

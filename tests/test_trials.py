@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import compose, encode_elements, permanent_event_table
-from dfsmem import trials
+from dfsmem import fock, trials
 from dfsmem.noise import NoiseParams, p1_analytic, preparation_time
 from dfsmem.protocol import (
     OUTCOME_OF_DETECTOR,
@@ -19,6 +19,7 @@ from dfsmem.protocol import (
     build_write_setup,
     event_cdf,
     joint_emission_state,
+    read_memory,
     write_memory,
 )
 from dfsmem.trials import (
@@ -682,3 +683,23 @@ def test_folded_write_table_oracle_negative_controls():
     permuted = dict(zip(clicks, outcomes[1:] + outcomes[:1]))
     assert not _fold_matches(table, _permanent_write_fold(0.2, 3, *qubit, DetectorSpec(0.8, 1e-3),
                                                           rule=permuted))
+
+
+def test_warm_requests_lift_only_the_eraser(monkeypatch):
+    # the marks and the read-out are closed forms and the analyzer and the
+    # transfer are tables, so once the tables are built a read and a remote
+    # table lift nothing, and a write table lifts the eraser's four elements
+    cfg = RunConfig(10, 1, pc=0.1, alpha=0.6, beta=0.8j, noise=NOISY)
+    record = write_memory(0.6, 0.8j, 0.1, trial_rng(1, 0))
+    trials._write_event_table(cfg)
+    trials._remote_event_table(cfg)
+    lifted = []
+    lift = fock.apply_unitary
+    monkeypatch.setattr(fock, "apply_unitary",
+                        lambda state, element: lifted.append(element.name) or lift(state, element))
+    read_memory(record, 0.7)
+    assert lifted == []
+    trials._remote_event_table(dataclasses.replace(cfg))
+    assert lifted == []
+    trials._write_event_table(dataclasses.replace(cfg))
+    assert lifted == ["qwp", "qwp", "pol_rotator", "pbs"]

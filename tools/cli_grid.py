@@ -3,13 +3,14 @@
 Usage: python tools/cli_grid.py OUTDIR
 
 The grid is every pc in {0.01, 0.1, 0.2}, truncation in {3, 4}, three qubits
-and ideal or noisy detection, for bsm-stats, entangle, read, teleport,
-remote-transfer and oracle-check; the two curve commands at the README
-example flags; end_to_end_fidelity and the remote oracle_check at the three
-pc, ideal and noisy; and, at the three pc with noisy detection, the records
-CSV and statistics of run_write_trials (with a round cap that censors trials)
-and run_remote_trials; and one command per non-finite configuration value,
-each of which must exit 2 and write nothing.
+and ideal or noisy detection, for bsm-stats, entangle, teleport,
+remote-transfer, oracle-check and read, the read once per Pauli mark (each
+of its four seeds draws one mark at every grid point); the two curve
+commands at the README example flags; end_to_end_fidelity and the remote
+oracle_check at the three pc, ideal and noisy; and, at the three pc with
+noisy detection, the records CSV and statistics of run_write_trials (with a
+round cap that censors trials) and run_remote_trials; and one command per
+non-finite configuration value, each of which must exit 2 and write nothing.
 Each CLI file holds the output the command wrote, its exit code and its stdout
 with OUTDIR stripped. Run the script from two checkouts into two
 directories; ``diff -r`` between them then lists every output that changed.
@@ -44,13 +45,16 @@ DETECTION = {
     "ideal": [],
     "noisy": [arg for k, v in NOISY.items() for arg in ("--" + k.replace("_", "-"), repr(v))],
 }
+# output name -> (command, flags)
 COMMANDS = {
-    "bsm-stats": [],
-    "entangle": [],
-    "read": ["--seed", "5", "--efficiency", "0.7"],
-    "teleport": ["--trials", "2000", "--seed", "9"],
-    "remote-transfer": ["--trials", "2000", "--seed", "9"],
-    "oracle-check": ["--trials", "2000", "--seed", "9"],
+    "bsm-stats": ("bsm-stats", []),
+    "entangle": ("entangle", []),
+    "read": ("read", ["--seed", "5", "--efficiency", "0.7"]),  # mark ZX
+    "teleport": ("teleport", ["--trials", "2000", "--seed", "9"]),
+    "remote-transfer": ("remote-transfer", ["--trials", "2000", "--seed", "9"]),
+    "oracle-check": ("oracle-check", ["--trials", "2000", "--seed", "9"]),
+    **{f"read-mark-{mark}": ("read", ["--seed", seed, "--efficiency", "0.7"])
+       for mark, seed in (("I", "1"), ("X", "4"), ("Z", "7"))},
 }
 RECORDS = {"write": run_write_trials, "remote": run_remote_trials}
 ROUND_CAP = 20  # censors some noisy write trials at every pc of the grid
@@ -95,13 +99,13 @@ def write_json(path: Path, result) -> None:
 def main_grid(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     outdir = outdir.resolve()
-    for command, flags in COMMANDS.items():
+    for name, (command, flags) in COMMANDS.items():
         for pc, d, (k, (alpha, beta)), detection in itertools.product(
             PCS, TRUNCATIONS, enumerate(QUBITS), DETECTION
         ):
             argv = [command, "--pc", pc, "--truncation", d, "--alpha", alpha,
                     "--beta", beta, *DETECTION[detection], *flags]
-            run_cli(outdir, f"{command}_pc{pc}_d{d}_q{k}_{detection}.json", argv)
+            run_cli(outdir, f"{name}_pc{pc}_d{d}_q{k}_{detection}.json", argv)
     for command, flags in CURVES.items():
         run_cli(outdir, f"{command}.csv", [command, *flags])
     for name, (command, *flags) in MISTAKES.items():
