@@ -2,16 +2,18 @@
 
 Each field ``foo_bar`` of :class:`CliConfig` is the flag ``--foo-bar``, spelled
 in full, and the config-file key ``foo_bar``; flags may come before or after
-the command, every command accepts every flag, and ``--foo-bar=value`` is the
-form a value with a leading minus needs. Values resolve as hard defaults, then
-``DFS_SIM_SEED`` (the seed only), then a ``--config`` key=value file, then
-explicit flags. Amplitudes parse as "re,im" or "mag@degrees". Exit codes:
-0 success, 1 simulation failure, 2 configuration error (every bad parameter).
+the command, every command accepts every flag, and a flag takes its value as
+the next argument, whatever it starts with (``--alpha -0.6,0``), or as
+``--foo-bar=value``. One dict from flag to field reads the command line.
+Values resolve as hard defaults, then ``DFS_SIM_SEED`` (the seed only), then a
+``--config`` key=value file, then explicit flags. Amplitudes parse as "re,im"
+or "mag@degrees". ``-h``/``--help`` prints the commands and flags. Exit codes:
+0 success (and help), 1 simulation failure, 2 configuration error (every bad
+parameter, and a command line outside the grammar, with the usage line).
 """
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import dataclasses
 import json
@@ -165,24 +167,57 @@ _PARAMS = {
 }
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
+# flag -> CliConfig field, plus --config (the key=value file)
+_FLAGS = {"--" + name.replace("_", "-"): name for name in ("config", *_PARAMS)}
+USAGE = "usage: dfsmem COMMAND [--config FILE] [--FLAG VALUE | --FLAG=VALUE ...]"
+HELP = "\n".join([
+    USAGE, "", "commands: " + ", ".join(COMMANDS), "",
+    "flags (every command accepts every flag; default in brackets):",
+    "  --config FILE       key=value parameter file, read before the flags",
+    *(f"  --{f.name.replace('_', '-'):<17} [{f.default}]"
+      for f in dataclasses.fields(CliConfig) if f.name in _PARAMS),
+    "  -h, --help          print this help and exit",
+])
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dfsmem",
-        description="decoherence-free atomic-ensemble quantum memory simulator",
-        allow_abbrev=False,  # an abbreviated flag is a configuration mistake
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", help="key=value parameter file")
-    for name in _PARAMS:
-        parser.add_argument(_flag(name), dest=name)
-    return parser
+class UsageError(ConfigError):
+    """A command line that does not fit the grammar: :func:`main` prints
+    the usage line under the error."""
 
 
-_PARSER = _build_parser()  # built once, at import: a build costs about ten parses
+class HelpRequested(Exception):
+    """``-h`` or ``--help`` on the command line."""
+
+
+def _read_argv(argv: list[str]) -> tuple[str, dict[str, str]]:
+    """The command and the ``{field: text}`` of the flags, the last of a
+    repeated flag winning. A flag takes the next argument as its value,
+    whatever it starts with, or its value after ``=``."""
+    command = None
+    texts: dict[str, str] = {}
+    args = iter(argv)
+    for arg in args:
+        if arg.startswith("-"):
+            flag, eq, value = arg.partition("=")
+            name = _FLAGS.get(flag)
+            if name is None:
+                if arg in ("-h", "--help"):
+                    raise HelpRequested
+                raise UsageError(f"unknown flag {flag!r}")
+            if not eq:
+                value = next(args, None)
+                if value is None:
+                    raise UsageError(f"{flag} needs a value")
+            texts[name] = value
+        elif command is not None:
+            raise UsageError(f"a second command {arg!r} after {command!r}")
+        elif arg in COMMANDS:
+            command = arg
+        else:
+            raise UsageError(f"unknown command {arg!r} (choose from {', '.join(COMMANDS)})")
+    if command is None:
+        raise UsageError("no command given")
+    return command, texts
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -208,13 +243,14 @@ def _load_config_file(path: str) -> dict[str, str]:
 def parse_config(argv: list[str]) -> CliConfig:
     """Resolve defaults < DFS_SIM_SEED < config file < flags into a validated
     CliConfig; any bad value raises ConfigError."""
-    ns = _PARSER.parse_args(argv)
+    command, flags = _read_argv(argv)
+    config = flags.pop("config", None)
     texts: dict[str, str] = {}
     if DEFAULT_SEED_ENV in os.environ:
         texts["seed"] = os.environ[DEFAULT_SEED_ENV]
-    if ns.config:
-        texts.update(_load_config_file(ns.config))
-    texts.update((k, v) for k, v in vars(ns).items() if k in _PARAMS and v is not None)
+    if config:
+        texts.update(_load_config_file(config))
+    texts.update(flags)
     values: dict[str, object] = {}
     for name, text in texts.items():
         try:
@@ -222,7 +258,7 @@ def parse_config(argv: list[str]) -> CliConfig:
         except ValueError as exc:
             raise ConfigError(f"bad value for {name}: {exc}") from None
     try:
-        return CliConfig(command=ns.command, **values)
+        return CliConfig(command=command, **values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -420,11 +456,14 @@ def run(cfg: CliConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
+    except HelpRequested:
+        print(HELP)
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        if isinstance(exc, UsageError):
+            print(USAGE, file=sys.stderr)
         return 2
-    except SystemExit as exc:  # --help (0) or argparse rejection (2)
-        return int(exc.code or 0)
     try:
         return run(cfg)
     except ConfigError as exc:

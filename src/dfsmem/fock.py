@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -47,6 +48,8 @@ class ModeLabel:
 
     Photonic labels carry a polarization and a spatial-path tag; atomic
     labels carry neither, so the tags alone say which kind a label is.
+    Labels key every registry lookup and optics cache, so the hash of the
+    three tags is computed once, on construction.
     """
 
     subsystem: str
@@ -62,6 +65,13 @@ class ModeLabel:
             raise ValueError(
                 f"mode {self.subsystem!r}: unknown polarization tag {self.polarization!r}"
             )
+        object.__setattr__(self, "_hash", hash((self.subsystem, self.polarization, self.spatial)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, so a copy in another process rehashes its strings
+        return ModeLabel, (self.subsystem, self.polarization, self.spatial)
 
     def __str__(self):
         if self.polarization is None:
@@ -173,7 +183,12 @@ class PureState:
         return list(self._amp.keys())
 
     def norm_squared(self) -> float:
-        return sum((a.real * a.real + a.imag * a.imag) for a in self._amp.values())
+        # left to right, as split_by_pattern sums a pattern's probability:
+        # from Python 3.12 on, sum() of floats is compensated and can differ
+        total = 0.0
+        for a in self._amp.values():
+            total += a.real * a.real + a.imag * a.imag
+        return total
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
@@ -397,61 +412,59 @@ def born_probabilities(
     return probs
 
 
+def _picker(positions: Sequence[int]):
+    """The function from a pattern to the tuple of its entries at
+    ``positions``; an ``itemgetter`` where it returns a tuple (two or more
+    positions), which costs about half of a tuple comprehension."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda pattern: tuple([pattern[i] for i in positions])
+
+
 def split_by_pattern(
     state: PureState, modes: Sequence[ModeLabel], keep: ModeRegistry
 ) -> dict[tuple[int, ...], tuple[float, PureState]]:
-    """Split a state by its joint occupation pattern on ``modes`` in one pass.
+    """Split a state by its joint occupation pattern on ``modes``.
 
     Returns pattern -> (probability, normalized component restricted to
-    ``keep``) for every pattern :func:`born_probabilities` lists.
+    ``keep``) for every pattern :func:`born_probabilities` lists, in the
+    order the patterns first occur. One pass sums each pattern's probability
+    and groups its amplitudes; each group is then divided by the square root
+    of that sum and read at ``keep``'s positions, dropping amplitudes at or
+    below ``PRUNE_TOL`` as :meth:`PureState.normalize` does. Dropping the
+    modes that are neither split on nor kept is valid only when every kept
+    amplitude of a group carries the same occupations there (the component
+    factorizes against them); otherwise ValueError.
     """
     reg = state.registry
     idx = [reg.index(m) for m in modes]
+    key_of = _picker(idx)
     probs: dict[tuple[int, ...], float] = {}
-    groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
+    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], complex]]] = {}
     for pattern, a in state.items():
-        key = tuple(pattern[i] for i in idx)
+        key = key_of(pattern)
         probs[key] = probs.get(key, 0.0) + (a.real * a.real + a.imag * a.imag)
-        groups.setdefault(key, {})[pattern] = a
+        groups.setdefault(key, []).append((pattern, a))
     if not groups:
         return {}
-    restrict = _restrictor(reg, keep)
-    return {
-        key: (probs[key], restrict(PureState._trusted(reg, amp).normalize()))
-        for key, amp in groups.items()
-    }
-
-
-def _restrictor(src: ModeRegistry, registry: ModeRegistry):
-    """:func:`restrict_state` from ``src`` onto ``registry`` as a function of
-    the state, with the mode positions worked out once."""
-    if registry.d != src.d:
+    if keep.d != reg.d:
         raise ValueError("registries disagree on truncation")
-    keep_idx = [src.index(lab) for lab in registry.labels]
-    kept = set(keep_idx)
-    drop_idx = [i for i in range(len(src)) if i not in kept]
-
-    def restrict(state: PureState) -> PureState:
-        drop_ref: tuple[int, ...] | None = None
-        out: dict[tuple[int, ...], complex] = {}
-        for pattern, a in state.items():
-            dropped = tuple(pattern[i] for i in drop_idx)
-            if drop_ref is None:
-                drop_ref = dropped
-            elif dropped != drop_ref:
-                raise ValueError("state does not factorize against the dropped modes")
-            out[tuple(pattern[i] for i in keep_idx)] = a
-        return PureState._trusted(registry, out)
-
-    return restrict
-
-
-def restrict_state(state: PureState, registry: ModeRegistry) -> PureState:
-    """Drop modes not present in the target registry.
-
-    Valid only when the dropped modes carry the same occupations in every
-    support pattern (i.e. the state factorizes against them); raises
-    otherwise since dropping would not be a pure-state operation.
-    """
-    return _restrictor(state.registry, registry)(state)
-
+    keep_idx = [reg.index(lab) for lab in keep.labels]
+    kept_of = _picker(keep_idx)
+    placed = {*idx, *keep_idx}
+    free = [i for i in range(len(reg)) if i not in placed]
+    free_of = _picker(free)
+    out = {}
+    for key, members in groups.items():
+        p = probs[key]
+        norm = math.sqrt(p)
+        if free and len({free_of(pattern) for pattern, a in members
+                         if abs(a / norm) > PRUNE_TOL}) > 1:
+            raise ValueError("state does not factorize against the dropped modes")
+        # already pruned, so built without PureState._trusted's second pass
+        component = PureState.__new__(PureState)
+        component.registry = keep
+        component._amp = {kept_of(pattern): b
+                          for pattern, a in members if abs(b := a / norm) > PRUNE_TOL}
+        out[key] = (p, component)
+    return out

@@ -234,6 +234,7 @@ def _fold(split, rule, det: DetectorSpec, marked):
     probs, index, fids = [], [], []
     for pattern in sorted(split):
         p_pattern, state = split[pattern]
+        overlaps = {}  # mark -> fidelity, computed once per pattern
         for clicks, (k, mark) in rule.items():
             w = weights.get((pattern, clicks))
             if w is None:
@@ -242,7 +243,10 @@ def _fold(split, rule, det: DetectorSpec, marked):
                 continue
             probs.append(p_pattern * w)
             index.append(k)
-            fids.append(fidelity_pure(state, marked[mark]) if k >= 0 else 0.0)
+            f = overlaps.get(mark) if k >= 0 else 0.0
+            if f is None:
+                f = overlaps[mark] = fidelity_pure(state, marked[mark])
+            fids.append(f)
     total = float(sum(probs))
     cond = np.array(probs) / total if total > 0.0 else np.array(probs)
     arrays = cond, np.array(index, dtype=int), np.array(fids)
@@ -303,11 +307,9 @@ def _remote_event_table(cfg: RunConfig) -> _EventTable:
     return _EventTable(success_prob, cond, idx, fid, {"success": success_prob}, mean_fid)
 
 
-def _stream_records(cfg: RunConfig, header: str, lines) -> None:
+def _write_records(path: str, header: str, lines) -> None:
     """Write the header and the formatted, newline-terminated record lines."""
-    if cfg.records_csv is None:
-        return
-    with open(cfg.records_csv, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         fh.writelines(lines)
 
@@ -356,21 +358,24 @@ def run_write_trials(cfg: RunConfig) -> RunStats:
     # index -1 reads the appended censored entry: no outcome, fidelity 0
     outcome = np.append(table.outcome_index, -1)
     fidelity = np.append(table.fidelity, 0.0)
-    names = [o.value for o in OUTCOME_OF_DETECTOR] + ["censored"]  # [-1]: censored
-    suffix = [f",{names[k]},{f!r},{int(k < 0)}\n"
-              for k, f in zip(outcome.tolist(), fidelity.tolist())]
-    _stream_records(cfg, "trial,rounds,outcome,fidelity,censored",
-                    (f"{i},{r}{suffix[e]}"
-                     for i, (r, e) in enumerate(zip(rounds.tolist(), events.tolist()))))
+    if cfg.records_csv is not None:
+        names = [o.value for o in OUTCOME_OF_DETECTOR] + ["censored"]  # [-1]: censored
+        suffix = [f",{names[k]},{f!r},{int(k < 0)}\n"
+                  for k, f in zip(outcome.tolist(), fidelity.tolist())]
+        _write_records(cfg.records_csv, "trial,rounds,outcome,fidelity,censored",
+                       (f"{i},{r}{suffix[e]}"
+                        for i, (r, e) in enumerate(zip(rounds.tolist(), events.tolist()))))
     outcome = outcome[events]
     fidelity = fidelity[events]
     ok = outcome >= 0
-    n_ok = int(ok.sum())
+    # counts[0]: censored trials, counts[1 + k]: outcome k
+    counts = np.bincount(outcome + 1, minlength=len(OUTCOME_OF_DETECTOR) + 1)
+    n_ok = cfg.trial_count - int(counts[0])
     success_rate = n_ok / cfg.trial_count if cfg.trial_count else 0.0
     mean_rounds, rounds_se = _mean_se(rounds[ok].astype(float))
     freqs, freqs_se = {}, {}
-    for k, name in enumerate(OUTCOME_OF_DETECTOR):
-        f = float((outcome[ok] == k).sum() / n_ok) if n_ok else 0.0
+    for k, name in enumerate(OUTCOME_OF_DETECTOR, 1):
+        f = float(counts[k] / n_ok) if n_ok else 0.0
         freqs[name.value] = f
         freqs_se[name.value] = _freq_se(f, n_ok)
     fid_mean, fid_se = _mean_se(fidelity[ok])
@@ -401,10 +406,11 @@ def run_remote_trials(cfg: RunConfig) -> RunStats:
     table = _remote_event_table(cfg)
     events = np.searchsorted(event_cdf(table.probabilities),
                              _run_rows(cfg.master_seed, cfg.trial_count)[:, 0], side="right")
-    suffix = [f",{int(k >= 0)},{f!r}\n"
-              for k, f in zip(table.outcome_index.tolist(), table.fidelity.tolist())]
-    _stream_records(cfg, "trial,success,fidelity",
-                    (f"{i}{suffix[e]}" for i, e in enumerate(events.tolist())))
+    if cfg.records_csv is not None:
+        suffix = [f",{int(k >= 0)},{f!r}\n"
+                  for k, f in zip(table.outcome_index.tolist(), table.fidelity.tolist())]
+        _write_records(cfg.records_csv, "trial,success,fidelity",
+                       (f"{i}{suffix[e]}" for i, e in enumerate(events.tolist())))
     ok = table.outcome_index[events] >= 0
     fidelity = table.fidelity[events]
     n = cfg.trial_count

@@ -15,7 +15,9 @@ polarization in ``encode_elements``, applied by ``encode_spatial``, which
 the compiled analyzer table of ``protocol.write_events`` is checked
 against. The module also holds the one-mode references ``apply_creation``
 (bosonic raising) and ``project_occupation`` (one-mode projection) that the
-lift and ``split_by_pattern`` are checked against, and the state builders
+lift and ``split_by_pattern`` are checked against, ``reference_split`` (the
+split as a normalize, then a ``restrict_state`` onto the kept modes), which
+``split_by_pattern`` must equal exactly, and the state builders
 ``basis_state`` and ``product_state``; the package itself needs none of
 these. The lifted read-out is the reference for the closed-form marks and
 read-out of ``protocol``: ``phase_shifter`` and ``lifted_logical_pauli``
@@ -312,6 +314,66 @@ def embed_state(state, registry):
     return PureState(registry, out)
 
 
+def restrictor(src, registry):
+    """:func:`restrict_state` from registry ``src`` onto ``registry`` as a
+    function of the state, with the mode positions worked out once."""
+    from dfsmem.fock import PureState
+
+    if registry.d != src.d:
+        raise ValueError("registries disagree on truncation")
+    keep_idx = [src.index(lab) for lab in registry.labels]
+    kept = set(keep_idx)
+    drop_idx = [i for i in range(len(src)) if i not in kept]
+
+    def restrict(state):
+        drop_ref = None
+        out: dict[tuple[int, ...], complex] = {}
+        for pattern, a in state.items():
+            dropped = tuple(pattern[i] for i in drop_idx)
+            if drop_ref is None:
+                drop_ref = dropped
+            elif dropped != drop_ref:
+                raise ValueError("state does not factorize against the dropped modes")
+            out[tuple(pattern[i] for i in keep_idx)] = a
+        return PureState._trusted(registry, out)
+
+    return restrict
+
+
+def restrict_state(state, registry):
+    """Drop modes not present in the target registry.
+
+    Valid only when the dropped modes carry the same occupations in every
+    support pattern (i.e. the state factorizes against them); raises
+    otherwise since dropping would not be a pure-state operation.
+    """
+    return restrictor(state.registry, registry)(state)
+
+
+def reference_split(state, modes, keep) -> dict:
+    """``fock.split_by_pattern`` in two steps: group the amplitudes by their
+    pattern on ``modes``, summing each pattern's probability, then
+    normalize each group with ``PureState.normalize`` and restrict it onto
+    ``keep`` with :func:`restrict_state`."""
+    from dfsmem.fock import PureState
+
+    reg = state.registry
+    idx = [reg.index(m) for m in modes]
+    probs: dict[tuple[int, ...], float] = {}
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
+    for pattern, a in state.items():
+        key = tuple(pattern[i] for i in idx)
+        probs[key] = probs.get(key, 0.0) + (a.real * a.real + a.imag * a.imag)
+        groups.setdefault(key, {})[pattern] = a
+    if not groups:
+        return {}
+    restrict = restrictor(reg, keep)
+    return {
+        key: (probs[key], restrict(PureState._trusted(reg, amp).normalize()))
+        for key, amp in groups.items()
+    }
+
+
 def phase_shifter(modes, phases):
     """Diagonal element exp(i*phi_k) on each listed mode."""
     from dfsmem.fock import OpticalElement
@@ -365,9 +427,7 @@ def lifted_read(record, efficiency: float):
     mark applied by :func:`lifted_logical_pauli` on the output pair, and
     the loss of ``noise.apply_loss``; each mixture component is returned
     restricted to the output pair, where ``read_memory`` leaves it."""
-    from dfsmem.fock import (
-        MixedState, apply_elements, register_modes, restrict_state,
-    )
+    from dfsmem.fock import MixedState, apply_elements, register_modes
     from dfsmem.noise import apply_loss
     from dfsmem.protocol import LogicalQubitMap
 

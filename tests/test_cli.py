@@ -104,14 +104,41 @@ def test_every_config_mistake_exits_2(command, flags, env_seed, tmp_path, monkey
     assert not out.exists()
 
 
-def test_flags_take_the_name_equals_value_form(tmp_path, capsys):
+def test_flags_take_the_name_equals_value_form():
     cfg = parse_config(["teleport", "--alpha=-0.6,0", "--beta=0,0.8", "--trials=7"])
     assert (cfg.alpha, cfg.beta, cfg.trials) == (complex(-0.6, 0.0), complex(0.0, 0.8), 7)
-    # spaced, a value with a leading minus reads as a flag
+    # spaced, a value with a leading minus is still the flag's value
+    assert cfg == parse_config(["teleport", "--alpha", "-0.6,0", "--beta", "0,0.8",
+                                "--trials", "7"])
+    for alpha, beta in (("-1@30", "0"), ("-1e-3", "0.9999995"), ("-0.6", "-0.8")):
+        assert (parse_config(["teleport", "--alpha", alpha, "--beta", beta])
+                == parse_config(["teleport", f"--alpha={alpha}", f"--beta={beta}"]))
+
+
+def test_help_lists_every_flag_and_command(capsys):
+    for argv in (["--help"], ["-h"], ["teleport", "--help"]):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: dfsmem") and err == ""
+        assert all(command in out for command in COMMANDS)
+        assert all(f"--{name.replace('_', '-')} " in out for name in cli._PARAMS)
+        assert "--config" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param([], "no command given", id="bare"),
+    pytest.param(["teleport", "--trials"], "--trials needs a value", id="trailing-flag"),
+    pytest.param(["teleprt"], "unknown command 'teleprt'", id="unknown-command"),
+    pytest.param(["teleport", "read"], "a second command 'read'", id="second-command"),
+    pytest.param(["teleport", "-x", "1"], "unknown flag '-x'", id="unknown-short-flag"),
+    pytest.param(["teleport", "--tri=7"], "unknown flag '--tri'", id="abbreviated-equals"),
+])
+def test_command_line_mistakes_exit_2_with_the_usage(argv, message, capsys, tmp_path):
     out = tmp_path / "out"
-    assert main(["teleport", "--alpha", "-0.6,0", "--beta", "0,0.8", "--trials", "7",
-                 "--output", str(out)]) == 2
-    assert "--alpha: expected one argument" in capsys.readouterr().err
+    assert main(["--output", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.splitlines()[-1] == cli.USAGE
     assert not out.exists()
 
 

@@ -23,7 +23,6 @@ from dfsmem.fock import (
     inner,
     photon_mode,
     register_modes,
-    restrict_state,
     split_by_pattern,
     superposition,
     vacuum,
@@ -38,6 +37,8 @@ from dense_oracle import (
     project_occupation,
     random_state,
     random_unitary,
+    reference_split,
+    restrict_state,
     sparse_vs_dense,
 )
 
@@ -286,6 +287,69 @@ def test_split_by_pattern_matches_projection(case):
         assert prob == p_proj
         expected = restrict_state(projected.normalize(), keep)
         assert dict(component.items()) == dict(expected.items())
+
+
+@st.composite
+def _any_split_cases(draw):
+    """A random small state, unnormalized, with some amplitudes that the
+    normalization prunes; the modes to split on; and a kept registry over
+    some of the other modes, in any order, so that modes may be left
+    neither split on nor kept and the state need not factorize there."""
+    k = draw(st.integers(2, 5))
+    d = draw(st.integers(2, 3))
+    labels = [photon_mode("stokes", "H", f"m{i}") for i in range(k)]
+    reg = register_modes(labels, d)
+    patterns = draw(st.lists(
+        st.sampled_from(list(itertools.product(range(d), repeat=k))),
+        min_size=1, max_size=16, unique=True,
+    ))
+    # a 5e-15 amplitude beside a 1e3 one in its group falls below PRUNE_TOL
+    amps = {p: draw(st.sampled_from([1.0, 1e3, 5e-15])) * complex(draw(_PART), draw(_PART))
+            for p in patterns}
+    order = draw(st.permutations(labels))
+    n_split = draw(st.integers(1, k - 1))
+    kept = [lab for lab in order[n_split:] if draw(st.booleans())]
+    return PureState(reg, amps), order[:n_split], register_modes(kept, d)
+
+
+def _assert_same_split(state, modes, keep):
+    """split_by_pattern equals reference_split exactly: patterns and their
+    order, probabilities, and each component's registry, amplitudes and
+    amplitude order; or both raise the same ValueError."""
+    try:
+        expected = reference_split(state, modes, keep)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            split_by_pattern(state, modes, keep)
+        assert str(raised.value) == str(exc)
+        return False
+    split = split_by_pattern(state, modes, keep)
+    assert list(split) == list(expected)
+    for pattern, (prob, component) in split.items():
+        ref_prob, ref = expected[pattern]
+        assert prob == ref_prob
+        assert component.registry == ref.registry
+        assert list(component.items()) == list(ref.items())
+    return True
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_any_split_cases())
+def test_split_by_pattern_equals_the_reference_split(case):
+    _assert_same_split(*case)
+
+
+def test_split_by_pattern_rejects_what_the_reference_rejects():
+    reg = register_modes([PH_H, S_L, S_R], 3)
+    state = superposition(reg, [({PH_H: 1, S_L: 1}, 0.6), ({PH_H: 1, S_R: 1}, 0.8)])
+    # S_R is neither split on nor kept, and differs within the PH_H = 1 group
+    assert not _assert_same_split(state, [PH_H], register_modes([S_L], 3))
+    with pytest.raises(ValueError, match="does not factorize"):
+        split_by_pattern(state, [PH_H], register_modes([S_L], 3))
+    # the kept modes hold what varies, and the rest is split on
+    assert _assert_same_split(state, [PH_H], register_modes([S_R, S_L], 3))
+    with pytest.raises(ValueError, match="truncation"):
+        split_by_pattern(state, [PH_H], register_modes([S_L, S_R], 4))
 
 
 def test_born_marginal_consistency():

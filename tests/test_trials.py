@@ -10,12 +10,16 @@ from hypothesis import strategies as st
 
 from dense_oracle import compose, encode_elements, permanent_event_table
 from dfsmem import fock, trials
+from dfsmem.fock import superposition
 from dfsmem.noise import NoiseParams, p1_analytic, preparation_time
 from dfsmem.protocol import (
     OUTCOME_OF_DETECTOR,
+    REMOTE_CLICK_RULE,
     WRITE_CLICK_RULE,
     BellOutcome,
+    PauliMark,
     _herald_rounds,
+    build_remote_setup,
     build_write_setup,
     event_cdf,
     joint_emission_state,
@@ -683,6 +687,75 @@ def test_folded_write_table_oracle_negative_controls():
     permuted = dict(zip(clicks, outcomes[1:] + outcomes[:1]))
     assert not _fold_matches(table, _permanent_write_fold(0.2, 3, *qubit, DetectorSpec(0.8, 1e-3),
                                                           rule=permuted))
+
+
+# -- the folded remote table against the permanent oracle ---------------------
+
+# the remote marks on the far pair's dual-rail amplitudes (c0, c1)
+_REMOTE_CORRECTION = {
+    PauliMark.I: lambda c0, c1: (c0, c1),
+    PauliMark.Z: lambda c0, c1: (c0, -c1),
+}
+
+
+def _permanent_remote_fold(d, alpha, beta, det, rule=REMOTE_CLICK_RULE):
+    """The noisy remote transfer's event table from permanents: the sender
+    alpha|i2> + beta|i1> and the resource (|l1 r2> + |l2 r1>)/sqrt(2) sent
+    through the composed retrieval swaps and splitters
+    (:func:`dense_oracle.permanent_event_table`), each detector pattern, in
+    sorted order, weighted by ``det.clicks_probability`` for every click
+    vector of ``rule`` that can fire. Returns the success probability, the
+    conditional probabilities, the outcome indices (0 for a coincidence, -1
+    for a failure) and the corrected fidelities (0 for a failure)."""
+    setup = build_remote_setup(d)
+    state = superposition(setup.registry, [
+        ({sender: 1, near: 1, far: 1}, amp / math.sqrt(2))
+        for sender, amp in ((setup.i2, alpha), (setup.i1, beta))
+        for near, far in ((setup.l1, setup.r2), (setup.l2, setup.r1))
+    ])
+    table = permanent_event_table(state, compose(setup.registry, setup.transfer_elements()),
+                                  setup.detectors, setup.r_registry)
+    probs, index, fids = [], [], []
+    for pattern in sorted(table):
+        p, amps = table[pattern]
+        # |0> excites r2, |1> excites r1; far-pair order (r1, r2)
+        c0, c1 = amps.get((0, 1), 0j), amps.get((1, 0), 0j)
+        for clicks, (ok, mark) in rule.items():
+            w = det.clicks_probability(pattern, clicks)
+            if w <= 0.0:
+                continue
+            probs.append(p * w)
+            index.append(0 if ok else -1)
+            if ok:
+                x0, x1 = _REMOTE_CORRECTION[mark](c0, c1)
+                fids.append(abs(alpha.conjugate() * x0 + beta.conjugate() * x1) ** 2)
+            else:
+                fids.append(0.0)
+    total = sum(probs)
+    cond = [q / total for q in probs]
+    return sum(q for q, k in zip(cond, index) if k >= 0), cond, index, fids
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(d=st.sampled_from([3, 4]), qubit=_QUBIT,
+       eta=st.floats(0.0, 1.0), p_dc=st.floats(0.0, 0.01))
+def test_folded_remote_table_matches_permanent_oracle(d, qubit, eta, p_dc):
+    table = trials._remote_event_table(_noisy_write_config(0.01, d, qubit, eta, p_dc))
+    oracle = _permanent_remote_fold(d, *qubit, DetectorSpec(eta, p_dc))
+    assert _fold_matches(table, oracle)
+
+
+def test_folded_remote_table_oracle_negative_controls():
+    qubit = (0.5 * cmath.exp(0.3j), 0.8660254037844386 * cmath.exp(-1.1j))
+    table = trials._remote_event_table(_noisy_write_config(0.01, 3, qubit, 0.8, 1e-3))
+    assert _fold_matches(table, _permanent_remote_fold(3, *qubit, DetectorSpec(0.8, 1e-3)))
+    # the efficiency swapped with its complement
+    assert not _fold_matches(table, _permanent_remote_fold(3, *qubit, DetectorSpec(0.2, 1e-3)))
+    # the rule's verdicts permuted over its click vectors
+    clicks, verdicts = list(REMOTE_CLICK_RULE), list(REMOTE_CLICK_RULE.values())
+    permuted = dict(zip(clicks, verdicts[1:] + verdicts[:1]))
+    assert not _fold_matches(table, _permanent_remote_fold(3, *qubit, DetectorSpec(0.8, 1e-3),
+                                                           rule=permuted))
 
 
 def test_warm_requests_lift_only_the_eraser(monkeypatch):

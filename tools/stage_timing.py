@@ -6,13 +6,18 @@ Usage: python tools/stage_timing.py
 Each stage runs at pc 0.1, truncation 3 and the qubit (0.6, 0.8i), with ideal
 detection and with the noisy detection of tools/cli_grid.py (chi 0.7, eta_d
 0.8, p_dc 1e-3). One untimed call warms each stage first; the table then holds
-the median of REPEATS timed calls, in milliseconds, as Markdown. Stages that
-take no detector model (the emission state, the analyzer split and the read)
-are timed once and printed in both columns; so are the loss channel
+the median of REPEATS timed calls, in milliseconds, as Markdown. Besides the
+exact stages it times the front end (cli.parse_config on one teleport argv),
+write_branches (the heralded write's exact branches, as bsm-stats computes
+them), and one whole RUN_TRIALS-trial run_write_trials and run_remote_trials,
+event-table build included, as a small sampling request runs them. Stages
+that take no detector model (the parse, the emission state, the analyzer
+split, write_branches and the read) are timed once and printed in both
+columns; so are the loss channel
 (apply_loss on the fibers of end_to_end_fidelity and on the read output, at a
 new survival each call, so no table keyed by it can warm) and the output
 writer (cli._emit: the curves-fig4b CSV at the README flags with 100 points,
-and the JSON of a 100-trial teleport's RunStats). A second table times the sampler:
+and the JSON of a RUN_TRIALS-trial teleport's RunStats). A second table times the sampler:
 run_write_trials and run_remote_trials at SAMPLER_TRIALS noisy trials, with and
 without a records CSV, as the median of SAMPLER_REPEATS runs in microseconds
 per trial (each run's event-table build included), and the row reads alone:
@@ -44,6 +49,7 @@ from dfsmem.protocol import (  # noqa: E402
     build_write_setup,
     entangled_state,
     read_memory,
+    write_branches,
     write_events,
     write_memory,
 )
@@ -60,6 +66,7 @@ PC, D, ALPHA, BETA = 0.1, 3, 0.6, 0.8j
 NOISY = {"chi": 0.7, "eta_d": 0.8, "p_dc": 1e-3}
 REPEATS = 200
 SAMPLER_TRIALS, SAMPLER_REPEATS = 10_000, 20
+RUN_TRIALS = 100  # the sampling requests of the benchmark's exact-mix workload
 
 
 def median_ms(call, repeats: int = REPEATS) -> float:
@@ -95,12 +102,21 @@ def stages(noise: NoiseParams, tmp: str) -> dict[str, Callable[[], object]]:
     fig4b = ["curves-fig4b", "--t-list", "2e-05;3e-05;4e-05", "--points", "100"]
     grid = cli._grid(0.1, 1.0, 100)
     curves = [(eta, dF, T) for T in (2e-5, 3e-5, 4e-5) for eta, dF in dF_vs_eta(T, 10e6, grid)]
-    stats = run_write_trials(RunConfig(100, 1, PC, ALPHA, BETA, noise, truncation=D))
+    run = RunConfig(RUN_TRIALS, 1, PC, ALPHA, BETA, noise, truncation=D)
+    stats = run_write_trials(run)
+    teleport = ["teleport", "--pc", str(PC), "--alpha", "0.6", "--beta", "0,0.8",
+                "--trials", str(RUN_TRIALS), "--seed", "1", "--output", f"{tmp}/teleport.json"]
     return {
+        "parse_config, teleport argv": lambda: cli.parse_config(teleport),
         "entangled_state": lambda: entangled_state(PC, setup),
         "write_events": lambda: write_events(state, ALPHA, BETA, setup),
         "_write_event_table": lambda: _write_event_table(dataclasses.replace(cfg)),
         "_remote_event_table": lambda: _remote_event_table(dataclasses.replace(cfg)),
+        "write_branches": lambda: write_branches(ALPHA, BETA, PC, setup),
+        f"run_write_trials, {RUN_TRIALS} trials": lambda: run_write_trials(
+            dataclasses.replace(run)),
+        f"run_remote_trials, {RUN_TRIALS} trials": lambda: run_remote_trials(
+            dataclasses.replace(run)),
         "end_to_end_fidelity": lambda: end_to_end_fidelity(PC, noise, ALPHA, BETA),
         "read_memory": lambda: read_memory(record, 0.7),
         "apply_loss, fibers": lambda: apply_loss(state, fibers, 0.7 - 1e-9 * next(fresh)),
@@ -113,7 +129,8 @@ def stages(noise: NoiseParams, tmp: str) -> dict[str, Callable[[], object]]:
 
 
 def main() -> int:
-    detection_free = {"entangled_state", "write_events", "read_memory", "apply_loss, fibers",
+    detection_free = {"parse_config, teleport argv", "entangled_state", "write_events",
+                      "write_branches", "read_memory", "apply_loss, fibers",
                       "apply_loss, read output", "_emit, curves-fig4b CSV"}
     with tempfile.TemporaryDirectory() as tmp:
         ideal = stages(NoiseParams(pc=PC), tmp)
