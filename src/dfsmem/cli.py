@@ -44,17 +44,6 @@ from .trials import (
     trial_rng,
 )
 
-COMMANDS = (
-    "entangle",
-    "teleport",
-    "read",
-    "remote-transfer",
-    "curves-fig4a",
-    "curves-fig4b",
-    "bsm-stats",
-    "oracle-check",
-)
-
 NORMALIZATION_GUARD = 1e-3  # gross inputs are rejected, near-unit ones renormalized
 DEFAULT_SEED_ENV = "DFS_SIM_SEED"
 
@@ -169,15 +158,6 @@ _PARAMS = {
 
 # flag -> CliConfig field, plus --config (the key=value file)
 _FLAGS = {"--" + name.replace("_", "-"): name for name in ("config", *_PARAMS)}
-USAGE = "usage: dfsmem COMMAND [--config FILE] [--FLAG VALUE | --FLAG=VALUE ...]"
-HELP = "\n".join([
-    USAGE, "", "commands: " + ", ".join(COMMANDS), "",
-    "flags (every command accepts every flag; default in brackets):",
-    "  --config FILE       key=value parameter file, read before the flags",
-    *(f"  --{f.name.replace('_', '-'):<17} [{f.default}]"
-      for f in dataclasses.fields(CliConfig) if f.name in _PARAMS),
-    "  -h, --help          print this help and exit",
-])
 
 
 class UsageError(ConfigError):
@@ -324,133 +304,134 @@ def _json_ready(obj):
     return obj
 
 
-def _emit(cfg: CliConfig, csv_table, json_obj) -> str:
-    """Write the output in the configured format, with one ``write``.
+def _rows(record) -> tuple[list[str], list[tuple]]:
+    """The ``quantity,value`` table of a dict or dataclass: one row per key
+    or field, a dict-valued one as ``name[key]`` rows in key order; strings
+    stay text and every other value becomes a float."""
+    rows = []
+    for name, value in _json_ready(record).items():  # a dataclass as the dict of its fields
+        pairs = ([(f"{name}[{k}]", v) for k, v in sorted(value.items())]
+                 if isinstance(value, dict) else [(name, value)])
+        rows += [(n, v if isinstance(v, str) else float(v)) for n, v in pairs]
+    return ["quantity", "value"], rows
 
-    ``csv_table()`` returns the CSV's (header, rows) and ``json_obj()`` the
-    object the JSON file holds; only the one the format asks for is built.
-    """
+
+def _objects(header: list[str], rows: list[tuple]) -> list[dict]:
+    """The JSON of a table: one object per row."""
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _emit(cfg: CliConfig, record=None, table=None) -> str:
+    """Write the output in the configured format, with one ``write``. The
+    CSV is ``table``, a (header, rows) pair, or else :func:`_rows` of
+    ``record``; the JSON is ``record``, or else :func:`_objects` of
+    ``table``. Only the written form is built."""
     path = cfg.output_path()
     if cfg.resolved_format() == "csv":
-        text = _csv_text(*csv_table())
+        text = _csv_text(*(_rows(record) if table is None else table))
     else:
-        text = json.dumps(_json_ready(json_obj()), indent=2, sort_keys=True) + "\n"
+        obj = _objects(*table) if record is None else record
+        text = json.dumps(_json_ready(obj), indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return path
 
 
-def _stats_rows(stats) -> tuple[list[str], list[tuple]]:
-    flat = []
-    for f in dataclasses.fields(stats):
-        value = getattr(stats, f.name)
-        if isinstance(value, dict):
-            for sub, v in sorted(value.items()):
-                flat.append((f"{f.name}[{sub}]", float(v)))
-        else:
-            flat.append((f.name, float(value)))
-    return ["quantity", "value"], flat
+def _entangle(cfg: CliConfig):
+    setup = build_write_setup(cfg.truncation)
+    state, prob = generate_entanglement(cfg.pc, setup)
+    fid = fidelity_pure(state, ideal_entangled_state(setup)) if state else 0.0
+    record = {"pc": cfg.pc, "herald_probability": prob, "fidelity_vs_ideal": fid}
+    return 0, f"herald_probability={prob:.6g} fidelity={fid:.6g}", record, None
+
+
+def _sampled(cfg: CliConfig, run_trials):
+    stats = run_trials(cfg.run_config)
+    summary = (f"success_rate={stats.success_rate:.6g} "
+               f"F={stats.mean_conditional_fidelity:.6g} T={stats.empirical_T_seconds:.6g}s")
+    return 0 if stats.success_count else 1, summary, stats, None
+
+
+def _read(cfg: CliConfig):
+    _draw_short_run(cfg.seed, 1)  # a read uses one row: draw no whole block
+    record = write_memory(cfg.alpha, cfg.beta, cfg.pc, trial_rng(cfg.seed, 0),
+                          build_write_setup(cfg.truncation))
+    photon = read_memory(record, cfg.efficiency)
+    setup = build_read_setup(cfg.truncation)
+    fid = fidelity_mixed(photon, read_target(cfg.alpha, cfg.beta, setup))
+    present = photon_present_probability(photon, [setup.out_h, setup.out_v])
+    payload = {"outcome": record.outcome.value, "mark": record.mark.value,
+               "rounds_until_herald": record.rounds_until_herald, "efficiency": cfg.efficiency,
+               "roundtrip_fidelity": fid, "photon_present_probability": present}
+    summary = (f"outcome={record.outcome.value} roundtrip_fidelity={fid:.6g} "
+               f"photon_present={present:.6g}")
+    return 0, summary, payload, None
+
+
+def _curves_fig4a(cfg: CliConfig):
+    curve = fidelity_vs_T(cfg.eta_prime, cfg.f_p, _grid(cfg.t_min, cfg.t_max, cfg.points))
+    summary = f"{len(curve)} points, eta_prime={cfg.eta_prime:.6g}"
+    return 0, summary, None, (["T_seconds", "F"], curve)
+
+
+def _curves_fig4b(cfg: CliConfig):
+    grid = _grid(cfg.eta_min, cfg.eta_max, cfg.points)
+    rows = [(eta, dF, T) for T in cfg.t_list for eta, dF in dF_vs_eta(T, cfg.f_p, grid)]
+    summary = f"{len(rows)} points over {len(cfg.t_list)} curves"
+    return 0, summary, None, (["eta_prime", "delta_F", "T_seconds"], rows)
+
+
+def _bsm_stats(cfg: CliConfig):
+    branches = write_branches(cfg.alpha, cfg.beta, cfg.pc, build_write_setup(cfg.truncation))
+    probs = {o.value: b.probability for o, b in branches.items()}
+    record = {"outcome_probabilities": probs,
+              "marks": {o.value: b.mark.value for o, b in branches.items()}}
+    table = ["outcome", "probability"], [(name, float(p)) for name, p in probs.items()]
+    summary = f"four outcomes, total heralded weight={sum(probs.values()):.6g}"
+    return 0, summary, record, table
+
+
+def _oracle_check(cfg: CliConfig):
+    report = oracle_check(cfg.run_config)
+    table = (["name", "empirical", "exact", "sigma_distance", "flagged"],
+             [(e.name, e.empirical, e.exact, e.sigma_distance, int(e.flagged))
+              for e in report.entries])
+    worst = max((e.sigma_distance for e in report.entries), default=0.0)
+    summary = f"{'PASS' if report.passed else 'FAIL'} max_sigma={worst:.3g}"
+    return 0 if report.passed else 1, summary, report, table
+
+
+_COMMANDS = {
+    "entangle": _entangle,
+    "teleport": lambda cfg: _sampled(cfg, run_write_trials),
+    "read": _read,
+    "remote-transfer": lambda cfg: _sampled(cfg, run_remote_trials),
+    "curves-fig4a": _curves_fig4a,
+    "curves-fig4b": _curves_fig4b,
+    "bsm-stats": _bsm_stats,
+    "oracle-check": _oracle_check,
+}
+COMMANDS = tuple(_COMMANDS)
+USAGE = "usage: dfsmem COMMAND [--config FILE] [--FLAG VALUE | --FLAG=VALUE ...]"
+HELP = "\n".join([
+    USAGE, "", "commands: " + ", ".join(COMMANDS), "",
+    "flags (every command accepts every flag; default in brackets):",
+    "  --config FILE       key=value parameter file, read before the flags",
+    *(f"  --{f.name.replace('_', '-'):<17} [{f.default}]"
+      for f in dataclasses.fields(CliConfig) if f.name in _PARAMS),
+    "  -h, --help          print this help and exit",
+])
 
 
 def run(cfg: CliConfig) -> int:
-    """Dispatch one command; returns the process exit code."""
-    if cfg.command == "entangle":
-        setup = build_write_setup(cfg.truncation)
-        state, prob = generate_entanglement(cfg.pc, setup)
-        fid = fidelity_pure(state, ideal_entangled_state(setup)) if state else 0.0
-        payload = {"pc": cfg.pc, "herald_probability": prob, "fidelity_vs_ideal": fid}
-        path = _emit(cfg, lambda: (["quantity", "value"],
-                                   [(k, float(v)) for k, v in payload.items()]),
-                     lambda: payload)
-        print(f"entangle: herald_probability={prob:.6g} fidelity={fid:.6g} -> {path}")
-        return 0
-
-    if cfg.command in ("teleport", "remote-transfer"):
-        run_trials = run_write_trials if cfg.command == "teleport" else run_remote_trials
-        stats = run_trials(cfg.run_config)
-        path = _emit(cfg, lambda: _stats_rows(stats), lambda: stats)
-        print(
-            f"{cfg.command}: success_rate={stats.success_rate:.6g} "
-            f"F={stats.mean_conditional_fidelity:.6g} "
-            f"T={stats.empirical_T_seconds:.6g}s -> {path}"
-        )
-        return 0 if stats.success_count else 1
-
-    if cfg.command == "read":
-        _draw_short_run(cfg.seed, 1)  # a read uses one row: draw no whole block
-        record = write_memory(cfg.alpha, cfg.beta, cfg.pc, trial_rng(cfg.seed, 0),
-                              build_write_setup(cfg.truncation))
-        photon = read_memory(record, cfg.efficiency)
-        setup = build_read_setup(cfg.truncation)
-        target = read_target(cfg.alpha, cfg.beta, setup)
-        fid = fidelity_mixed(photon, target)
-        present = photon_present_probability(photon, [setup.out_h, setup.out_v])
-        payload = {
-            "outcome": record.outcome.value,
-            "mark": record.mark.value,
-            "rounds_until_herald": record.rounds_until_herald,
-            "efficiency": cfg.efficiency,
-            "roundtrip_fidelity": fid,
-            "photon_present_probability": present,
-        }
-        path = _emit(cfg, lambda: (["quantity", "value"],
-                                   [(k, v if isinstance(v, str) else float(v))
-                                    for k, v in payload.items()]),
-                     lambda: payload)
-        print(
-            f"read: outcome={record.outcome.value} roundtrip_fidelity={fid:.6g} "
-            f"photon_present={present:.6g} -> {path}"
-        )
-        return 0
-
-    if cfg.command == "curves-fig4a":
-        curve = fidelity_vs_T(cfg.eta_prime, cfg.f_p, _grid(cfg.t_min, cfg.t_max, cfg.points))
-        path = _emit(cfg, lambda: (["T_seconds", "F"], curve),
-                     lambda: [{"T_seconds": t, "F": f} for t, f in curve])
-        print(f"curves-fig4a: {len(curve)} points, eta_prime={cfg.eta_prime:.6g} -> {path}")
-        return 0
-
-    if cfg.command == "curves-fig4b":
-        grid = _grid(cfg.eta_min, cfg.eta_max, cfg.points)
-        rows: list[tuple] = []
-        for T in cfg.t_list:
-            rows += [(eta, dF, T) for eta, dF in dF_vs_eta(T, cfg.f_p, grid)]
-        path = _emit(cfg, lambda: (["eta_prime", "delta_F", "T_seconds"], rows),
-                     lambda: [{"eta_prime": e, "delta_F": d, "T_seconds": t}
-                              for e, d, t in rows])
-        print(f"curves-fig4b: {len(rows)} points over {len(cfg.t_list)} curves -> {path}")
-        return 0
-
-    if cfg.command == "bsm-stats":
-        branches = write_branches(cfg.alpha, cfg.beta, cfg.pc,
-                                  build_write_setup(cfg.truncation))
-        payload = {
-            "outcome_probabilities": {o.value: b.probability for o, b in branches.items()},
-            "marks": {o.value: b.mark.value for o, b in branches.items()},
-        }
-        path = _emit(cfg, lambda: (["outcome", "probability"],
-                                   [(name, float(p)) for name, p
-                                    in payload["outcome_probabilities"].items()]),
-                     lambda: payload)
-        total = sum(payload["outcome_probabilities"].values())
-        print(f"bsm-stats: four outcomes, total heralded weight={total:.6g} -> {path}")
-        return 0
-
-    if cfg.command == "oracle-check":
-        report = oracle_check(cfg.run_config)
-        path = _emit(
-            cfg,
-            lambda: (["name", "empirical", "exact", "sigma_distance", "flagged"],
-                     [(e.name, e.empirical, e.exact, e.sigma_distance, int(e.flagged))
-                      for e in report.entries]),
-            lambda: report,
-        )
-        worst = max((e.sigma_distance for e in report.entries), default=0.0)
-        verdict = "PASS" if report.passed else "FAIL"
-        print(f"oracle-check: {verdict} max_sigma={worst:.3g} -> {path}")
-        return 0 if report.passed else 1
-
-    raise ConfigError(f"unknown command {cfg.command!r}")
+    """Run one command of :data:`_COMMANDS` (config -> exit code, summary,
+    record, table) and write its output with :func:`_emit`; returns the exit code."""
+    command = _COMMANDS.get(cfg.command)
+    if command is None:
+        raise ConfigError(f"unknown command {cfg.command!r}")
+    code, summary, record, table = command(cfg)
+    print(f"{cfg.command}: {summary} -> {_emit(cfg, record, table)}")
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -265,6 +265,8 @@ def superposition(
     """sum_k c_k |occupations_k> for (occupations_k, c_k) terms, unnormalized.
 
     Unlisted modes are empty, and a repeated occupation adds its amplitudes.
+    Only the given labels and occupations are checked: every other entry of
+    a pattern is 0.
     """
     table: dict[tuple[int, ...], complex] = {}
     for occupations, amplitude in terms:
@@ -272,8 +274,10 @@ def superposition(
         for label, n in occupations.items():
             pattern[registry.index(label)] = n
         key = tuple(pattern)
+        if not all(0 <= n < registry.d for n in occupations.values()):
+            raise ValueError(f"occupation vector {key} violates truncation d={registry.d}")
         table[key] = table.get(key, 0j) + amplitude
-    return PureState(registry, table)
+    return PureState._trusted(registry, table)
 
 
 def _monomial_expand(

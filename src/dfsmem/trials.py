@@ -206,39 +206,46 @@ class _EventTable:
 
     herald_probability: float
     probabilities: np.ndarray  # conditional on herald, per event
-    outcome_index: np.ndarray  # into exact_outcome_probs; -1: a failed attempt
+    outcome_index: np.ndarray  # into OUTCOME_OF_DETECTOR; -1: a failed attempt
     fidelity: np.ndarray  # corrected-memory fidelity for the event; 0 if failed
-    exact_outcome_probs: dict[str, float]
-    exact_mean_fidelity: float
+
+
+# the click rules in fold form, ((clicks, outcome index or -1, mark), ...)
+_WRITE_RULE = tuple((clicks, k, pauli_mark(o))
+                    for k, (clicks, o) in enumerate(WRITE_CLICK_RULE.items()))
+_REMOTE_RULE = tuple((clicks, 0 if ok else -1, mark)
+                     for clicks, (ok, mark) in REMOTE_CLICK_RULE.items())
 
 
 @functools.lru_cache(maxsize=64)
-def _click_weights(det: DetectorSpec) -> dict:
-    """Memo of ``det.clicks_probability(pattern, clicks)`` keyed by
-    (pattern, clicks), one per detector model; a truncation d bounds it to
-    d^4 patterns times the 16 click vectors."""
+def _click_weights(det: DetectorSpec, rule: tuple) -> dict:
+    """Memo from a detector pattern to ``det.clicks_probability(pattern,
+    clicks)`` of each click vector of ``rule``, in rule order, one per
+    detector model and rule; a truncation d bounds it to d^4 patterns."""
     return {}
 
 
 def _fold(split, rule, det: DetectorSpec, marked):
     """Events of an exact ``{pattern: (probability, state)}`` split under a
-    ``{clicks: (outcome index or -1, mark)}`` rule: the total weight, the
-    probabilities divided by it (unless 0), the outcome indices and fidelities
-    (``|<marked[mark]|state>|^2`` for a success, 0 for a failure).
+    fold-form rule (:data:`_WRITE_RULE`, :data:`_REMOTE_RULE`): the total
+    weight, the probabilities divided by it (unless 0), the outcome indices
+    and fidelities (``|<marked[mark]|state>|^2`` for a success, 0 for a
+    failure).
 
     ``marked`` holds the target under each success's mark: |<t|P s>|^2 =
     |<P t|s>|^2 for the self-inverse (up to sign) marks, and with the exact
     signs of :func:`dfsmem.protocol.apply_logical_pauli` the two agree to
     the last bit."""
-    weights = _click_weights(det)
+    weights = _click_weights(det, rule)
     probs, index, fids = [], [], []
     for pattern in sorted(split):
         p_pattern, state = split[pattern]
+        pattern_weights = weights.get(pattern)
+        if pattern_weights is None:
+            pattern_weights = weights[pattern] = [
+                det.clicks_probability(pattern, clicks) for clicks, _, _ in rule]
         overlaps = {}  # mark -> fidelity, computed once per pattern
-        for clicks, (k, mark) in rule.items():
-            w = weights.get((pattern, clicks))
-            if w is None:
-                w = weights[pattern, clicks] = det.clicks_probability(pattern, clicks)
+        for w, (_, k, mark) in zip(pattern_weights, rule):
             if w <= 0.0:
                 continue
             probs.append(p_pattern * w)
@@ -257,8 +264,7 @@ def _fold(split, rule, det: DetectorSpec, marked):
 
 def _marked(target, rule, qmap) -> dict:
     """The target under each mark of a success of ``rule``, for :func:`_fold`."""
-    return {mark: apply_logical_pauli(target, mark, qmap)
-            for k, mark in rule.values() if k >= 0}
+    return {mark: apply_logical_pauli(target, mark, qmap) for _, k, mark in rule if k >= 0}
 
 
 def _last_table(build):
@@ -283,28 +289,19 @@ def _write_event_table(cfg: RunConfig) -> _EventTable:
     setup = build_write_setup(cfg.truncation)
     events = write_events(entangled_state(cfg.pc, setup), cfg.alpha, cfg.beta, setup)
     target = setup.logical.logical_state(setup.atomic_registry, cfg.alpha, cfg.beta)
-    rule = {clicks: (k, pauli_mark(o)) for k, (clicks, o) in enumerate(WRITE_CLICK_RULE.items())}
     det = DetectorSpec(cfg.noise.eta_prime, cfg.noise.p_dc)
-    herald, cond, idx, fid = _fold(events, rule, det, _marked(target, rule, setup.logical))
-    exact_outcomes = {
-        o.value: float(cond[idx == k].sum()) for k, o in enumerate(OUTCOME_OF_DETECTOR)
-    }
-    exact_fid = float((cond * fid).sum()) if herald > 0.0 else 0.0
-    return _EventTable(herald, cond, idx, fid, exact_outcomes, exact_fid)
+    return _EventTable(*_fold(events, _WRITE_RULE, det,
+                              _marked(target, _WRITE_RULE, setup.logical)))
 
 
 @_last_table
 def _remote_event_table(cfg: RunConfig) -> _EventTable:
     setup = build_remote_setup(cfg.truncation)
     target = setup.r_logical.logical_state(setup.r_registry, cfg.alpha, cfg.beta)
-    rule = {clicks: (0 if ok else -1, mark) for clicks, (ok, mark) in REMOTE_CLICK_RULE.items()}
-    _, cond, idx, fid = _fold(remote_transfer(cfg.alpha, cfg.beta, setup), rule,
+    _, cond, idx, fid = _fold(remote_transfer(cfg.alpha, cfg.beta, setup), _REMOTE_RULE,
                               DetectorSpec(cfg.noise.eta_prime, cfg.noise.p_dc),
-                              _marked(target, rule, setup.r_logical))
-    ok = idx >= 0
-    success_prob = float(cond[ok].sum())
-    mean_fid = float((cond * fid)[ok].sum() / success_prob) if success_prob else 0.0
-    return _EventTable(success_prob, cond, idx, fid, {"success": success_prob}, mean_fid)
+                              _marked(target, _REMOTE_RULE, setup.r_logical))
+    return _EventTable(float(cond[idx >= 0].sum()), cond, idx, fid)
 
 
 def _write_records(path: str, header: str, lines) -> None:
@@ -434,14 +431,15 @@ def run_remote_trials(cfg: RunConfig) -> RunStats:
     )
 
 
-def _fidelity_variance(table: _EventTable) -> float:
-    """Exact variance of the per-trial fidelity over successful events."""
+def _fidelity_variance(table: _EventTable, mean: float) -> float:
+    """Exact variance of the per-trial fidelity over successful events,
+    whose exact mean is ``mean``."""
     success = table.outcome_index >= 0
     weights = table.probabilities[success]
     total = weights.sum()
     if total <= 0.0:
         return 0.0
-    spread = table.fidelity[success] - table.exact_mean_fidelity
+    spread = table.fidelity[success] - mean
     return float((weights * spread**2).sum() / total)
 
 
@@ -488,17 +486,22 @@ def oracle_check(
     if experiment == "write":
         stats = run_write_trials(cfg)
         table = _write_event_table(expected_cfg)
+        cond, idx, fid = table.probabilities, table.outcome_index, table.fidelity
+        h = table.herald_probability
+        exact_outcomes = {
+            o.value: float(cond[idx == k].sum()) for k, o in enumerate(OUTCOME_OF_DETECTOR)
+        }
+        exact_fid = float((cond * fid).sum()) if h > 0.0 else 0.0
         n = stats.success_count
         pairs = [
             (f"outcome[{name}]", stats.outcome_frequencies[name], exact,
              exact * (1.0 - exact), n)
-            for name, exact in table.exact_outcome_probs.items()
+            for name, exact in exact_outcomes.items()
         ]
         pairs.append(
             ("mean_conditional_fidelity", stats.mean_conditional_fidelity,
-             table.exact_mean_fidelity, _fidelity_variance(table), n)
+             exact_fid, _fidelity_variance(table, exact_fid), n)
         )
-        h = table.herald_probability
         if h > 0.0:
             # herald effort exposes the survival model, which the
             # herald-conditioned frequencies cannot see; rounds are geometric
@@ -506,11 +509,13 @@ def oracle_check(
     elif experiment == "remote":
         stats = run_remote_trials(cfg)
         table = _remote_event_table(expected_cfg)
-        p = table.herald_probability
+        cond, ok, fid = table.probabilities, table.outcome_index >= 0, table.fidelity
+        p = table.herald_probability  # the success probability
+        mean_fid = float((cond * fid)[ok].sum() / p) if p else 0.0
         pairs = [
             ("success_rate", stats.success_rate, p, p * (1.0 - p), cfg.trial_count),
             ("mean_conditional_fidelity", stats.mean_conditional_fidelity,
-             table.exact_mean_fidelity, _fidelity_variance(table), stats.success_count),
+             mean_fid, _fidelity_variance(table, mean_fid), stats.success_count),
         ]
     else:
         raise ValueError(f"unknown experiment {experiment!r}")

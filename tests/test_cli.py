@@ -19,7 +19,13 @@ from dfsmem.cli import (
 )
 from dfsmem.noise import NoiseParams
 from dfsmem.protocol import build_write_setup, generate_entanglement, write_branches
-from dfsmem.trials import OracleEntry, OracleReport, RunConfig, run_write_trials
+from dfsmem.trials import (
+    OracleEntry,
+    OracleReport,
+    RunConfig,
+    run_remote_trials,
+    run_write_trials,
+)
 
 
 def test_parse_amplitude_forms():
@@ -400,19 +406,19 @@ def _reference_json(path, obj):
         fh.write("\n")
 
 
-def _emitted(tmp_path, fmt, header, rows, obj) -> bytes:
+def _emitted(tmp_path, fmt, record=None, table=None) -> bytes:
     cfg = CliConfig(command="entangle", output=str(tmp_path / f"out.{fmt}"), format=fmt)
-    return open(cli._emit(cfg, lambda: (header, rows), lambda: obj), "rb").read()
+    return open(cli._emit(cfg, record=record, table=table), "rb").read()
 
 
 def _assert_csv_bytes(tmp_path, header, rows):
     _reference_csv(tmp_path / "ref.csv", header, rows)
-    assert _emitted(tmp_path, "csv", header, rows, None) == (tmp_path / "ref.csv").read_bytes()
+    assert _emitted(tmp_path, "csv", table=(header, rows)) == (tmp_path / "ref.csv").read_bytes()
 
 
 def _assert_json_bytes(tmp_path, obj):
     _reference_json(tmp_path / "ref.json", obj)
-    assert _emitted(tmp_path, "json", [], [], obj) == (tmp_path / "ref.json").read_bytes()
+    assert _emitted(tmp_path, "json", record=obj) == (tmp_path / "ref.json").read_bytes()
 
 
 NAN = float("nan")
@@ -471,14 +477,73 @@ def test_json_writer_keeps_reference_bytes_for_complex_values_and_other_keys(tmp
     _assert_json_bytes(tmp_path, payload)
 
 
-def test_emit_builds_only_the_written_form(tmp_path):
-    def unused():
+def test_emit_builds_only_the_written_form(tmp_path, monkeypatch):
+    def unused(*args):
         raise AssertionError("the other format was built")
 
-    for fmt, csv_table, json_obj in (("csv", lambda: (["a"], [(0.5,)]), unused),
-                                     ("json", unused, lambda: {"a": 0.5})):
-        cfg = CliConfig(command="entangle", output=str(tmp_path / f"x.{fmt}"), format=fmt)
-        cli._emit(cfg, csv_table, json_obj)
+    monkeypatch.setattr(cli, "_rows", unused)
+    monkeypatch.setattr(cli, "_objects", unused)
+    record, table = {"a": 0.5}, (["a"], [(0.5,)])
+    cfg = {fmt: CliConfig(command="entangle", output=str(tmp_path / f"x.{fmt}"), format=fmt)
+           for fmt in ("csv", "json")}
+    # a record's CSV rows are built only for CSV, a table's objects only for JSON
+    cli._emit(cfg["json"], record=record)
+    cli._emit(cfg["csv"], table=table)
+    # given both, each format writes its own and derives nothing
+    for fmt in cfg:
+        cli._emit(cfg[fmt], record=record, table=table)
+    assert (tmp_path / "x.csv").read_text() == "a\n0.5\n"
+    assert json.loads((tmp_path / "x.json").read_text()) == record
+
+
+def test_emit_derives_the_other_form(tmp_path):
+    table = (["x", "y"], [(0.5, "s"), (-0.0, "t")])
+    assert json.loads(_emitted(tmp_path, "json", table=table)) == [
+        {"x": 0.5, "y": "s"}, {"x": -0.0, "y": "t"}]
+    record = {"n": 3, "d": {"b": 0.25, "a": 1}, "s": "text"}
+    assert _emitted(tmp_path, "csv", record=record) == (
+        b"quantity,value\nn,3\nd[a],1\nd[b],0.25\ns,text\n")
+
+
+# The CSV row builders of the record commands as they were before the
+# output rule: one for RunStats, one for the entangle payload, one for read.
+def _stats_rows(stats):
+    flat = []
+    for f in dataclasses.fields(stats):
+        value = getattr(stats, f.name)
+        if isinstance(value, dict):
+            for sub, v in sorted(value.items()):
+                flat.append((f"{f.name}[{sub}]", float(v)))
+        else:
+            flat.append((f.name, float(value)))
+    return ["quantity", "value"], flat
+
+
+def _entangle_rows(payload):
+    return ["quantity", "value"], [(k, float(v)) for k, v in payload.items()]
+
+
+def _read_rows(payload):
+    return ["quantity", "value"], [(k, v if isinstance(v, str) else float(v))
+                                   for k, v in payload.items()]
+
+
+def _typed(table):
+    header, rows = table
+    return header, [tuple((type(c), c) for c in row) for row in rows]
+
+
+@pytest.mark.parametrize("run_trials", [run_write_trials, run_remote_trials])
+def test_rows_of_a_record_match_the_former_builders(run_trials):
+    noise = NoiseParams(chi=0.7, eta_d=0.8, p_dc=1e-3)
+    stats = run_trials(RunConfig(300, 9, 0.1, 0.6, 0.8j, noise))
+    assert _typed(cli._rows(stats)) == _typed(_stats_rows(stats))
+    cfg = parse_config(["read", "--pc", "0.1", "--alpha", "0.6", "--beta", "0,0.8",
+                        "--seed", "5", "--efficiency", "0.7"])
+    payload = cli._read(cfg)[2]
+    assert _typed(cli._rows(payload)) == _typed(_read_rows(payload))
+    payload = cli._entangle(dataclasses.replace(cfg, command="entangle"))[2]
+    assert _typed(cli._rows(payload)) == _typed(_entangle_rows(payload))
 
 
 def test_read_draws_one_philox_step_not_a_block(tmp_path, monkeypatch):

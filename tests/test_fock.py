@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 
@@ -15,6 +16,7 @@ from dfsmem.fock import (
     OpticalElement,
     PureState,
     TruncationOverflowError,
+    apply_elements,
     apply_unitary,
     atomic_mode,
     born_probabilities,
@@ -31,8 +33,11 @@ from dfsmem import optics
 from dense_oracle import (
     apply_creation,
     basis_state,
+    compose,
     dense_apply,
     max_amplitude_diff,
+    permanent,
+    phase_shifter,
     product_state,
     project_occupation,
     random_state,
@@ -230,6 +235,22 @@ def test_superposition_adds_repeated_occupations():
     reg = two_mode()
     state = superposition(reg, [({S_L: 1}, 0.25), ({S_R: 1}, 0.5j), ({S_L: 1}, 0.5)])
     assert dict(state.items()) == {(1, 0): 0.75, (0, 1): 0.5j}
+
+
+@pytest.mark.parametrize("occupations, message", [
+    ({S_R: 3}, "occupation vector (0, 3) violates truncation d=3"),
+    ({S_L: -1, S_R: 1}, "occupation vector (-1, 1) violates truncation d=3"),
+    ({S_L: 1, PH_H: 1}, f"mode {PH_H} is not registered"),
+])
+def test_superposition_rejects_what_the_constructor_rejects(occupations, message):
+    reg = two_mode(3)
+    with pytest.raises(ValueError) as caught:
+        superposition(reg, [({S_L: 1}, 0.6), (occupations, 0.8)])
+    assert str(caught.value) == message
+    if PH_H not in occupations:  # the public constructor words it the same
+        pattern = tuple(occupations.get(label, 0) for label in reg.labels)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PureState(reg, {(1, 0): 0.6, pattern: 0.8})
 
 
 def test_superposition_empty_occupation_is_vacuum():
@@ -610,3 +631,49 @@ def test_lift_table_shared_between_threads():
     assert not any(t.is_alive() for t in threads)
     for k in range(4):
         assert results[k] == expected[k:] + expected[:k]
+
+
+# -- the permanent oracle itself ----------------------------------------------
+
+_ENTRIES = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(
+    _ENTRIES | st.sampled_from([0j, 1 + 0j]), min_size=n * n, max_size=n * n
+).map(lambda xs: np.array(xs, dtype=complex).reshape(n, n))))
+def test_permanent_is_the_sum_over_permutations(mat):
+    n = mat.shape[0]
+    terms = [math.prod(mat[i, s[i]] for i in range(n)) for s in itertools.permutations(range(n))]
+    scale = sum(abs(t) for t in terms)
+    assert abs(permanent(mat) - sum(terms)) <= 1e-12 * max(scale, 1.0)
+
+
+_PROBE = tuple(photon_mode("probe", pol, spot) for spot in "abcd" for pol in "HV")
+# each constructor with the number of modes it takes
+_CONSTRUCTORS = {optics.qwp: 4, optics.pbs: 8, optics.hwp: 2, optics.pol_rotator: 2,
+                 optics.bs50: 2, lambda a, b: optics.swap("swap", a, b): 2}
+
+
+@st.composite
+def _element_lists(draw):
+    elements = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            make, k = draw(st.sampled_from(list(_CONSTRUCTORS.items())))
+            elements.append(make(*draw(st.permutations(_PROBE))[:k]))
+        else:  # a complex diagonal
+            phases = draw(st.lists(st.floats(-math.pi, math.pi), min_size=2, max_size=2))
+            elements.append(phase_shifter(draw(st.permutations(_PROBE))[:2], phases))
+    return elements
+
+
+@settings(deadline=None)
+@given(_element_lists())
+def test_compose_matches_the_lift_on_one_photon(elements):
+    reg = register_modes(_PROBE, 2)
+    u = compose(reg, elements)
+    for j, mode in enumerate(reg.labels):
+        lifted = dict(apply_elements(basis_state(reg, {mode: 1}), elements).items())
+        expected = {tuple(int(k == i) for k in range(len(reg))): u[i, j] for i in range(len(reg))}
+        assert set(lifted) <= set(expected)
+        assert all(abs(lifted.get(p, 0j) - a) <= 1e-12 for p, a in expected.items())

@@ -243,11 +243,16 @@ def test_oracle_check_builds_one_table_per_check(monkeypatch):
 
 
 def test_click_weights_memo_is_bit_identical():
-    trials._write_event_table(RunConfig(1, 1, pc=0.2, noise=NOISY, truncation=4))
+    cfg = RunConfig(1, 1, pc=0.2, noise=NOISY, truncation=4)
+    trials._write_event_table(cfg)
+    trials._remote_event_table(cfg)
     spec = trials.DetectorSpec(NOISY.eta_prime, NOISY.p_dc)
-    memo = trials._click_weights(spec)
-    assert memo and all(spec.clicks_probability(pattern, clicks) == w
-                        for (pattern, clicks), w in memo.items())
+    for rule in (trials._WRITE_RULE, trials._REMOTE_RULE):
+        memo = trials._click_weights(spec, rule)
+        # each pattern's weights, one per click vector of the rule, in rule order
+        assert memo and all(
+            weights == [spec.clicks_probability(pattern, clicks) for clicks, _, _ in rule]
+            for pattern, weights in memo.items())
 
 
 def test_oracle_check_zero_trials():

@@ -6,7 +6,10 @@ The grid is every pc in {0.01, 0.1, 0.2}, truncation in {3, 4}, three qubits
 and ideal or noisy detection, for bsm-stats, entangle, teleport,
 remote-transfer, oracle-check and read, the read once per Pauli mark (each
 of its four seeds draws one mark at every grid point); the two curve
-commands at the README example flags; end_to_end_fidelity and the remote
+commands at the README example flags; each command once more in its other
+output format (CSV for the six JSON commands, at pc 0.1, truncation 3, the
+first qubit and noisy detection; JSON for the two curve commands);
+end_to_end_fidelity and the remote
 oracle_check at the three pc, ideal and noisy; and, at the three pc with
 noisy detection, the records CSV and statistics of run_write_trials (with a
 round cap that censors trials) and run_remote_trials; and one command per
@@ -56,6 +59,9 @@ COMMANDS = {
     **{f"read-mark-{mark}": ("read", ["--seed", seed, "--efficiency", "0.7"])
        for mark, seed in (("I", "1"), ("X", "4"), ("Z", "7"))},
 }
+# the grid point (pc, truncation, qubit index, detection) of the CSV outputs
+# of the JSON commands
+OTHER_FORMAT_POINT = ("0.1", "3", 0, "noisy")
 RECORDS = {"write": run_write_trials, "remote": run_remote_trials}
 ROUND_CAP = 20  # censors some noisy write trials at every pc of the grid
 CURVES = {
@@ -96,18 +102,29 @@ def write_json(path: Path, result) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
+def grid_argv(command: str, flags: list[str], pc: str, d: str, k: int,
+              detection: str) -> list[str]:
+    alpha, beta = QUBITS[k]
+    return [command, "--pc", pc, "--truncation", d, "--alpha", alpha, "--beta", beta,
+            *DETECTION[detection], *flags]
+
+
 def main_grid(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     outdir = outdir.resolve()
     for name, (command, flags) in COMMANDS.items():
-        for pc, d, (k, (alpha, beta)), detection in itertools.product(
-            PCS, TRUNCATIONS, enumerate(QUBITS), DETECTION
-        ):
-            argv = [command, "--pc", pc, "--truncation", d, "--alpha", alpha,
-                    "--beta", beta, *DETECTION[detection], *flags]
-            run_cli(outdir, f"{name}_pc{pc}_d{d}_q{k}_{detection}.json", argv)
+        for point in itertools.product(PCS, TRUNCATIONS, range(len(QUBITS)), DETECTION):
+            pc, d, k, detection = point
+            run_cli(outdir, f"{name}_pc{pc}_d{d}_q{k}_{detection}.json",
+                    grid_argv(command, flags, *point))
+    pc, d, k, detection = OTHER_FORMAT_POINT
+    for name, (command, flags) in COMMANDS.items():
+        if not name.startswith("read-mark-"):
+            run_cli(outdir, f"{name}_pc{pc}_d{d}_q{k}_{detection}.csv",
+                    grid_argv(command, [*flags, "--format", "csv"], *OTHER_FORMAT_POINT))
     for command, flags in CURVES.items():
         run_cli(outdir, f"{command}.csv", [command, *flags])
+        run_cli(outdir, f"{command}.json", [command, *flags, "--format", "json"])
     for name, (command, *flags) in MISTAKES.items():
         run_cli(outdir, f"mistake_{name}.json", [command, "--trials", "2000", *flags])
     for pc, detection in itertools.product(PCS, DETECTION):

@@ -81,12 +81,13 @@ def median_ms(call, repeats: int = REPEATS) -> float:
 
 def emitter(tmp: str, argv: list[str], header: list[str], rows: list[tuple], obj):
     """One cli._emit call writing ``obj`` (JSON) or ``rows`` (CSV) under
-    ``tmp``. A checkout older than the one-pass writer takes (cfg, header,
-    rows, json_obj) where a newer one takes two builders."""
+    ``tmp``. A checkout older than the output rule takes two builders,
+    (cfg, csv_table, json_obj), where a newer one takes the record and the
+    table."""
     cfg = cli.parse_config([*argv, "--output", f"{tmp}/{argv[0]}"])
     if "csv_table" in inspect.signature(cli._emit).parameters:
         return lambda: cli._emit(cfg, lambda: (header, rows), lambda: obj)
-    return lambda: cli._emit(cfg, header, rows, obj)
+    return lambda: cli._emit(cfg, record=obj, table=(header, rows) if rows else None)
 
 
 def stages(noise: NoiseParams, tmp: str) -> dict[str, Callable[[], object]]:
