@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .fock import fidelity_mixed, fidelity_pure
+from .fock import fidelity_mixed, fidelity_pure, ordered_sum
 from .noise import NoiseParams, dF_vs_eta, fidelity_vs_T
 from .protocol import (
     build_read_setup,
@@ -387,7 +387,7 @@ def _bsm_stats(cfg: CliConfig):
     record = {"outcome_probabilities": probs,
               "marks": {o.value: b.mark.value for o, b in branches.items()}}
     table = ["outcome", "probability"], [(name, float(p)) for name, p in probs.items()]
-    summary = f"four outcomes, total heralded weight={sum(probs.values()):.6g}"
+    summary = f"four outcomes, total heralded weight={ordered_sum(probs.values()):.6g}"
     return 0, summary, record, table
 
 

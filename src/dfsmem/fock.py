@@ -27,6 +27,16 @@ OVERFLOW_TOL = 1e-12
 PRUNE_TOL = 1e-15
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """The floats added left to right from 0.0. Builtin ``sum()`` of floats
+    is compensated from Python 3.12 on and can end in other bits, so every
+    float sum that reaches an output is taken here."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class TruncationOverflowError(ValueError):
     """Raised when an operation would push occupation past the truncation.
 
@@ -151,11 +161,12 @@ class PureState:
 
     def __init__(self, registry: ModeRegistry, amplitudes: Mapping[tuple[int, ...], complex]):
         n = len(registry)
+        allowed = range(registry.d)
         amp: dict[tuple[int, ...], complex] = {}
         for pattern, a in amplitudes.items():
             if len(pattern) != n:
                 raise ValueError(f"occupation vector {pattern} has wrong length (want {n})")
-            if any(o < 0 or o >= registry.d for o in pattern):
+            if not all(o in allowed for o in pattern):  # NaN and 0.5 are in no range
                 raise ValueError(f"occupation vector {pattern} violates truncation d={registry.d}")
             if abs(a) > PRUNE_TOL:
                 amp[tuple(pattern)] = complex(a)
@@ -265,16 +276,17 @@ def superposition(
     """sum_k c_k |occupations_k> for (occupations_k, c_k) terms, unnormalized.
 
     Unlisted modes are empty, and a repeated occupation adds its amplitudes.
-    Only the given labels and occupations are checked: every other entry of
-    a pattern is 0.
+    Only the given labels and occupations are checked, each to be an integer
+    in [0, d): every other entry of a pattern is 0.
     """
+    allowed = range(registry.d)
     table: dict[tuple[int, ...], complex] = {}
     for occupations, amplitude in terms:
         pattern = list(registry.zero_pattern())
         for label, n in occupations.items():
             pattern[registry.index(label)] = n
         key = tuple(pattern)
-        if not all(0 <= n < registry.d for n in occupations.values()):
+        if not all(n in allowed for n in occupations.values()):
             raise ValueError(f"occupation vector {key} violates truncation d={registry.d}")
         table[key] = table.get(key, 0j) + amplitude
     return PureState._trusted(registry, table)
@@ -389,7 +401,7 @@ def fidelity_pure(s: PureState, t: PureState) -> float:
 
 def fidelity_mixed(rho: MixedState, t: PureState) -> float:
     """<t|rho|t> = sum_i w_i |<t|s_i>|^2."""
-    return sum(w * fidelity_pure(s, t) for w, s in rho.components)
+    return ordered_sum(w * fidelity_pure(s, t) for w, s in rho.components)
 
 
 def project_total_occupation(
@@ -399,7 +411,7 @@ def project_total_occupation(
     reg = state.registry
     idx = [reg.index(m) for m in modes]
     kept = {p: a for p, a in state.items() if sum(p[i] for i in idx) == total}
-    prob = sum(a.real * a.real + a.imag * a.imag for a in kept.values())
+    prob = ordered_sum(a.real * a.real + a.imag * a.imag for a in kept.values())
     return PureState._trusted(reg, kept), prob
 
 

@@ -28,6 +28,7 @@ from .fock import (
     PureState,
     born_probabilities,
     fidelity_mixed,
+    ordered_sum,
 )
 from .optics import check_amplitude_pair
 
@@ -321,7 +322,7 @@ def end_to_end_fidelity(
             if atoms_of.setdefault(n, a) != a:
                 raise RuntimeError("herald sector mixes excitation numbers")
             weights[n, a] = weights.get((n, a), 0.0) + w * prob * click
-    herald_prob = sum(weights.values())
+    herald_prob = ordered_sum(weights.values())
     if herald_prob <= 0.0:
         raise ValueError("herald never fires under these parameters")
 
@@ -331,7 +332,7 @@ def end_to_end_fidelity(
     F = herald_detector.click_probability(1) * fidelity_mixed(mixed, ideal) / herald_prob
     p0 = weights.get((0, 0), 0.0) / herald_prob
     p1 = weights.get((1, 1), 0.0) / herald_prob
-    po = sum(wt for (_, a), wt in weights.items() if a >= 2) / herald_prob
+    po = ordered_sum(wt for (_, a), wt in weights.items() if a >= 2) / herald_prob
     return FidelityReport(
         p0=p0,
         p1=p1,

@@ -5,8 +5,8 @@ elements (no reflection phase). Any self-consistent convention works
 because the unused ports start in vacuum; the detector-mapping tests pin
 these down end to end.
 
-The constructors (``qwp``, ``pbs``, ``hwp``, ``swap`` and ``pol_rotator``
-through it, ``bs50``) return shared elements: equal arguments give the same
+The constructors (``qwp``, ``pbs``, ``hwp``, ``pol_rotator``, ``bs50``)
+return shared elements: equal arguments give the same
 :class:`~dfsmem.fock.OpticalElement`, whose matrix is read-only and whose
 Fock-lift table therefore carries over from one request to the next.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from .fock import ModeLabel, OpticalElement
 
 AMPLITUDE_PAIR_TOL = 1e-9
-# distinct elements kept per constructor; the CLI grid builds 15 in all
+# distinct elements kept per constructor; the CLI grid builds 11 in all
 _SHARED_ELEMENTS = 64
 
 
@@ -84,14 +84,9 @@ def hwp(mode_h: ModeLabel, mode_v: ModeLabel) -> OpticalElement:
 
 
 @lru_cache(maxsize=_SHARED_ELEMENTS)
-def swap(name: str, mode_a: ModeLabel, mode_b: ModeLabel) -> OpticalElement:
-    """Exchange the contents of two modes, named for the step it models."""
-    return OpticalElement(name, (mode_a, mode_b), np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-
 def pol_rotator(mode_h: ModeLabel, mode_v: ModeLabel) -> OpticalElement:
     """90-degree polarization rotator: swaps the H and V amplitudes."""
-    return swap("pol_rotator", mode_h, mode_v)
+    return OpticalElement("pol_rotator", (mode_h, mode_v), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 @lru_cache(maxsize=_SHARED_ELEMENTS)

@@ -54,7 +54,6 @@ from .optics import (
     pbs,
     pol_rotator,
     qwp,
-    swap,
 )
 
 
@@ -575,46 +574,28 @@ def photon_present_probability(state: MixedState, modes: Sequence[ModeLabel]) ->
 
 
 class RemoteSetup:
-    """Registry and elements for the two-splitter coincidence transfer."""
+    """The coincidence transfer's modes and its compiled transfer table.
+
+    Retrieval maps each near ensemble's excitation one to one onto its
+    anti-Stokes mode, as in :func:`read_memory`, so the sender and the near
+    resource halves are written directly on the retrieved modes, which are
+    also the detectors: D1/D2 after the (I1, L1) splitter, D3/D4 after the
+    (I2, L2) one. The far pair (R1, R2) holds the other resource halves.
+    """
 
     def __init__(self, d: int = 3):
         self.d = d
-        self.i1 = atomic_mode("ensemble-I1")
-        self.i2 = atomic_mode("ensemble-I2")
-        self.l1 = atomic_mode("ensemble-L1")
-        self.l2 = atomic_mode("ensemble-L2")
-        self.r1 = atomic_mode("ensemble-R1")
-        self.r2 = atomic_mode("ensemble-R2")
         self.p_i1 = photon_mode("anti-stokes", "H", "from-I1")
         self.p_l1 = photon_mode("anti-stokes", "H", "from-L1")
         self.p_i2 = photon_mode("anti-stokes", "H", "from-I2")
         self.p_l2 = photon_mode("anti-stokes", "H", "from-L2")
-        self.registry = register_modes(
-            [self.i1, self.i2, self.l1, self.l2, self.r1, self.r2,
-             self.p_i1, self.p_l1, self.p_i2, self.p_l2],
-            d,
-        )
-        # detectors sit on the splitter outputs: D1/D2 after the (I1, L1)
-        # splitter, D3/D4 after the (I2, L2) one
+        self.r1 = atomic_mode("ensemble-R1")
+        self.r2 = atomic_mode("ensemble-R2")
         self.detectors = (self.p_i1, self.p_l1, self.p_i2, self.p_l2)
+        self.registry = register_modes([*self.detectors, self.r1, self.r2], d)
         self.r_registry = register_modes([self.r1, self.r2], d)
         self.r_logical = LogicalQubitMap(left=self.r1, right=self.r2)
-        # the transfer's outputs live on the detector and far-pair modes;
-        # _transfer_table(self) once the first remote_transfer needs it
-        self._events_registry = register_modes([*self.detectors, self.r1, self.r2], d)
-        self._transfer: tuple | None = None
-
-    def transfer_elements(self) -> list[OpticalElement]:
-        """Lossless retrieval of the four near ensembles, then the two
-        balanced splitters."""
-        return [
-            swap("retrieval_swap", self.i1, self.p_i1),
-            swap("retrieval_swap", self.l1, self.p_l1),
-            swap("retrieval_swap", self.i2, self.p_i2),
-            swap("retrieval_swap", self.l2, self.p_l2),
-            bs50(self.p_i1, self.p_l1),
-            bs50(self.p_i2, self.p_l2),
-        ]
+        self._transfer = _transfer_table(self)
 
 
 @lru_cache(maxsize=8)
@@ -649,20 +630,16 @@ REMOTE_CLICK_RULE: dict[tuple[bool, ...], tuple[bool, PauliMark | None]] = {
 def _transfer_table(setup: RemoteSetup) -> tuple:
     """The transfer of each sender basis state, as ``((output, c_i2, c_i1),
     ...)``: the sender |i2> (the alpha term) and |i1> (the beta term), each
-    with the fixed resource (|l1 r2> + |l2 r1>)/sqrt(2), lifted once through
-    :meth:`RemoteSetup.transfer_elements`; outputs are patterns on
-    ``setup._events_registry``."""
-    kept = [setup.registry.index(m) for m in setup._events_registry.labels]
-    lifted = []
-    for mode in (setup.i2, setup.i1):
-        state = apply_elements(superposition(setup.registry, [
-            ({mode: 1, setup.l1: 1, setup.r2: 1}, 1 / math.sqrt(2)),
-            ({mode: 1, setup.l2: 1, setup.r1: 1}, 1 / math.sqrt(2)),
-        ]), setup.transfer_elements())
-        lifted.append({tuple(p[i] for i in kept): a for p, a in state.items()})
-    v1, v2 = lifted
-    keys = list(v1) + [key for key in v2 if key not in v1]
-    return tuple((key, v1.get(key, 0j), v2.get(key, 0j)) for key in keys)
+    with the fixed resource (|l1 r2> + |l2 r1>)/sqrt(2), written on the
+    retrieved modes and lifted once through the balanced splitters of
+    (I1, L1) and (I2, L2); outputs are patterns on ``setup.registry``."""
+    splitters = (bs50(setup.p_i1, setup.p_l1), bs50(setup.p_i2, setup.p_l2))
+    v1, v2 = (dict(apply_elements(superposition(setup.registry, [
+        ({mode: 1, setup.p_l1: 1, setup.r2: 1}, 1 / math.sqrt(2)),
+        ({mode: 1, setup.p_l2: 1, setup.r1: 1}, 1 / math.sqrt(2)),
+    ]), splitters).items()) for mode in (setup.p_i2, setup.p_i1))
+    # the outputs of |i2> in their lift order, then those only |i1> reaches
+    return tuple((key, v1.get(key, 0j), v2.get(key, 0j)) for key in {**v1, **v2})
 
 
 def remote_transfer(
@@ -671,8 +648,9 @@ def remote_transfer(
     """Transfer an unknown dual-rail state onto the far ensemble pair.
 
     The sender pair holds alpha|0> + beta|1>; the resource pairs share
-    (|0>|1> + |1>|0>)/sqrt(2). Retrieval converts the sender and near-resource
-    excitations to photons, which meet pairwise on two balanced splitters.
+    (|0>|1> + |1>|0>)/sqrt(2). Retrieval maps the sender and near-resource
+    excitations one to one onto photons (a relabelling, as in
+    :func:`read_memory`), which meet pairwise on two balanced splitters.
 
     Returns each photon pattern on the four detectors with its exact
     probability and the normalized, uncorrected far-pair state it leaves
@@ -683,16 +661,14 @@ def remote_transfer(
     the far pair in alpha|0> +/- beta|1>, the sign fixed by the click parity.
 
     The network is linear and the qubit enters only through the sender, so
-    the two sender basis states are lifted once per setup
-    (:func:`_transfer_table`) and a call sums ``alpha * c_i2 + beta * c_i1``
-    per output before splitting once per detector pattern. The two photons
-    fit any truncation d >= 3; at d = 2 their bunching overflows, in the
-    table's lift as in a direct one.
+    the setup lifts the two sender basis states through its two splitters
+    once, when it is built (:func:`_transfer_table`), and a call sums
+    ``alpha * c_i2 + beta * c_i1`` per output before splitting once per
+    detector pattern. The two photons fit any truncation d >= 3; at d = 2
+    their bunching overflows when the setup is built.
     """
     check_amplitude_pair(alpha, beta)
     setup = setup or build_remote_setup()
-    if setup._transfer is None:
-        setup._transfer = _transfer_table(setup)
     out = {key: alpha * c1 + beta * c2 for key, c1, c2 in setup._transfer}
-    return split_by_pattern(PureState._trusted(setup._events_registry, out),
+    return split_by_pattern(PureState._trusted(setup.registry, out),
                             setup.detectors, setup.r_registry)

@@ -5,10 +5,12 @@ A short off-resonant Raman pulse leaves each ensemble in a number-correlated
 Stokes mode, with amplitudes proportional to pc^(n/2) on |n, n>. This module
 computes pc from the pump and ensemble parameters; the two-ensemble write
 source is :func:`dfsmem.protocol.joint_emission_state`. Retrieval maps each
-ensemble's excitations onto an anti-Stokes mode: :func:`dfsmem.protocol.read_memory`
-writes it as a relabelling of the stored pattern table onto the output pair,
-and :func:`dfsmem.protocol.remote_transfer` lifts it as the ``retrieval_swap``
-stage of its transfer table, once per truncation.
+ensemble's excitations one to one onto an anti-Stokes mode, so both of its
+uses write it as a relabelling: :func:`dfsmem.protocol.read_memory` relabels
+the stored pattern table onto the output pair, and
+:class:`dfsmem.protocol.RemoteSetup` writes the sender and resource
+excitations directly on the retrieved modes, then lifts only its two
+splitters.
 """
 
 from __future__ import annotations

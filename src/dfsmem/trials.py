@@ -45,7 +45,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .fock import fidelity_pure
+from .fock import fidelity_pure, ordered_sum
 from .noise import DetectorSpec, NoiseParams
 from .protocol import (
     OUTCOME_OF_DETECTOR,
@@ -254,7 +254,7 @@ def _fold(split, rule, det: DetectorSpec, marked):
             if f is None:
                 f = overlaps[mark] = fidelity_pure(state, marked[mark])
             fids.append(f)
-    total = float(sum(probs))
+    total = ordered_sum(probs)
     cond = np.array(probs) / total if total > 0.0 else np.array(probs)
     arrays = cond, np.array(index, dtype=int), np.array(fids)
     for a in arrays:  # the memoised tables are shared between callers

@@ -24,7 +24,12 @@ read-out of ``protocol``: ``phase_shifter`` and ``lifted_logical_pauli``
 (the X mark as a ``logical_x`` swap, the Z mark as a pi phase), and
 ``lifted_read`` (the stored state embedded by ``embed_state`` on the
 retrieval registry of ``read_network``, the retrieval swaps and the
-recombining PBS lifted, then the mark and ``noise.apply_loss``).
+recombining PBS lifted, then the mark and ``noise.apply_loss``). The
+lifted remote network is the reference for the compiled transfer table of
+``protocol.remote_transfer``: ``remote_network`` (the four near ensembles,
+their retrieval swaps and the two splitters), ``remote_input`` (sender
+times resource on it) and ``lifted_transfer`` (the two sender basis states
+lifted through it, weighted by the qubit and split on the detectors).
 """
 
 import cmath
@@ -374,6 +379,13 @@ def reference_split(state, modes, keep) -> dict:
     }
 
 
+def swap(name: str, mode_a, mode_b):
+    """Exchange the contents of two modes, named for the step it models."""
+    from dfsmem.fock import OpticalElement
+
+    return OpticalElement(name, (mode_a, mode_b), np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
 def phase_shifter(modes, phases):
     """Diagonal element exp(i*phi_k) on each listed mode."""
     from dfsmem.fock import OpticalElement
@@ -390,7 +402,6 @@ def lifted_logical_pauli(state, mark, qmap):
     carries an imaginary part of 1.2e-16, so the lifted Z is -1 only to
     that accuracy."""
     from dfsmem.fock import apply_unitary
-    from dfsmem.optics import swap
     from dfsmem.protocol import PauliMark
 
     if mark in (PauliMark.X, PauliMark.ZX):
@@ -406,7 +417,7 @@ def read_network(d: int):
     H@read-L, ensemble-R onto V@read-R), and a PBS recombines read-L and
     read-R onto the ``out`` port, its other port ``spill``."""
     from dfsmem.fock import atomic_mode, photon_mode, register_modes
-    from dfsmem.optics import pbs, swap
+    from dfsmem.optics import pbs
 
     s_l, s_r = atomic_mode("ensemble-L"), atomic_mode("ensemble-R")
     ph = {(pol, spot): photon_mode("anti-stokes", pol, spot)
@@ -437,6 +448,62 @@ def lifted_read(record, efficiency: float):
     pair = register_modes([out_h, out_v], registry.d)
     mixed = apply_loss(state, [out_h, out_v], efficiency)
     return MixedState(tuple((w, restrict_state(s, pair)) for w, s in mixed.components))
+
+
+def remote_network(d: int):
+    """The remote transfer as an optical network: (registry, elements,
+    sender modes (I2, I1), resource pairs ((L1, R2), (L2, R1))). The four
+    near ensembles are swapped onto the retrieved anti-Stokes modes that
+    are ``protocol.RemoteSetup``'s detectors, and a balanced splitter mixes
+    the (I1, L1) and the (I2, L2) photons; the far pair is that setup's."""
+    from dfsmem.fock import atomic_mode, register_modes
+    from dfsmem.optics import bs50
+    from dfsmem.protocol import build_remote_setup
+
+    setup = build_remote_setup(d)
+    i1, i2, l1, l2 = (atomic_mode(f"ensemble-{n}") for n in ("I1", "I2", "L1", "L2"))
+    registry = register_modes([i1, i2, l1, l2, setup.r1, setup.r2, *setup.detectors], d)
+    elements = [
+        swap("retrieval_swap", i1, setup.p_i1),
+        swap("retrieval_swap", l1, setup.p_l1),
+        swap("retrieval_swap", i2, setup.p_i2),
+        swap("retrieval_swap", l2, setup.p_l2),
+        bs50(setup.p_i1, setup.p_l1),
+        bs50(setup.p_i2, setup.p_l2),
+    ]
+    return registry, elements, (i2, i1), ((l1, setup.r2), (l2, setup.r1))
+
+
+def remote_input(d: int, alpha, beta):
+    """The remote transfer's input on :func:`remote_network`'s registry: the
+    sender alpha|I2> + beta|I1> times the resource (|L1 R2> + |L2 R1>)/sqrt(2)."""
+    from dfsmem.fock import superposition
+
+    registry, _, (i2, i1), resource = remote_network(d)
+    sender = superposition(registry, [({i2: 1}, alpha), ({i1: 1}, beta)])
+    pairs = superposition(registry, [({near: 1, far: 1}, 1 / math.sqrt(2))
+                                     for near, far in resource])
+    return product_state(sender, pairs)
+
+
+def lifted_transfer(alpha, beta, d: int) -> dict:
+    """``protocol.remote_transfer`` through :func:`remote_network`: each
+    sender basis state with the resource lifted through the whole network
+    and restricted onto the detectors and the far pair, ``alpha * c_I2 +
+    beta * c_I1`` per output in the order the outputs first occur, and that
+    split on the detectors by :func:`reference_split`."""
+    from dfsmem.fock import PureState, apply_elements
+    from dfsmem.protocol import build_remote_setup
+
+    setup = build_remote_setup(d)
+    registry, elements, _, _ = remote_network(d)
+    restrict = restrictor(registry, setup.registry)
+    c_i2, c_i1 = (dict(restrict(apply_elements(remote_input(d, *basis), elements)).items())
+                  for basis in ((1.0, 0.0), (0.0, 1.0)))
+    out = {key: alpha * c_i2.get(key, 0j) + beta * c_i1.get(key, 0j)
+           for key in {**c_i2, **c_i1}}
+    return reference_split(PureState._trusted(setup.registry, out),
+                           setup.detectors, setup.r_registry)
 
 
 def apply_creation(state, mode):

@@ -37,8 +37,9 @@ from dense_oracle import (
     encode_elements,
     loss_coupler,
     phase_shifter,
-    product_state,
     read_network,
+    remote_input,
+    remote_network,
     sparse_vs_dense,
 )
 
@@ -212,17 +213,11 @@ def test_criterion_7_oracle_equivalence():
             worst = max(worst, sparse_vs_dense(state, el))
             state = apply_unitary(state, el)
 
-    # the remote network exactly as remote_transfer lifts it, and the read
-    # network that read_memory writes in closed form, then one loss coupler
-    # into a sink mode
-    remote = build_remote_setup()
-    sender = superposition(remote.registry, [({remote.i2: 1}, 0.6), ({remote.i1: 1}, 0.8)])
-    resource = superposition(remote.registry, [
-        ({remote.l1: 1, remote.r2: 1}, 1 / math.sqrt(2)),
-        ({remote.l2: 1, remote.r1: 1}, 1 / math.sqrt(2)),
-    ])
-    state = product_state(sender, resource)
-    for el in remote.transfer_elements():
+    # the remote network and the read network, whose retrieval
+    # remote_transfer and read_memory write as a relabelling, then one loss
+    # coupler into a sink mode
+    state = remote_input(3, 0.6, 0.8)
+    for el in remote_network(3)[1]:
         worst = max(worst, sparse_vs_dense(state, el))
         state = apply_unitary(state, el)
 

@@ -45,6 +45,7 @@ from dense_oracle import (
     reference_split,
     restrict_state,
     sparse_vs_dense,
+    swap,
 )
 
 S_L = atomic_mode("ensemble-L")
@@ -241,6 +242,9 @@ def test_superposition_adds_repeated_occupations():
     ({S_R: 3}, "occupation vector (0, 3) violates truncation d=3"),
     ({S_L: -1, S_R: 1}, "occupation vector (-1, 1) violates truncation d=3"),
     ({S_L: 1, PH_H: 1}, f"mode {PH_H} is not registered"),
+    ({S_L: 0.5}, "occupation vector (0.5, 0) violates truncation d=3"),
+    ({S_L: math.nan, S_R: 1}, "occupation vector (nan, 1) violates truncation d=3"),
+    ({S_R: 1.5}, "occupation vector (0, 1.5) violates truncation d=3"),
 ])
 def test_superposition_rejects_what_the_constructor_rejects(occupations, message):
     reg = two_mode(3)
@@ -596,7 +600,7 @@ def test_fixed_optics_constructors_return_shared_read_only_elements():
     assert optics.pbs(*labels) is el
     assert optics.hwp(*labels[:2]) is optics.hwp(*labels[:2])
     assert optics.bs50(*labels[:2]) is optics.bs50(*labels[:2])
-    assert optics.pol_rotator(*labels[:2]) is optics.swap("pol_rotator", *labels[:2])
+    assert optics.pol_rotator(*labels[:2]) is optics.pol_rotator(*labels[:2])
     assert not el.matrix.flags.writeable
     with pytest.raises(ValueError):
         el.matrix[0, 0] = 2.0
@@ -651,7 +655,7 @@ def test_permanent_is_the_sum_over_permutations(mat):
 _PROBE = tuple(photon_mode("probe", pol, spot) for spot in "abcd" for pol in "HV")
 # each constructor with the number of modes it takes
 _CONSTRUCTORS = {optics.qwp: 4, optics.pbs: 8, optics.hwp: 2, optics.pol_rotator: 2,
-                 optics.bs50: 2, lambda a, b: optics.swap("swap", a, b): 2}
+                 optics.bs50: 2, lambda a, b: swap("swap", a, b): 2}
 
 
 @st.composite

@@ -13,11 +13,13 @@ from dense_oracle import (
     encode_spatial,
     lifted_logical_pauli,
     lifted_read,
+    lifted_transfer,
     max_amplitude_diff,
     permanent_event_table,
     phase_shifter,
-    product_state,
     random_state,
+    remote_input,
+    remote_network,
 )
 from dfsmem.fock import (
     PureState,
@@ -33,7 +35,7 @@ from dfsmem.fock import (
     split_by_pattern,
     superposition,
 )
-from dfsmem import protocol
+from dfsmem import fock, protocol
 from dfsmem.optics import check_amplitude_pair
 from dfsmem.protocol import (
     BellOutcome,
@@ -472,28 +474,11 @@ def test_classify_remote_clicks_parity_table():
 # -- the compiled tables: write_events and remote_transfer against the lift ---
 
 
-def _resource(setup):
-    return superposition(setup.registry, [
-        ({setup.l1: 1, setup.r2: 1}, 1 / math.sqrt(2)),
-        ({setup.l2: 1, setup.r1: 1}, 1 / math.sqrt(2)),
-    ])
-
-
-def _sender(setup, alpha, beta):
-    return superposition(setup.registry, [({setup.i2: 1}, alpha), ({setup.i1: 1}, beta)])
-
-
 def _lifted_write(state, alpha, beta, setup):
     """The write's reference path: the oracle's encoder and the analyzer
     lifted."""
     analyzed = apply_elements(encode_spatial(state, alpha, beta, setup), setup.bsm_elements())
     return split_by_pattern(analyzed, setup.detectors, setup.atomic_registry)
-
-
-def _lifted_transfer(alpha, beta, setup):
-    state = product_state(_sender(setup, alpha, beta), _resource(setup))
-    return split_by_pattern(apply_elements(state, setup.transfer_elements()),
-                            setup.detectors, setup.r_registry)
 
 
 def _assert_same_events(got, want):
@@ -535,8 +520,28 @@ def test_write_events_table_matches_lift(pc, d, qubit):
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(d=st.sampled_from([3, 4]), qubit=_QUBIT)
 def test_remote_transfer_table_matches_lift(d, qubit):
+    # the near ensembles hold one excitation each, so each retrieval swap
+    # of the lifted network moves an amplitude without arithmetic: the
+    # relabelled table equals the whole network's lift bit for bit
     setup = build_remote_setup(d)
-    _assert_same_events(remote_transfer(*qubit, setup), _lifted_transfer(*qubit, setup))
+    got, want = remote_transfer(*qubit, setup), lifted_transfer(*qubit, d)
+    assert _bits(got) == _bits(want)
+    assert all(s.registry == setup.r_registry for _, s in [*got.values(), *want.values()])
+
+
+def test_remote_setup_lifts_only_its_splitters_once(monkeypatch):
+    lifted = []
+    lift = fock.apply_unitary
+    monkeypatch.setattr(fock, "apply_unitary",
+                        lambda state, element: lifted.append(element.name) or lift(state, element))
+    setup = RemoteSetup(3)  # a fresh setup builds its table
+    assert lifted == ["bs50"] * 4  # two splitters per sender basis state
+    assert [str(m) for m in setup.registry.labels] == [
+        "anti-stokes[H@from-I1]", "anti-stokes[H@from-L1]", "anti-stokes[H@from-I2]",
+        "anti-stokes[H@from-L2]", "ensemble-R1", "ensemble-R2"]
+    lifted.clear()
+    remote_transfer(0.6, 0.8j, setup)
+    assert lifted == []
 
 
 def test_write_events_rejects_occupied_path_and_unnormalized_qubit():
@@ -686,12 +691,12 @@ def test_permanent_oracle_matches_remote_transfer(d, qubit):
     setup = build_remote_setup(d)
     events = remote_transfer(alpha, beta, setup)
 
+    registry, elements, _, _ = remote_network(d)
+
     def oracle(a, b, elements):
-        state = product_state(_sender(setup, a, b), _resource(setup))
-        return permanent_event_table(state, compose(setup.registry, elements),
+        return permanent_event_table(remote_input(d, a, b), compose(registry, elements),
                                      setup.detectors, setup.r_registry)
 
-    elements = setup.transfer_elements()
     assert _agrees(oracle(alpha, beta, elements), events)
     # negative controls: a splitter dropped, alpha and beta swapped; the
     # transfer matrix is real, so its conjugate control conjugates the qubit

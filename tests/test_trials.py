@@ -1,6 +1,8 @@
 import bisect
+import builtins
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,10 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import compose, encode_elements, permanent_event_table
-from dfsmem import fock, trials
+from dense_oracle import compose, encode_elements, permanent_event_table, remote_network
+from dfsmem import cli, fock, noise, protocol, trials
 from dfsmem.fock import superposition
-from dfsmem.noise import NoiseParams, p1_analytic, preparation_time
+from dfsmem.noise import NoiseParams, end_to_end_fidelity, p1_analytic, preparation_time
 from dfsmem.protocol import (
     OUTCOME_OF_DETECTOR,
     REMOTE_CLICK_RULE,
@@ -22,6 +24,7 @@ from dfsmem.protocol import (
     build_remote_setup,
     build_write_setup,
     event_cdf,
+    generate_entanglement,
     joint_emission_state,
     read_memory,
     write_memory,
@@ -706,19 +709,21 @@ _REMOTE_CORRECTION = {
 def _permanent_remote_fold(d, alpha, beta, det, rule=REMOTE_CLICK_RULE):
     """The noisy remote transfer's event table from permanents: the sender
     alpha|i2> + beta|i1> and the resource (|l1 r2> + |l2 r1>)/sqrt(2) sent
-    through the composed retrieval swaps and splitters
+    through the composed retrieval swaps and splitters of
+    :func:`dense_oracle.remote_network`
     (:func:`dense_oracle.permanent_event_table`), each detector pattern, in
     sorted order, weighted by ``det.clicks_probability`` for every click
     vector of ``rule`` that can fire. Returns the success probability, the
     conditional probabilities, the outcome indices (0 for a coincidence, -1
     for a failure) and the corrected fidelities (0 for a failure)."""
     setup = build_remote_setup(d)
-    state = superposition(setup.registry, [
+    registry, elements, senders, resource = remote_network(d)
+    state = superposition(registry, [
         ({sender: 1, near: 1, far: 1}, amp / math.sqrt(2))
-        for sender, amp in ((setup.i2, alpha), (setup.i1, beta))
-        for near, far in ((setup.l1, setup.r2), (setup.l2, setup.r1))
+        for sender, amp in zip(senders, (alpha, beta))
+        for near, far in resource
     ])
-    table = permanent_event_table(state, compose(setup.registry, setup.transfer_elements()),
+    table = permanent_event_table(state, compose(registry, elements),
                                   setup.detectors, setup.r_registry)
     probs, index, fids = [], [], []
     for pattern in sorted(table):
@@ -781,3 +786,50 @@ def test_warm_requests_lift_only_the_eraser(monkeypatch):
     assert lifted == []
     trials._write_event_table(dataclasses.replace(cfg))
     assert lifted == ["qwp", "qwp", "pol_rotator", "pbs"]
+
+
+# -- the same bytes on every Python version -----------------------------------
+
+
+def _compensated_sum(values, start=0):
+    """Builtin ``sum()`` as Python 3.12 and later compute it over floats:
+    Neumaier's compensated summation. Anything but a list of floats is
+    summed as before."""
+    items = list(values)
+    if not items or any(type(x) is not float for x in items):
+        return builtins.sum(items, start)
+    total, c = float(start), 0.0
+    for x in items:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def _byte_path_numbers():
+    """The exact numbers the outputs print: every write and remote event
+    table, herald, end_to_end_fidelity report and bsm-stats summary of the
+    grid's pc values, truncations and detection models."""
+    out = []
+    for pc, d, model in itertools.product((0.01, 0.1, 0.2), (3, 4), (IDEAL, NOISY)):
+        cfg = RunConfig(1, 0, pc=pc, alpha=0.6, beta=0.8j, noise=model, truncation=d)
+        for table in (trials._write_event_table(cfg), trials._remote_event_table(cfg)):
+            out.append((table.herald_probability, table.probabilities.tolist(),
+                        table.outcome_index.tolist(), table.fidelity.tolist()))
+        state, herald = generate_entanglement(pc, build_write_setup(d))
+        out.append((herald, list(state.items())))
+        if d == 3:
+            out.append(dataclasses.astuple(end_to_end_fidelity(pc, cfg.noise)))
+            argv = ["bsm-stats", "--pc", str(pc), "--alpha", "0.6", "--beta", "0,0.8"]
+            out.append(cli._bsm_stats(cli.parse_config(argv))[1])
+    return out
+
+
+def test_byte_path_sums_do_not_depend_on_the_python_version(monkeypatch):
+    # compensated summation moves the last bit of every write table's herald
+    # probability, among others, wherever builtin sum() adds these floats
+    plain = _byte_path_numbers()
+    for module in (cli, fock, noise, protocol, trials):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    assert _compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0  # left to right: 0.0
+    assert _byte_path_numbers() == plain

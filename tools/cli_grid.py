@@ -9,8 +9,8 @@ of its four seeds draws one mark at every grid point); the two curve
 commands at the README example flags; each command once more in its other
 output format (CSV for the six JSON commands, at pc 0.1, truncation 3, the
 first qubit and noisy detection; JSON for the two curve commands);
-end_to_end_fidelity and the remote
-oracle_check at the three pc, ideal and noisy; and, at the three pc with
+end_to_end_fidelity at the three pc, ideal and noisy, and the remote
+oracle_check there at truncations 3 and 4; and, at the three pc with
 noisy detection, the records CSV and statistics of run_write_trials (with a
 round cap that censors trials) and run_remote_trials; and one command per
 non-finite configuration value, each of which must exit 2 and write nothing.
@@ -132,9 +132,10 @@ def main_grid(outdir: Path) -> int:
         report = end_to_end_fidelity(float(pc), noise)
         write_json(outdir / f"end_to_end_fidelity_pc{pc}_{detection}.json", report)
         # the remote event table's exact values, which sampled outputs do not show
-        cfg = RunConfig(2000, 9, float(pc), 0.6, 0.8j, noise)
-        write_json(outdir / f"oracle_remote_pc{pc}_{detection}.json",
-                   oracle_check(cfg, experiment="remote"))
+        for d, tag in ((3, ""), (4, "_d4")):
+            cfg = RunConfig(2000, 9, float(pc), 0.6, 0.8j, noise, truncation=d)
+            write_json(outdir / f"oracle_remote_pc{pc}{tag}_{detection}.json",
+                       oracle_check(cfg, experiment="remote"))
     for pc, (kind, run) in itertools.product(PCS, RECORDS.items()):
         records = outdir / f"records_{kind}_pc{pc}.csv"
         cfg = RunConfig(trial_count=2000, master_seed=9, pc=float(pc), alpha=0.6, beta=0.8j,

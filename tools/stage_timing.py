@@ -9,11 +9,13 @@ detection and with the noisy detection of tools/cli_grid.py (chi 0.7, eta_d
 the median of REPEATS timed calls, in milliseconds, as Markdown. Besides the
 exact stages it times the front end (cli.parse_config on one teleport argv),
 write_branches (the heralded write's exact branches, as bsm-stats computes
-them), and one whole RUN_TRIALS-trial run_write_trials and run_remote_trials,
-event-table build included, as a small sampling request runs them. Stages
-that take no detector model (the parse, the emission state, the analyzer
-split, write_branches and the read) are timed once and printed in both
-columns; so are the loss channel
+them), a cold remote setup (a new RemoteSetup(d) and one remote_transfer on
+it, at truncations 3 and 4), and one whole RUN_TRIALS-trial
+run_write_trials and run_remote_trials, event-table build included, as a
+small sampling request runs them. Stages that take no detector model (the
+parse, the emission state, the analyzer split, write_branches, the cold
+remote setup and the read) are timed once and printed in both columns; so
+are the loss channel
 (apply_loss on the fibers of end_to_end_fidelity and on the read output, at a
 new survival each call, so no table keyed by it can warm) and the output
 writer (cli._emit: the curves-fig4b CSV at the README flags with 100 points,
@@ -45,10 +47,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from dfsmem import cli  # noqa: E402
 from dfsmem.noise import NoiseParams, apply_loss, dF_vs_eta, end_to_end_fidelity  # noqa: E402
 from dfsmem.protocol import (  # noqa: E402
+    RemoteSetup,
     build_read_setup,
     build_write_setup,
     entangled_state,
     read_memory,
+    remote_transfer,
     write_branches,
     write_events,
     write_memory,
@@ -90,6 +94,12 @@ def emitter(tmp: str, argv: list[str], header: list[str], rows: list[tuple], obj
     return lambda: cli._emit(cfg, record=obj, table=(header, rows) if rows else None)
 
 
+def cold_remote(d: int) -> Callable[[], object]:
+    """A new remote setup at truncation d and one transfer on it; the setup
+    builds its table when constructed or on its first transfer."""
+    return lambda: remote_transfer(ALPHA, BETA, RemoteSetup(d))
+
+
 def stages(noise: NoiseParams, tmp: str) -> dict[str, Callable[[], object]]:
     setup = build_write_setup(D)
     cfg = RunConfig(1, 0, PC, ALPHA, BETA, noise, truncation=D)
@@ -114,6 +124,7 @@ def stages(noise: NoiseParams, tmp: str) -> dict[str, Callable[[], object]]:
         "_write_event_table": lambda: _write_event_table(dataclasses.replace(cfg)),
         "_remote_event_table": lambda: _remote_event_table(dataclasses.replace(cfg)),
         "write_branches": lambda: write_branches(ALPHA, BETA, PC, setup),
+        **{f"RemoteSetup + remote_transfer, d {d}": cold_remote(d) for d in (3, 4)},
         f"run_write_trials, {RUN_TRIALS} trials": lambda: run_write_trials(
             dataclasses.replace(run)),
         f"run_remote_trials, {RUN_TRIALS} trials": lambda: run_remote_trials(
@@ -132,7 +143,8 @@ def stages(noise: NoiseParams, tmp: str) -> dict[str, Callable[[], object]]:
 def main() -> int:
     detection_free = {"parse_config, teleport argv", "entangled_state", "write_events",
                       "write_branches", "read_memory", "apply_loss, fibers",
-                      "apply_loss, read output", "_emit, curves-fig4b CSV"}
+                      "apply_loss, read output", "_emit, curves-fig4b CSV",
+                      *(f"RemoteSetup + remote_transfer, d {d}" for d in (3, 4))}
     with tempfile.TemporaryDirectory() as tmp:
         ideal = stages(NoiseParams(pc=PC), tmp)
         noisy = stages(NoiseParams(pc=PC, **NOISY), tmp)
