@@ -222,7 +222,7 @@ class MixedState:
     components: tuple[tuple[float, PureState], ...]
 
     def __post_init__(self):
-        total = sum(w for w, _ in self.components)
+        total = ordered_sum(w for w, _ in self.components)
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"mixture weights sum to {total}, not 1")
         for w, s in self.components:
@@ -371,7 +371,7 @@ def apply_unitary(state: PureState, element: OpticalElement) -> PureState:
                 spilled[key] = spilled.get(key, 0j) + amp
             else:
                 out[key] = out.get(key, 0j) + amp
-    lost = sum(a.real * a.real + a.imag * a.imag for a in spilled.values())
+    lost = ordered_sum(a.real * a.real + a.imag * a.imag for a in spilled.values())
     if lost > OVERFLOW_TOL:
         raise TruncationOverflowError(
             f"element {element.name!r} overflows truncation d={d}", lost

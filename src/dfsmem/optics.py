@@ -1,14 +1,17 @@
-"""Constructors for the optical elements used by the memory protocol.
+"""Constructors for the optical elements that the memory protocol lifts:
+the which-path eraser's wave plate, rotator and polarizing beam splitter,
+and the remote transfer's balanced splitter. The Bell-state analyzer is no
+element here: :mod:`dfsmem.protocol` writes it as its single-photon map.
 
 Phase conventions: the polarizing beam splitter routes with unit matrix
 elements (no reflection phase). Any self-consistent convention works
 because the unused ports start in vacuum; the detector-mapping tests pin
 these down end to end.
 
-The constructors (``qwp``, ``pbs``, ``hwp``, ``pol_rotator``, ``bs50``)
-return shared elements: equal arguments give the same
-:class:`~dfsmem.fock.OpticalElement`, whose matrix is read-only and whose
-Fock-lift table therefore carries over from one request to the next.
+The constructors (``qwp``, ``pbs``, ``pol_rotator``, ``bs50``) return shared
+elements: equal arguments give the same :class:`~dfsmem.fock.OpticalElement`,
+whose matrix is read-only and whose Fock-lift table therefore carries over
+from one request to the next.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from .fock import ModeLabel, OpticalElement
 
 AMPLITUDE_PAIR_TOL = 1e-9
-# distinct elements kept per constructor; the CLI grid builds 11 in all
+# distinct elements kept per constructor; the CLI grid builds 6 in all
 _SHARED_ELEMENTS = 64
 
 
@@ -74,13 +77,6 @@ def pbs(
         m[dst, src] = 1.0
         m[src, dst] = 1.0
     return OpticalElement("pbs", modes, m)
-
-
-@lru_cache(maxsize=_SHARED_ELEMENTS)
-def hwp(mode_h: ModeLabel, mode_v: ModeLabel) -> OpticalElement:
-    """Half-wave plate at 22.5 degrees: Hadamard on the polarization pair."""
-    m = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    return OpticalElement("hwp", (mode_h, mode_v), m)
 
 
 @lru_cache(maxsize=_SHARED_ELEMENTS)

@@ -1,19 +1,24 @@
 """The memory protocol: heralded entanglement, spatial encoding, Bell-state
 analysis, Pauli-mark bookkeeping, read-out, and remote state transfer.
 
-The write pipeline runs entirely on one mode registry. Two ensembles emit
-number-correlated Stokes photons; quarter-wave plates, a polarization rotator
-on the right arm and a polarizing beam splitter erase the which-path
-information, so a lone surviving photon carries H for "left ensemble excited"
-and V for "right ensemble excited". A Mach-Zehnder stage splits that photon
-over two paths with the amplitudes to store, and the Bell-state analyzer
-(path-combining PBS, half-wave plates, polarization-splitting PBSs) routes
-each polarization-spatial Bell component to exactly one detector:
+Two ensembles emit number-correlated Stokes photons; quarter-wave plates, a
+polarization rotator on the right arm and a polarizing beam splitter erase
+the which-path information, so a lone surviving photon carries H for "left
+ensemble excited" and V for "right ensemble excited". These optics are
+lifted on the write's registry: the two ensembles and the eraser's twelve
+photon modes. A Mach-Zehnder stage splits the fiber photon over two paths
+with the amplitudes to store, and the Bell-state analyzer routes each
+polarization-spatial Bell component to exactly one detector:
 
     D1 <-> (|H,b> + |V,a>)/sqrt(2)     correction I
     D2 <-> (|H,b> - |V,a>)/sqrt(2)     correction Z
     D3 <-> (|H,a> + |V,b>)/sqrt(2)     correction X
     D4 <-> (|H,a> - |V,b>)/sqrt(2)     correction ZX
+
+The analyzer is one fixed single-photon map and the qubit enters the
+encoder only as monomials in (alpha, beta), so :class:`WriteSetup` tables
+both per fiber occupation when it is built (:func:`_fiber_table`), and the
+path and analyzer modes are never registered.
 
 The correction is recorded as a classical mark next to the memory instead of
 being applied to the atoms; read-out applies it to the retrieved photon.
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -38,8 +44,10 @@ from .fock import (
     OpticalElement,
     PureState,
     TruncationOverflowError,
+    _lift_pattern,
     apply_elements,
     atomic_mode,
+    ordered_sum,
     photon_mode,
     project_total_occupation,
     register_modes,
@@ -50,7 +58,6 @@ from .noise import apply_loss
 from .optics import (
     bs50,
     check_amplitude_pair,
-    hwp,
     pbs,
     pol_rotator,
     qwp,
@@ -147,7 +154,10 @@ def apply_logical_pauli(
 
 
 class WriteSetup:
-    """Registry and element inventory for the write pipeline."""
+    """Registry, eraser elements and compiled analyzer table of the write
+    pipeline. The registry holds the two ensembles and the eraser's photon
+    modes; the analyzer's click modes D1..D4 (:attr:`detectors`) are
+    reached only through the table, which the constructor builds."""
 
     def __init__(self, d: int = 3):
         self.d = d
@@ -158,40 +168,24 @@ class WriteSetup:
             ("Rcirc", "arm-R"), ("Lcirc", "arm-R"),
             ("H", "arm-L"), ("V", "arm-L"), ("H", "arm-R"), ("V", "arm-R"),
             ("H", "fiber"), ("V", "fiber"), ("H", "dump"), ("V", "dump"),
-            ("H", "path-a"), ("V", "path-a"), ("H", "path-b"), ("V", "path-b"),
-            ("H", "bsm-1"), ("V", "bsm-1"), ("H", "bsm-2"), ("V", "bsm-2"),
-            ("H", "idle-1"), ("V", "idle-1"), ("H", "idle-2"), ("V", "idle-2"),
-            ("H", "det-1"), ("V", "det-1"), ("H", "det-2"), ("V", "det-2"),
-            ("H", "det-3"), ("V", "det-3"), ("H", "det-4"), ("V", "det-4"),
         ]
         self._photon = {key: photon_mode("stokes", *key) for key in spots}
         self.registry = register_modes(
             [self.s_l, self.s_r] + [self._photon[k] for k in spots], d
         )
-        self.detectors = (
-            self.photon("H", "det-1"),
-            self.photon("V", "det-2"),
-            self.photon("H", "det-3"),
-            self.photon("V", "det-4"),
-        )
+        self.detectors = tuple(photon_mode("stokes", *key) for key in (
+            ("H", "det-1"), ("V", "det-2"), ("H", "det-3"), ("V", "det-4")))
         self.atomic_registry = register_modes([self.s_l, self.s_r], d)
         self.logical = LogicalQubitMap(left=self.s_l, right=self.s_r)
-        # the analyzer's outputs live on the detector and atomic modes alone;
-        # input pattern -> _analyzer_entry(self, pattern, state), filled as
-        # write_events meets patterns it can hold
+        # write_events' outputs: the click modes and the atoms
         self._events_registry = register_modes([*self.detectors, self.s_l, self.s_r], d)
-        self._analyzer: dict[tuple[int, ...], tuple] = {}
         reg = self.registry
-        self._fiber = tuple(reg.index(self.photon(pol, "fiber")) for pol in ("H", "V"))
-        # path-a, path-b per polarization: the encoder's two output ports
-        self._paths = tuple(reg.index(self.photon(pol, spot))
-                            for pol in ("H", "V") for spot in ("path-a", "path-b"))
-        # where the analyzer's photons come from: the fiber, which the
-        # encoder empties onto the paths, and the analyzer's own modes
-        self._analyzer_inputs = self._fiber + tuple(
-            {reg.index(m) for el in self.bsm_elements() for m in el.modes})
-        self._kept = tuple(reg.index(m) for m in self._events_registry.labels)
-        self._dropped = tuple(i for i in range(len(reg)) if i not in self._kept)
+        fiber = [reg.index(self.photon(pol, "fiber")) for pol in ("H", "V")]
+        atoms = [reg.index(self.s_l), reg.index(self.s_r)]
+        self._fiber_of = itemgetter(*fiber)
+        self._atoms_of = itemgetter(*atoms)
+        self._strays_of = itemgetter(*(i for i in range(len(reg)) if i not in fiber + atoms))
+        self._fiber_table = _fiber_table(d)
 
     def photon(self, polarization: str, spatial: str) -> ModeLabel:
         return self._photon[(polarization, spatial)]
@@ -215,24 +209,52 @@ class WriteSetup:
             ),
         ]
 
-    def bsm_elements(self) -> list[OpticalElement]:
-        ph = self.photon
-        return [
-            pbs(
-                ph("H", "path-a"), ph("V", "path-a"), ph("H", "path-b"), ph("V", "path-b"),
-                ph("H", "bsm-1"), ph("V", "bsm-1"), ph("H", "bsm-2"), ph("V", "bsm-2"),
-            ),
-            hwp(ph("H", "bsm-1"), ph("V", "bsm-1")),
-            hwp(ph("H", "bsm-2"), ph("V", "bsm-2")),
-            pbs(
-                ph("H", "bsm-2"), ph("V", "bsm-2"), ph("H", "idle-2"), ph("V", "idle-2"),
-                ph("H", "det-1"), ph("V", "det-1"), ph("H", "det-2"), ph("V", "det-2"),
-            ),
-            pbs(
-                ph("H", "bsm-1"), ph("V", "bsm-1"), ph("H", "idle-1"), ph("V", "idle-1"),
-                ph("H", "det-3"), ph("V", "det-3"), ph("H", "det-4"), ph("V", "det-4"),
-            ),
-        ]
+
+# The analyzer's single-photon map, from the path ports (H_a, H_b, V_a, V_b)
+# onto the click modes D1..D4: H_b -> (D1 + D2)/sqrt(2), V_a -> (D1 - D2)/sqrt(2),
+# H_a -> (D3 + D4)/sqrt(2), V_b -> (D3 - D4)/sqrt(2).
+_S = 1 / math.sqrt(2)
+_ANALYZER = np.array([
+    [0.0, _S, _S, 0.0],
+    [0.0, _S, -_S, 0.0],
+    [_S, 0.0, 0.0, _S],
+    [_S, 0.0, 0.0, -_S],
+])
+
+
+def _fiber_table(d: int) -> dict[tuple[int, int], tuple]:
+    """The encoder and the analyzer of each fiber occupation (n_H, n_V) with
+    n_H + n_V <= d - 1, as ``((p, q, ((clicks, c), ...)), ...)``: the fiber
+    photons leave sum alpha^p beta^q c |clicks>, ``clicks`` the occupations
+    of D1..D4.
+
+    The n_H, n_V photons split onto path-a/path-b as k, l with weight
+    sqrt(C(n_H, k) C(n_V, l)) and monomial alpha^(k+l) beta^(n_H+n_V-k-l);
+    each split is lifted through :data:`_ANALYZER` by the arithmetic of
+    :func:`dfsmem.fock.apply_unitary`, and a term that cancels to exactly 0
+    is dropped.
+    """
+    table = {}
+    for n_h in range(d):
+        for n_v in range(d - n_h):
+            monomials: dict[int, dict[tuple[int, ...], complex]] = {}
+            for k in range(n_h + 1):
+                for l in range(n_v + 1):
+                    weight = math.sqrt(math.comb(n_h, k) * math.comb(n_v, l))
+                    split = (k, n_h - k, l, n_v - l)
+                    lifted = _lift_pattern(split, (0, 1, 2, 3), _ANALYZER, d)
+                    terms = monomials.setdefault(k + l, {})
+                    if lifted is None:  # the vacuum passes unchanged
+                        terms[split] = complex(weight)
+                        continue
+                    denom, outputs = lifted
+                    pre = weight / denom
+                    for clicks, coeff, sf, _ in outputs:  # d - 1 photons never spill
+                        terms[clicks] = terms.get(clicks, 0j) + pre * coeff * sf
+            table[n_h, n_v] = tuple(
+                (p, n_h + n_v - p, tuple((clicks, c) for clicks, c in terms.items() if c != 0))
+                for p, terms in monomials.items())
+    return table
 
 
 @lru_cache(maxsize=8)
@@ -295,55 +317,6 @@ def ideal_entangled_state(setup: WriteSetup | None = None) -> PureState:
     ])
 
 
-def _analyzer_entry(
-    setup: WriteSetup, pattern: tuple[int, ...], state: PureState
-) -> tuple:
-    """One input pattern's path through the encoder and the analyzer, as
-    ``((p, q, ((output, c), ...)), ...)``: the pattern leaves
-    sum alpha^p beta^q c |output>, each output a pattern on
-    ``setup._events_registry``.
-
-    The n_H, n_V fiber photons split onto path-a/path-b as k, l with weight
-    sqrt(C(n_H, k) C(n_V, l)) and monomial alpha^(k+l) beta^(n_H+n_V-k-l),
-    and each split is lifted once through :meth:`WriteSetup.bsm_elements`.
-    A pattern the table cannot hold raises, whatever its amplitude: a photon
-    on a path mode (ValueError), d or more photons in the analyzer
-    (:class:`TruncationOverflowError`, whose ``lost_weight`` is the weight
-    of every such pattern of ``state``), or a photon left outside the
-    detector and atomic modes (ValueError).
-    """
-    reg = setup.registry
-    if any(pattern[i] for i in setup._paths):
-        raise ValueError("spatial target modes are not empty")
-
-    def overflows(p: tuple[int, ...]) -> bool:
-        return sum(p[i] for i in setup._analyzer_inputs) >= reg.d
-
-    if overflows(pattern):
-        lost = sum(a.real * a.real + a.imag * a.imag for p, a in state.items() if overflows(p))
-        raise TruncationOverflowError(
-            f"the write analyzer holds at most d - 1 = {reg.d - 1} photons", lost)
-    fiber_h, fiber_v = setup._fiber
-    a_h, b_h, a_v, b_v = setup._paths
-    n_h, n_v = pattern[fiber_h], pattern[fiber_v]
-    elements = setup.bsm_elements()
-    monomials: dict[int, dict[tuple[int, ...], complex]] = {}
-    for k in range(n_h + 1):
-        for l in range(n_v + 1):
-            split = list(pattern)
-            split[fiber_h] = split[fiber_v] = 0
-            split[a_h], split[b_h], split[a_v], split[b_v] = k, n_h - k, l, n_v - l
-            weight = math.sqrt(math.comb(n_h, k) * math.comb(n_v, l))
-            lifted = apply_elements(PureState._trusted(reg, {tuple(split): weight}), elements)
-            terms = monomials.setdefault(k + l, {})
-            for out, c in lifted.items():
-                if any(out[i] for i in setup._dropped):
-                    raise ValueError("a photon is left outside the detector and atomic modes")
-                key = tuple(out[i] for i in setup._kept)
-                terms[key] = terms.get(key, 0j) + c
-    return tuple((p, n_h + n_v - p, tuple(terms.items())) for p, terms in monomials.items())
-
-
 def write_events(
     state: PureState, alpha: complex, beta: complex, setup: WriteSetup
 ) -> dict[tuple[int, ...], tuple[float, PureState]]:
@@ -355,30 +328,38 @@ def write_events(
     heralded state this is the heralded write; fed :func:`entangled_state`
     it is the raw per-round event table.
 
-    The qubit enters only through the encoder, so each input pattern's
-    outputs are fixed monomials in (alpha, beta), tabled on the setup
-    (:func:`_analyzer_entry`). A call sums ``a * alpha^p beta^q * c`` over
-    the input support and the table terms in order, then splits once per
-    detector pattern. A state with a pattern the table cannot hold raises
-    :func:`_analyzer_entry`'s error, and no such pattern is tabled.
+    The qubit enters only through the encoder, so the outputs of each fiber
+    occupation are fixed monomials in (alpha, beta), tabled on the setup
+    (:func:`_fiber_table`); the atoms ride along. A call sums
+    ``a * alpha^p beta^q * c`` over the input support and the table terms
+    in order, then splits once per detector pattern. An input pattern with
+    d or more fiber photons raises :class:`TruncationOverflowError`, whose
+    ``lost_weight`` is the weight of every such pattern of ``state``, and
+    one with a photon outside the fiber (on an emission arm or the dump)
+    raises ValueError, whatever its amplitude.
     """
-    table = setup._analyzer
+    table, fiber_of, atoms_of = setup._fiber_table, setup._fiber_of, setup._atoms_of
     inputs = []
     for pattern, a in state.items():
-        try:
-            entry = table[pattern]
-        except KeyError:
-            entry = table[pattern] = _analyzer_entry(setup, pattern, state)
-        inputs.append((a, entry))
+        entry = table.get(fiber_of(pattern))
+        if entry is None:
+            lost = ordered_sum(b.real * b.real + b.imag * b.imag
+                               for p, b in state.items() if fiber_of(p) not in table)
+            raise TruncationOverflowError(
+                f"the write analyzer holds at most d - 1 = {setup.d - 1} photons", lost)
+        if any(setup._strays_of(pattern)):
+            raise ValueError("a photon is left outside the detector and atomic modes")
+        inputs.append((a, atoms_of(pattern), entry))
     check_amplitude_pair(alpha, beta)
     # an entry holds at most d - 1 photons
     a_pow = [complex(alpha) ** p for p in range(setup.d)]
     b_pow = [complex(beta) ** q for q in range(setup.d)]
     out: dict[tuple[int, ...], complex] = {}
-    for a, entry in inputs:
+    for a, atoms, entry in inputs:
         for p, q, terms in entry:
             f = a * (a_pow[p] * b_pow[q])
-            for key, c in terms:
+            for clicks, c in terms:
+                key = clicks + atoms
                 out[key] = out.get(key, 0j) + f * c
     return split_by_pattern(PureState._trusted(setup._events_registry, out),
                             setup.detectors, setup.atomic_registry)

@@ -10,13 +10,16 @@ amplitude summed from permanents, grouped by detector pattern.
 ``coupler_loss`` and ``permanent_loss`` are the two references for the
 closed-form loss channel: ``loss_coupler`` beam splitters into vacuum
 sinks, traced out through the sparse lift or through permanents. The
-write's encoder lives here as its reference too: ``mz_split``, one per
-polarization in ``encode_elements``, applied by ``encode_spatial``, which
-the compiled analyzer table of ``protocol.write_events`` is checked
-against. The module also holds the one-mode references ``apply_creation``
-(bosonic raising) and ``project_occupation`` (one-mode projection) that the
-lift and ``split_by_pattern`` are checked against, ``reference_split`` (the
-split as a normalize, then a ``restrict_state`` onto the kept modes), which
+lifted write is the reference for the compiled write table of
+``protocol.write_events``: ``write_registry`` (the write setup's modes plus
+the encoder's path modes and the analyzer's bsm, idle and detector modes),
+the encoder (``mz_split``, one per polarization in ``encode_elements``,
+applied by ``encode_spatial``) and the analyzer (``bsm_elements``, with its
+half-wave plates ``hwp``); ``stokes`` labels their modes. The module also
+holds the one-mode references ``apply_creation`` (bosonic raising) and
+``project_occupation`` (one-mode projection) that the lift and
+``split_by_pattern`` are checked against, ``reference_split`` (the split as
+a normalize, then a ``restrict_state`` onto the kept modes), which
 ``split_by_pattern`` must equal exactly, and the state builders
 ``basis_state`` and ``product_state``; the package itself needs none of
 these. The lifted read-out is the reference for the closed-form marks and
@@ -208,6 +211,60 @@ def product_state(a, b):
     return PureState(a.registry, out)
 
 
+def stokes(polarization: str, spatial: str):
+    """A Stokes photon mode of the write, labelled as ``protocol.WriteSetup``
+    labels its own."""
+    from dfsmem.fock import photon_mode
+
+    return photon_mode("stokes", polarization, spatial)
+
+
+# the encoder's and the analyzer's modes, which protocol.WriteSetup does not
+# register: the write table goes from the fiber straight to the click modes
+_ANALYZER_SPOTS = ("path-a", "path-b", "bsm-1", "bsm-2", "idle-1", "idle-2",
+                   "det-1", "det-2", "det-3", "det-4")
+
+
+def write_registry(d: int):
+    """The registry of the lifted write: ``protocol.WriteSetup(d)``'s modes,
+    then the H and V modes of path-a, path-b, bsm-1, bsm-2, idle-1, idle-2
+    and det-1..det-4. A write state moves onto it by :func:`embed_state`."""
+    from dfsmem.fock import register_modes
+    from dfsmem.protocol import build_write_setup
+
+    return register_modes([*build_write_setup(d).registry.labels,
+                           *(stokes(pol, spot) for spot in _ANALYZER_SPOTS
+                             for pol in ("H", "V"))], d)
+
+
+def hwp(mode_h, mode_v):
+    """Half-wave plate at 22.5 degrees: Hadamard on the polarization pair."""
+    from dfsmem.fock import OpticalElement
+
+    m = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    return OpticalElement("hwp", (mode_h, mode_v), m)
+
+
+def bsm_elements() -> list:
+    """The Bell-state analyzer as optical elements on :func:`write_registry`:
+    a PBS combines path-a and path-b onto bsm-1/bsm-2, a half-wave plate
+    acts on each, and a PBS per port splits it by polarization onto the
+    detector modes; the click modes are H@det-1, V@det-2, H@det-3 and
+    V@det-4, ``protocol.WriteSetup.detectors``."""
+    from dfsmem.optics import pbs
+
+    def ports(*spots):
+        return [stokes(pol, spot) for spot in spots for pol in ("H", "V")]
+
+    return [
+        pbs(*ports("path-a", "path-b", "bsm-1", "bsm-2")),
+        hwp(stokes("H", "bsm-1"), stokes("V", "bsm-1")),
+        hwp(stokes("H", "bsm-2"), stokes("V", "bsm-2")),
+        pbs(*ports("bsm-2", "idle-2", "det-1", "det-2")),
+        pbs(*ports("bsm-1", "idle-1", "det-3", "det-4")),
+    ]
+
+
 def mz_split(in_mode, out_a, out_b, alpha: complex, beta: complex):
     """Mach-Zehnder spatial splitter: in -> alpha*out_a + beta*out_b.
 
@@ -229,28 +286,29 @@ def mz_split(in_mode, out_a, out_b, alpha: complex, beta: complex):
     return OpticalElement("mz_split", (in_mode, out_a, out_b), m)
 
 
-def encode_elements(setup, alpha: complex, beta: complex) -> list:
-    """The write's encoder on a ``protocol.WriteSetup``: one ``mz_split``
-    from the fiber onto path-a/path-b per polarization."""
-    ph = setup.photon
+def encode_elements(alpha: complex, beta: complex) -> list:
+    """The write's encoder on :func:`write_registry`: one ``mz_split`` from
+    the fiber onto path-a/path-b per polarization."""
     return [
-        mz_split(ph(pol, "fiber"), ph(pol, "path-a"), ph(pol, "path-b"), alpha, beta)
+        mz_split(stokes(pol, "fiber"), stokes(pol, "path-a"), stokes(pol, "path-b"),
+                 alpha, beta)
         for pol in ("H", "V")
     ]
 
 
-def encode_spatial(state, alpha: complex, beta: complex, setup):
-    """Split the photon over two spatial paths with amplitudes (alpha, beta)
-    by lifting :func:`encode_elements`. The target path modes must start
-    empty: a path weight above 1e-9 raises."""
+def encode_spatial(state, alpha: complex, beta: complex):
+    """Split the photon of a state on :func:`write_registry` over two
+    spatial paths with amplitudes (alpha, beta) by lifting
+    :func:`encode_elements`. The target path modes must start empty: a
+    path weight above 1e-9 raises."""
     from dfsmem.fock import apply_elements, born_probabilities
 
-    paths = [setup.photon(pol, spot) for pol in ("H", "V") for spot in ("path-a", "path-b")]
+    paths = [stokes(pol, spot) for pol in ("H", "V") for spot in ("path-a", "path-b")]
     weights = born_probabilities(state, paths)
     for k in range(len(paths)):
         if sum(w for pattern, w in weights.items() if pattern[k]) > 1e-9:
             raise ValueError("spatial target modes are not empty")
-    return apply_elements(state, encode_elements(setup, alpha, beta))
+    return apply_elements(state, encode_elements(alpha, beta))
 
 
 def loss_coupler(mode, sink, survival: float):

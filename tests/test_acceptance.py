@@ -33,6 +33,7 @@ from dfsmem.trials import RunConfig, oracle_check, run_remote_trials
 from dfsmem.cli import main
 from dense_oracle import (
     basis_state,
+    bsm_elements,
     embed_state,
     encode_elements,
     loss_coupler,
@@ -41,6 +42,8 @@ from dense_oracle import (
     remote_input,
     remote_network,
     sparse_vs_dense,
+    stokes,
+    write_registry,
 )
 
 
@@ -129,10 +132,11 @@ def test_criterion_3_teleportation_identity():
 
 def test_criterion_4_bsm_determinism():
     setup = build_write_setup()
+    registry = write_registry(setup.d)  # with the analyzer's modes
     s = 1 / math.sqrt(2)
 
     def photon_pattern(pol, spot):
-        return basis_state(setup.registry, {setup.photon(pol, spot): 1}).support()[0]
+        return basis_state(registry, {stokes(pol, spot): 1}).support()[0]
 
     bells = {
         BellOutcome.PSI_PLUS: {photon_pattern("H", "path-b"): s, photon_pattern("V", "path-a"): s},
@@ -144,7 +148,7 @@ def test_criterion_4_bsm_determinism():
              BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
     worst_off = 0.0
     for outcome, table in bells.items():
-        analyzed = apply_elements(PureState(setup.registry, table), setup.bsm_elements())
+        analyzed = apply_elements(PureState(registry, table), bsm_elements())
         probs = born_probabilities(analyzed, setup.detectors)
         target = tuple(1 if i == order.index(outcome) else 0 for i in range(4))
         assert probs.get(target, 0.0) == pytest.approx(1.0, abs=1e-12)
@@ -203,12 +207,8 @@ def test_criterion_7_oracle_equivalence():
     worst = 0.0
     for _ in range(3):
         alpha, beta = random_qubit(rng)
-        state = joint_emission_state(0.05, setup)
-        elements = (
-            setup.entangle_elements()
-            + encode_elements(setup, alpha, beta)
-            + setup.bsm_elements()
-        )
+        state = embed_state(joint_emission_state(0.05, setup), write_registry(setup.d))
+        elements = setup.entangle_elements() + encode_elements(alpha, beta) + bsm_elements()
         for el in elements:
             worst = max(worst, sparse_vs_dense(state, el))
             state = apply_unitary(state, el)

@@ -10,9 +10,9 @@ from dfsmem.fock import (
     PureState,
 )
 from dfsmem.optics import (
-    bs50, hwp, pbs, pol_rotator, qwp,
+    bs50, pbs, pol_rotator, qwp,
 )
-from dense_oracle import basis_state, loss_coupler, mz_split, phase_shifter, random_state
+from dense_oracle import basis_state, hwp, loss_coupler, mz_split, phase_shifter, random_state
 
 IN_R = photon_mode("stokes", "Rcirc", "arm")
 IN_L = photon_mode("stokes", "Lcirc", "arm")

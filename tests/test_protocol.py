@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from dense_oracle import (
     basis_state,
+    bsm_elements,
     compose,
+    embed_state,
     encode_elements,
     encode_spatial,
     lifted_logical_pauli,
@@ -20,6 +22,8 @@ from dense_oracle import (
     random_state,
     remote_input,
     remote_network,
+    stokes,
+    write_registry,
 )
 from dfsmem.fock import (
     PureState,
@@ -96,11 +100,14 @@ def test_generate_entanglement_conditional_state():
     assert fid == pytest.approx(1.0, abs=1e-12)
 
 
+def _heralded_on_write_registry(pc: float) -> PureState:
+    """The heralded write state, embedded on the lifted write's registry."""
+    return embed_state(generate_entanglement(pc)[0], write_registry(3))
+
+
 def test_encode_spatial_identity_setting():
-    setup = build_write_setup()
-    state, _ = generate_entanglement(0.01, setup)
-    out = encode_spatial(state, 1.0, 0.0, setup)
-    path_b = [setup.photon(pol, "path-b") for pol in ("H", "V")]
+    out = encode_spatial(_heralded_on_write_registry(0.01), 1.0, 0.0)
+    path_b = [stokes(pol, "path-b") for pol in ("H", "V")]
     _, weight_b = project_total_occupation(out, path_b, 0)
     assert weight_b == pytest.approx(1.0, abs=1e-12)
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
@@ -109,52 +116,50 @@ def test_encode_spatial_identity_setting():
 def test_encode_spatial_matches_product_form():
     setup = build_write_setup()
     alpha, beta = cmath.exp(0.3j) * 0.6, cmath.exp(-1.1j) * 0.8
-    state, _ = generate_entanglement(0.02, setup)
-    out = encode_spatial(state, alpha, beta, setup)
+    out = encode_spatial(_heralded_on_write_registry(0.02), alpha, beta)
+    registry = write_registry(3)
     table = {}
     s = 1 / math.sqrt(2)
     for amp_path, spot in ((alpha, "path-a"), (beta, "path-b")):
         for amp_pol, pol, atom in ((s, "H", setup.s_l), (s, "V", setup.s_r)):
-            key = basis_state(
-                setup.registry, {atom: 1, setup.photon(pol, spot): 1}
-            ).support()[0]
+            key = basis_state(registry, {atom: 1, stokes(pol, spot): 1}).support()[0]
             table[key] = amp_path * amp_pol
-    expected = PureState(setup.registry, table)
+    expected = PureState(registry, table)
     assert fidelity_pure(out, expected) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_encode_spatial_rejects_unnormalized():
-    setup = build_write_setup()
-    state, _ = generate_entanglement(0.01, setup)
     with pytest.raises(ValueError, match="normalized"):
-        encode_spatial(state, 1.0, 0.5, setup)
+        encode_spatial(_heralded_on_write_registry(0.01), 1.0, 0.5)
 
 
 def test_encode_spatial_rejects_occupied_path():
     setup = build_write_setup()
-    state = basis_state(setup.registry, {setup.s_l: 1, setup.photon("V", "path-a"): 1})
+    state = basis_state(write_registry(3), {setup.s_l: 1, stokes("V", "path-a"): 1})
     with pytest.raises(ValueError, match="not empty"):
-        encode_spatial(state, 0.6, 0.8, setup)
+        encode_spatial(state, 0.6, 0.8)
 
 
-def _bell_state(setup, kind: str) -> PureState:
+def _bell_state(kind: str) -> PureState:
     s = 1 / math.sqrt(2)
-    h_b = basis_state(setup.registry, {setup.photon("H", "path-b"): 1}).support()[0]
-    v_a = basis_state(setup.registry, {setup.photon("V", "path-a"): 1}).support()[0]
-    h_a = basis_state(setup.registry, {setup.photon("H", "path-a"): 1}).support()[0]
-    v_b = basis_state(setup.registry, {setup.photon("V", "path-b"): 1}).support()[0]
+    registry = write_registry(3)
+
+    def one(pol, spot):
+        return basis_state(registry, {stokes(pol, spot): 1}).support()[0]
+
+    h_b, v_a, h_a, v_b = one("H", "path-b"), one("V", "path-a"), one("H", "path-a"), one("V", "path-b")
     table = {
         "psi+": {h_b: s, v_a: s},
         "psi-": {h_b: s, v_a: -s},
         "phi+": {h_a: s, v_b: s},
         "phi-": {h_a: s, v_b: -s},
     }[kind]
-    return PureState(setup.registry, table)
+    return PureState(registry, table)
 
 
-def _detector_table(state, setup) -> dict[tuple[int, ...], float]:
-    """Born weights of the detector patterns after the analyzer elements."""
-    return born_probabilities(apply_elements(state, setup.bsm_elements()), setup.detectors)
+def _detector_table(state) -> dict[tuple[int, ...], float]:
+    """Born weights of the detector patterns after the lifted analyzer."""
+    return born_probabilities(apply_elements(state, bsm_elements()), build_write_setup().detectors)
 
 
 def _single_click(k: int) -> tuple[int, ...]:
@@ -162,9 +167,8 @@ def _single_click(k: int) -> tuple[int, ...]:
 
 
 def test_bsm_routes_each_bell_state_to_its_detector():
-    setup = build_write_setup()
     for idx, kind in enumerate(("psi+", "psi-", "phi+", "phi-")):
-        table = _detector_table(_bell_state(setup, kind), setup)
+        table = _detector_table(_bell_state(kind))
         assert table.get(_single_click(idx), 0.0) == pytest.approx(1.0, abs=1e-12)
         for other in range(4):
             if other != idx:
@@ -172,9 +176,8 @@ def test_bsm_routes_each_bell_state_to_its_detector():
 
 
 def test_bsm_off_target_amplitudes_negligible():
-    setup = build_write_setup()
     for kind in ("psi+", "psi-", "phi+", "phi-"):
-        table = _detector_table(_bell_state(setup, kind), setup)
+        table = _detector_table(_bell_state(kind))
         target = max(range(4), key=lambda k: table.get(_single_click(k), 0.0))
         for pattern, prob in table.items():
             if pattern != _single_click(target):
@@ -182,12 +185,10 @@ def test_bsm_off_target_amplitudes_negligible():
 
 
 def test_bsm_uniform_outcomes_for_teleport_input():
-    setup = build_write_setup()
     rng = np.random.default_rng(4)
     for _ in range(5):
         alpha, beta = random_qubit(rng)
-        state, _ = generate_entanglement(0.01, setup)
-        table = _detector_table(encode_spatial(state, alpha, beta, setup), setup)
+        table = _detector_table(encode_spatial(_heralded_on_write_registry(0.01), alpha, beta))
         for k in range(4):
             assert table[_single_click(k)] == pytest.approx(0.25, abs=1e-12)
 
@@ -197,10 +198,8 @@ def test_bsm_table_equals_write_branch_probabilities_exactly(pc):
     # complex amplitudes: both Born sums must add |a|^2 as one term
     alpha = 0.5 * cmath.exp(1j * math.radians(30))
     beta = 0.8660254037844386 * cmath.exp(1j * math.radians(-70))
-    setup = build_write_setup()
-    heralded, _ = generate_entanglement(pc, setup)
-    table = _detector_table(encode_spatial(heralded, alpha, beta, setup), setup)
-    branches = write_branches(alpha, beta, pc, setup)
+    table = _detector_table(encode_spatial(_heralded_on_write_registry(pc), alpha, beta))
+    branches = write_branches(alpha, beta, pc)
     outcomes = (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS,
                 BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
     for k, outcome in enumerate(outcomes):
@@ -208,15 +207,13 @@ def test_bsm_table_equals_write_branch_probabilities_exactly(pc):
 
 
 def test_bsm_photons_only_reach_click_modes():
-    setup = build_write_setup()
     rng = np.random.default_rng(8)
     alpha, beta = random_qubit(rng)
-    state, _ = generate_entanglement(0.01, setup)
     out = apply_elements(
-        encode_spatial(state, alpha, beta, setup), setup.bsm_elements()
+        encode_spatial(_heralded_on_write_registry(0.01), alpha, beta), bsm_elements()
     )
     dark_modes = [
-        setup.photon(pol, spot)
+        stokes(pol, spot)
         for pol, spot in (
             ("V", "det-1"), ("H", "det-2"), ("V", "det-3"), ("H", "det-4"),
         )
@@ -475,9 +472,10 @@ def test_classify_remote_clicks_parity_table():
 
 
 def _lifted_write(state, alpha, beta, setup):
-    """The write's reference path: the oracle's encoder and the analyzer
-    lifted."""
-    analyzed = apply_elements(encode_spatial(state, alpha, beta, setup), setup.bsm_elements())
+    """The write's reference path: the state embedded on the oracle's
+    registry, then the oracle's encoder and analyzer lifted."""
+    embedded = embed_state(state, write_registry(setup.d))
+    analyzed = apply_elements(encode_spatial(embedded, alpha, beta), bsm_elements())
     return split_by_pattern(analyzed, setup.detectors, setup.atomic_registry)
 
 
@@ -544,11 +542,29 @@ def test_remote_setup_lifts_only_its_splitters_once(monkeypatch):
     assert lifted == []
 
 
-def test_write_events_rejects_occupied_path_and_unnormalized_qubit():
+def test_write_setup_builds_its_table_with_no_lift(monkeypatch):
+    lifted = []
+    lift = fock.apply_unitary
+    monkeypatch.setattr(fock, "apply_unitary",
+                        lambda state, element: lifted.append(element.name) or lift(state, element))
+    for d in (3, 4):
+        setup = WriteSetup(d)  # a fresh setup builds its table
+        assert lifted == []
+        assert [str(m) for m in setup.registry.labels] == [
+            "ensemble-L", "ensemble-R",
+            "stokes[Rcirc@arm-L]", "stokes[Lcirc@arm-L]", "stokes[Rcirc@arm-R]",
+            "stokes[Lcirc@arm-R]", "stokes[H@arm-L]", "stokes[V@arm-L]", "stokes[H@arm-R]",
+            "stokes[V@arm-R]", "stokes[H@fiber]", "stokes[V@fiber]", "stokes[H@dump]",
+            "stokes[V@dump]"]
+        state = entangled_state(0.1, setup)
+        assert lifted == ["qwp", "qwp", "pol_rotator", "pbs"]  # the eraser
+        lifted.clear()
+        write_events(state, 0.6, 0.8j, setup)
+        assert lifted == []
+
+
+def test_write_events_rejects_an_unnormalized_qubit():
     setup = build_write_setup()
-    occupied = basis_state(setup.registry, {setup.s_l: 1, setup.photon("V", "path-a"): 1})
-    with pytest.raises(ValueError, match="not empty"):
-        write_events(occupied, 0.6, 0.8, setup)
     with pytest.raises(ValueError, match="normalized"):
         write_events(entangled_state(0.1, setup), 1.0, 0.5, setup)
     with pytest.raises(ValueError, match="normalized"):
@@ -556,7 +572,7 @@ def test_write_events_rejects_occupied_path_and_unnormalized_qubit():
 
 
 def test_write_events_rejects_what_the_table_cannot_hold():
-    setup = WriteSetup(3)  # a fresh table, to see what it keeps
+    setup = build_write_setup(3)
     fiber_h, fiber_v = setup.photon("H", "fiber"), setup.photon("V", "fiber")
 
     def with_stray(stray, weight):
@@ -564,10 +580,9 @@ def test_write_events_rejects_what_the_table_cannot_hold():
             ({setup.s_l: 1, fiber_h: 1}, 1.0), ({setup.s_r: 1, fiber_v: 1}, 1.0), (stray, weight),
         ]).normalize()
 
-    # a path photon, three photons in the analyzer at d = 3, and a photon
-    # the analyzer never reaches: each raises its own error at any weight
+    # three photons in the analyzer at d = 3, and a photon the analyzer
+    # never reaches: each raises its own error at any weight
     strays = (
-        ({setup.photon("H", "path-b"): 1}, ValueError, "spatial target modes are not empty"),
         ({fiber_h: 2, fiber_v: 1}, TruncationOverflowError, "at most d - 1 = 2 photons"),
         ({setup.photon("H", "dump"): 1}, ValueError,
          "left outside the detector and atomic modes"),
@@ -575,14 +590,12 @@ def test_write_events_rejects_what_the_table_cannot_hold():
     for stray, error, message in strays:
         for weight in (1e-7, 1.0):
             state = with_stray(stray, weight)
-            for _ in range(2):  # an error pattern is not tabled: it raises again
-                with pytest.raises(error, match=message) as info:
-                    write_events(state, 0.6, 0.8j, setup)
-                assert type(info.value) is error
+            with pytest.raises(error, match=message) as info:
+                write_events(state, 0.6, 0.8j, setup)
+            assert type(info.value) is error
             if error is TruncationOverflowError:
                 assert info.value.lost_weight == pytest.approx(weight**2 / (2 + weight**2),
                                                                rel=1e-12)
-    assert len(setup._analyzer) == 2  # the two one-photon patterns
     # photons left on the emission arms (no eraser) never reach the analyzer
     with pytest.raises(ValueError, match="left outside"):
         write_events(joint_emission_state(0.1, setup), 0.6, 0.8j, setup)
@@ -592,16 +605,14 @@ def test_write_events_rejects_what_the_table_cannot_hold():
     assert info.value.lost_weight == 1.0
 
     # the reference path keeps its tolerances: it accepts each stray at
-    # 1e-7 (a path weight below 1e-9, an overflow below the lift's
-    # tolerance, a dump photon that factorizes) ...
+    # 1e-7 (an overflow below the lift's tolerance, a dump photon that
+    # factorizes) ...
     for stray, _, _ in strays:
         events = _lifted_write(with_stray(stray, 1e-7), 0.6, 0.8j, setup)
         for k in range(4):
             assert events[_single_click(k)][0] == pytest.approx(0.25, abs=1e-12)
-    # ... and rejects a path photon at full weight, arm photons that do not
-    # factorize against the atoms, and three photons at full weight
-    with pytest.raises(ValueError, match="not empty"):
-        _lifted_write(with_stray(strays[0][0], 1.0), 0.6, 0.8j, setup)
+    # ... and rejects arm photons that do not factorize against the atoms,
+    # and three photons at full weight
     with pytest.raises(ValueError, match="factorize"):
         _lifted_write(joint_emission_state(0.1, setup), 0.6, 0.8j, setup)
     with pytest.raises(TruncationOverflowError):
@@ -615,7 +626,7 @@ def _bits(events):
 @pytest.mark.parametrize("d", [3, 4])
 def test_compiled_tables_cold_and_warm_agree_bit_for_bit(d):
     alpha, beta = 0.5 * cmath.exp(0.3j), 0.8660254037844386 * cmath.exp(-1.1j)
-    cold = WriteSetup(d)  # a fresh setup starts with an empty table
+    cold = WriteSetup(d)  # a fresh setup builds its own table
     state = entangled_state(0.2, cold)
     first = _bits(write_events(state, alpha, beta, cold))
     assert first == _bits(write_events(state, alpha, beta, cold))
@@ -667,20 +678,21 @@ def _agrees(table, events, tol=1e-15) -> bool:
 def test_permanent_oracle_matches_write_events(d, qubit):
     alpha, beta = qubit
     setup = build_write_setup(d)
-    emitted = joint_emission_state(0.2, setup)
+    registry = write_registry(d)
+    emitted = embed_state(joint_emission_state(0.2, setup), registry)
     events = write_events(entangled_state(0.2, setup), alpha, beta, setup)
 
     def oracle(encode, bsm, conj=False):
-        u = compose(setup.registry, setup.entangle_elements() + encode + bsm)
+        u = compose(registry, setup.entangle_elements() + encode + bsm)
         return permanent_event_table(emitted, u.conj() if conj else u,
                                      setup.detectors, setup.atomic_registry)
 
-    encode, bsm = encode_elements(setup, alpha, beta), setup.bsm_elements()
+    encode, bsm = encode_elements(alpha, beta), bsm_elements()
     assert _agrees(oracle(encode, bsm), events)
     # negative controls: a half-wave plate dropped, alpha and beta swapped,
     # the composed matrix conjugated
     assert not _agrees(oracle(encode, bsm[:1] + bsm[2:]), events)
-    assert not _agrees(oracle(encode_elements(setup, beta, alpha), bsm), events)
+    assert not _agrees(oracle(encode_elements(beta, alpha), bsm), events)
     assert not _agrees(oracle(encode, bsm, conj=True), events)
 
 

@@ -10,9 +10,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import compose, encode_elements, permanent_event_table, remote_network
-from dfsmem import cli, fock, noise, protocol, trials
-from dfsmem.fock import superposition
+from dense_oracle import (
+    bsm_elements,
+    compose,
+    embed_state,
+    encode_elements,
+    permanent_event_table,
+    remote_network,
+    write_registry,
+)
+from dfsmem import cli, fock, noise, optics, protocol, trials
+from dfsmem.fock import (
+    MixedState,
+    TruncationOverflowError,
+    photon_mode,
+    register_modes,
+    superposition,
+)
 from dfsmem.noise import NoiseParams, end_to_end_fidelity, p1_analytic, preparation_time
 from dfsmem.protocol import (
     OUTCOME_OF_DETECTOR,
@@ -638,10 +652,11 @@ def _permanent_write_fold(pc, d, alpha, beta, det, rule=WRITE_CLICK_RULE):
     conditional probabilities, the outcome indices (into
     ``OUTCOME_OF_DETECTOR``) and the corrected fidelities."""
     setup = build_write_setup(d)
-    u = compose(setup.registry, setup.entangle_elements() + encode_elements(setup, alpha, beta)
-                + setup.bsm_elements())
-    table = permanent_event_table(joint_emission_state(pc, setup), u, setup.detectors,
-                                  setup.atomic_registry)
+    registry = write_registry(d)
+    u = compose(registry, setup.entangle_elements() + encode_elements(alpha, beta)
+                + bsm_elements())
+    table = permanent_event_table(embed_state(joint_emission_state(pc, setup), registry), u,
+                                  setup.detectors, setup.atomic_registry)
     probs, index, fids = [], [], []
     for pattern in sorted(table):
         p, amps = table[pattern]
@@ -833,3 +848,32 @@ def test_byte_path_sums_do_not_depend_on_the_python_version(monkeypatch):
         monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
     assert _compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0  # left to right: 0.0
     assert _byte_path_numbers() == plain
+
+
+def _float_sum_raises(values, start=0):
+    """Builtin ``sum()`` that refuses floats, numpy's included, whose total
+    Python 3.12 and later can compensate; anything else is summed as
+    before."""
+    items = list(values)
+    if any(isinstance(x, float) for x in items):
+        raise AssertionError("a float sum went through builtin sum()")
+    return builtins.sum(items, start)
+
+
+def test_threshold_sums_do_not_depend_on_the_python_version(monkeypatch):
+    # the overflow weights decide against OVERFLOW_TOL and the mixture check
+    # against NORM_TOL, so their float sums are taken left to right too
+    for module in (cli, fock, noise, protocol, trials):
+        monkeypatch.setattr(module, "sum", _float_sum_raises, raising=False)
+    pair = register_modes([photon_mode("stokes", "H", "x"), photon_mode("stokes", "V", "x")], 2)
+    with pytest.raises(TruncationOverflowError) as info:  # both photons bunch past d = 2
+        fock.apply_unitary(superposition(pair, [({m: 1 for m in pair.labels}, 1.0)]),
+                           optics.bs50(*pair.labels))
+    assert info.value.lost_weight == pytest.approx(1.0)
+    setup = build_write_setup(3)
+    fiber = {setup.photon("H", "fiber"): 2, setup.photon("V", "fiber"): 1}
+    with pytest.raises(TruncationOverflowError) as info:
+        protocol.write_events(superposition(setup.registry, [(fiber, 1.0)]), 0.6, 0.8, setup)
+    assert info.value.lost_weight == 1.0
+    one = setup.logical.logical_state(setup.atomic_registry, 0.6, 0.8)
+    assert MixedState(((0.25, one), (0.75, one))).components[1][0] == 0.75

@@ -9,13 +9,14 @@ detection and with the noisy detection of tools/cli_grid.py (chi 0.7, eta_d
 the median of REPEATS timed calls, in milliseconds, as Markdown. Besides the
 exact stages it times the front end (cli.parse_config on one teleport argv),
 write_branches (the heralded write's exact branches, as bsm-stats computes
-them), a cold remote setup (a new RemoteSetup(d) and one remote_transfer on
-it, at truncations 3 and 4), and one whole RUN_TRIALS-trial
-run_write_trials and run_remote_trials, event-table build included, as a
-small sampling request runs them. Stages that take no detector model (the
-parse, the emission state, the analyzer split, write_branches, the cold
-remote setup and the read) are timed once and printed in both columns; so
-are the loss channel
+them), a cold write setup (a new WriteSetup(d) and one write_events of
+entangled_state on it), a cold remote setup (a new RemoteSetup(d) and one
+remote_transfer on it), both at truncations 3 and 4, and one whole
+RUN_TRIALS-trial run_write_trials and run_remote_trials, event-table build
+included, as a small sampling request runs them. Stages that take no
+detector model (the parse, the emission state, the analyzer split,
+write_branches, the cold write and remote setups and the read) are timed
+once and printed in both columns; so are the loss channel
 (apply_loss on the fibers of end_to_end_fidelity and on the read output, at a
 new survival each call, so no table keyed by it can warm) and the output
 writer (cli._emit: the curves-fig4b CSV at the README flags with 100 points,
@@ -48,6 +49,7 @@ from dfsmem import cli  # noqa: E402
 from dfsmem.noise import NoiseParams, apply_loss, dF_vs_eta, end_to_end_fidelity  # noqa: E402
 from dfsmem.protocol import (  # noqa: E402
     RemoteSetup,
+    WriteSetup,
     build_read_setup,
     build_write_setup,
     entangled_state,
@@ -94,6 +96,16 @@ def emitter(tmp: str, argv: list[str], header: list[str], rows: list[tuple], obj
     return lambda: cli._emit(cfg, record=obj, table=(header, rows) if rows else None)
 
 
+def cold_write(d: int) -> Callable[[], object]:
+    """A new write setup at truncation d and one write_events of the
+    emission state on it; the setup builds its table when constructed or
+    on its first write."""
+    def call():
+        setup = WriteSetup(d)
+        return write_events(entangled_state(PC, setup), ALPHA, BETA, setup)
+    return call
+
+
 def cold_remote(d: int) -> Callable[[], object]:
     """A new remote setup at truncation d and one transfer on it; the setup
     builds its table when constructed or on its first transfer."""
@@ -124,6 +136,7 @@ def stages(noise: NoiseParams, tmp: str) -> dict[str, Callable[[], object]]:
         "_write_event_table": lambda: _write_event_table(dataclasses.replace(cfg)),
         "_remote_event_table": lambda: _remote_event_table(dataclasses.replace(cfg)),
         "write_branches": lambda: write_branches(ALPHA, BETA, PC, setup),
+        **{f"WriteSetup + write_events, d {d}": cold_write(d) for d in (3, 4)},
         **{f"RemoteSetup + remote_transfer, d {d}": cold_remote(d) for d in (3, 4)},
         f"run_write_trials, {RUN_TRIALS} trials": lambda: run_write_trials(
             dataclasses.replace(run)),
@@ -144,6 +157,7 @@ def main() -> int:
     detection_free = {"parse_config, teleport argv", "entangled_state", "write_events",
                       "write_branches", "read_memory", "apply_loss, fibers",
                       "apply_loss, read output", "_emit, curves-fig4b CSV",
+                      *(f"WriteSetup + write_events, d {d}" for d in (3, 4)),
                       *(f"RemoteSetup + remote_transfer, d {d}" for d in (3, 4))}
     with tempfile.TemporaryDirectory() as tmp:
         ideal = stages(NoiseParams(pc=PC), tmp)
