@@ -151,6 +151,12 @@ def preparation_time(p1: float, f_p: float) -> float:
     return 1.0 / (p1 * f_p)
 
 
+def _check_positive_finite(name: str, v: float) -> None:
+    # fails on NaN, as NoiseParams' checks do
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"{name}={v} must be positive and finite")
+
+
 def _pc_at(T: float, eta_prime: float, f_p: float) -> float:
     return 1.0 / (2.0 * eta_prime * f_p * T)
 
@@ -162,13 +168,14 @@ def fidelity_vs_T(
 
     Inverts T = 1/(p1 f_p) with p1 = 2 pc eta' to the excitation probability
     affordable at that time budget, then applies dF = pc. Clamped to [0, 1].
+    ``f_p`` and every T must be positive and finite.
     """
     if not 0.0 < eta_prime <= 1.0:
         raise ValueError(f"eta_prime={eta_prime} outside (0, 1]")
+    _check_positive_finite("f_p", f_p)
     out = []
     for T in T_values:
-        if T <= 0.0:
-            raise ValueError("preparation times must be positive")
+        _check_positive_finite("T", T)
         F = 1.0 - _pc_at(T, eta_prime, f_p)
         out.append((T, min(max(F, 0.0), 1.0)))
     return out
@@ -177,9 +184,10 @@ def fidelity_vs_T(
 def dF_vs_eta(
     T: float, f_p: float, eta_values: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """Fidelity imperfection versus overall efficiency at fixed prep time."""
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    """Fidelity imperfection versus overall efficiency at fixed prep time;
+    ``T`` and ``f_p`` must be positive and finite."""
+    _check_positive_finite("T", T)
+    _check_positive_finite("f_p", f_p)
     out = []
     for eta in eta_values:
         if not 0.0 < eta <= 1.0:

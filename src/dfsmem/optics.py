@@ -1,17 +1,19 @@
 """Constructors for the optical elements that the memory protocol lifts:
-the which-path eraser's wave plate, rotator and polarizing beam splitter,
-and the remote transfer's balanced splitter. The Bell-state analyzer is no
-element here: :mod:`dfsmem.protocol` writes it as its single-photon map.
+the which-path eraser's polarizing beam splitter and the remote transfer's
+balanced splitter. The eraser's wave plates and rotator, which act before
+the PBS, are relabellings that :mod:`dfsmem.protocol` writes into the
+emission, and the Bell-state analyzer is written there as its
+single-photon map.
 
 Phase conventions: the polarizing beam splitter routes with unit matrix
 elements (no reflection phase). Any self-consistent convention works
 because the unused ports start in vacuum; the detector-mapping tests pin
 these down end to end.
 
-The constructors (``qwp``, ``pbs``, ``pol_rotator``, ``bs50``) return shared
-elements: equal arguments give the same :class:`~dfsmem.fock.OpticalElement`,
-whose matrix is read-only and whose Fock-lift table therefore carries over
-from one request to the next.
+The constructors (``pbs``, ``bs50``) return shared elements: equal
+arguments give the same :class:`~dfsmem.fock.OpticalElement`, whose matrix
+is read-only and whose Fock-lift table therefore carries over from one
+request to the next.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .fock import ModeLabel, OpticalElement
 
 AMPLITUDE_PAIR_TOL = 1e-9
-# distinct elements kept per constructor; the CLI grid builds 6 in all
+# distinct elements kept per constructor; the CLI grid builds 3 in all
 _SHARED_ELEMENTS = 64
 
 
@@ -34,27 +36,6 @@ def check_amplitude_pair(alpha: complex, beta: complex) -> None:
     total = abs(alpha) ** 2 + abs(beta) ** 2
     if not abs(total - 1.0) <= AMPLITUDE_PAIR_TOL:
         raise ValueError(f"(alpha, beta) not normalized: |a|^2+|b|^2 = {total}")
-
-
-@lru_cache(maxsize=_SHARED_ELEMENTS)
-def qwp(
-    in_rcirc: ModeLabel,
-    in_lcirc: ModeLabel,
-    out_h: ModeLabel,
-    out_v: ModeLabel,
-) -> OpticalElement:
-    """Quarter-wave plate as a relabeling: Rcirc -> H, Lcirc -> V.
-
-    The reverse routes (H -> Rcirc, V -> Lcirc) complete the permutation and
-    never matter because the linear-polarization ports start empty.
-    """
-    modes = (in_rcirc, in_lcirc, out_h, out_v)
-    m = np.zeros((4, 4))
-    m[2, 0] = 1.0  # Rcirc -> H
-    m[3, 1] = 1.0  # Lcirc -> V
-    m[0, 2] = 1.0
-    m[1, 3] = 1.0
-    return OpticalElement("qwp", modes, m)
 
 
 @lru_cache(maxsize=_SHARED_ELEMENTS)
@@ -77,12 +58,6 @@ def pbs(
         m[dst, src] = 1.0
         m[src, dst] = 1.0
     return OpticalElement("pbs", modes, m)
-
-
-@lru_cache(maxsize=_SHARED_ELEMENTS)
-def pol_rotator(mode_h: ModeLabel, mode_v: ModeLabel) -> OpticalElement:
-    """90-degree polarization rotator: swaps the H and V amplitudes."""
-    return OpticalElement("pol_rotator", (mode_h, mode_v), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 @lru_cache(maxsize=_SHARED_ELEMENTS)

@@ -1,14 +1,17 @@
 """The memory protocol: heralded entanglement, spatial encoding, Bell-state
 analysis, Pauli-mark bookkeeping, read-out, and remote state transfer.
 
-Two ensembles emit number-correlated Stokes photons; quarter-wave plates, a
-polarization rotator on the right arm and a polarizing beam splitter erase
-the which-path information, so a lone surviving photon carries H for "left
-ensemble excited" and V for "right ensemble excited". These optics are
-lifted on the write's registry: the two ensembles and the eraser's twelve
-photon modes. A Mach-Zehnder stage splits the fiber photon over two paths
-with the amplitudes to store, and the Bell-state analyzer routes each
-polarization-spatial Bell component to exactly one detector:
+Two ensembles emit number-correlated Stokes photons. A quarter-wave plate
+on each arm turns the circular photon into H, and a rotator on the right arm
+turns that into V; both are unit-amplitude relabellings, so the emission is
+written where they leave it, ensemble L's photons on H@arm-L and ensemble
+R's on V@arm-R. A polarizing beam splitter merges the two arms onto one
+fiber and erases the which-path information, so a lone surviving photon
+carries H for "left ensemble excited" and V for "right ensemble excited".
+The PBS is the one element lifted, on the write's registry: the two
+ensembles and its eight ports. A Mach-Zehnder stage splits the fiber photon
+over two paths with the amplitudes to store, and the Bell-state analyzer
+routes each polarization-spatial Bell component to exactly one detector:
 
     D1 <-> (|H,b> + |V,a>)/sqrt(2)     correction I
     D2 <-> (|H,b> - |V,a>)/sqrt(2)     correction Z
@@ -55,13 +58,7 @@ from .fock import (
     superposition,
 )
 from .noise import apply_loss
-from .optics import (
-    bs50,
-    check_amplitude_pair,
-    pbs,
-    pol_rotator,
-    qwp,
-)
+from .optics import bs50, check_amplitude_pair, pbs
 
 
 class BellOutcome(Enum):
@@ -154,25 +151,19 @@ def apply_logical_pauli(
 
 
 class WriteSetup:
-    """Registry, eraser elements and compiled analyzer table of the write
-    pipeline. The registry holds the two ensembles and the eraser's photon
-    modes; the analyzer's click modes D1..D4 (:attr:`detectors`) are
+    """Registry, eraser PBS and compiled analyzer table of the write
+    pipeline. The registry holds the two ensembles and the PBS's eight
+    ports; the analyzer's click modes D1..D4 (:attr:`detectors`) are
     reached only through the table, which the constructor builds."""
 
     def __init__(self, d: int = 3):
         self.d = d
         self.s_l = atomic_mode("ensemble-L")
         self.s_r = atomic_mode("ensemble-R")
-        spots = [
-            ("Rcirc", "arm-L"), ("Lcirc", "arm-L"),
-            ("Rcirc", "arm-R"), ("Lcirc", "arm-R"),
-            ("H", "arm-L"), ("V", "arm-L"), ("H", "arm-R"), ("V", "arm-R"),
-            ("H", "fiber"), ("V", "fiber"), ("H", "dump"), ("V", "dump"),
-        ]
-        self._photon = {key: photon_mode("stokes", *key) for key in spots}
-        self.registry = register_modes(
-            [self.s_l, self.s_r] + [self._photon[k] for k in spots], d
-        )
+        # the PBS's ports in its argument order: the arms in, fiber and dump out
+        self._photon = {(pol, spot): photon_mode("stokes", pol, spot)
+                        for spot in ("arm-L", "arm-R", "fiber", "dump") for pol in ("H", "V")}
+        self.registry = register_modes([self.s_l, self.s_r, *self._photon.values()], d)
         self.detectors = tuple(photon_mode("stokes", *key) for key in (
             ("H", "det-1"), ("V", "det-2"), ("H", "det-3"), ("V", "det-4")))
         self.atomic_registry = register_modes([self.s_l, self.s_r], d)
@@ -198,16 +189,8 @@ class WriteSetup:
         )
 
     def entangle_elements(self) -> list[OpticalElement]:
-        ph = self.photon
-        return [
-            qwp(ph("Rcirc", "arm-L"), ph("Lcirc", "arm-L"), ph("H", "arm-L"), ph("V", "arm-L")),
-            qwp(ph("Rcirc", "arm-R"), ph("Lcirc", "arm-R"), ph("H", "arm-R"), ph("V", "arm-R")),
-            pol_rotator(ph("H", "arm-R"), ph("V", "arm-R")),
-            pbs(
-                ph("H", "arm-L"), ph("V", "arm-L"), ph("H", "arm-R"), ph("V", "arm-R"),
-                ph("H", "fiber"), ph("V", "fiber"), ph("H", "dump"), ph("V", "dump"),
-            ),
-        ]
+        """The which-path eraser: the PBS that merges the arms onto the fiber."""
+        return [pbs(*self._photon.values())]
 
 
 # The analyzer's single-photon map, from the path ports (H_a, H_b, V_a, V_b)
@@ -269,11 +252,13 @@ def joint_emission_state(
 
     Amplitude pc^((m+n)/2) on m excitations in the left pair and n in the
     right, m + n <= max_total; higher joint orders carry probability below
-    pc^(max_total+1) and are outside the modeled order.
+    pc^(max_total+1) and are outside the modeled order. The Stokes photons
+    sit where the wave plates and the rotator leave them: the left pair's on
+    H@arm-L, the right pair's on V@arm-R.
     """
     top = setup.d - 1
-    p_l = setup.photon("Rcirc", "arm-L")
-    p_r = setup.photon("Rcirc", "arm-R")
+    p_l = setup.photon("H", "arm-L")
+    p_r = setup.photon("V", "arm-R")
     terms = [
         ({setup.s_l: m, p_l: m, setup.s_r: n, p_r: n}, pc ** ((m + n) / 2.0))
         for m in range(min(max_total, top) + 1)
@@ -293,10 +278,11 @@ def generate_entanglement(
     """Run the entanglement-generation stage and herald on one photon.
 
     Both ensembles are pumped with equal excitation probability; the emitted
-    Stokes fields pass the wave plates and interfere on the PBS. The returned
-    state is the normalized component with exactly one photon across the PBS
-    outputs, together with the exact probability of that component. At zero
-    herald probability the state is None.
+    Stokes fields, H from the left arm and V from the right, meet on the PBS,
+    which merges them onto the fiber. The returned state is the normalized
+    component with exactly one photon across the PBS outputs, together with
+    the exact probability of that component. At zero herald probability the
+    state is None.
     """
     if not 0.0 <= pc < 0.5:
         raise ValueError(f"pc={pc} outside [0, 0.5)")

@@ -475,8 +475,11 @@ def oracle_check(
     predicts for the sample size (the null hypothesis), so a rare event that
     happens not to be sampled does not collapse the error to zero.
     ``expected_noise`` substitutes the parameters used on the exact side;
-    passing deliberately wrong values is the negative control.
+    passing deliberately wrong values is the negative control. A
+    ``tolerance_sigmas`` that is not positive and finite raises ValueError.
     """
+    if not 0.0 < tolerance_sigmas < math.inf:  # fails on NaN too
+        raise ValueError(f"tolerance_sigmas={tolerance_sigmas} must be positive and finite")
     if cfg.trial_count == 0:
         return OracleReport((), tolerance_sigmas, insufficient_data=True)
     expected_cfg = cfg

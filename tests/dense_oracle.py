@@ -10,9 +10,16 @@ amplitude summed from permanents, grouped by detector pattern.
 ``coupler_loss`` and ``permanent_loss`` are the two references for the
 closed-form loss channel: ``loss_coupler`` beam splitters into vacuum
 sinks, traced out through the sparse lift or through permanents. The
-lifted write is the reference for the compiled write table of
-``protocol.write_events``: ``write_registry`` (the write setup's modes plus
-the encoder's path modes and the analyzer's bsm, idle and detector modes),
+lifted eraser is the reference for ``protocol.entangled_state``, which
+emits where the wave plates and the rotator leave the photons:
+``eraser_registry`` (the write setup's modes plus the four circular arm
+modes), ``circular_emission`` (the emission on the circular modes),
+``eraser_elements`` (a quarter-wave plate ``qwp`` per arm, the rotator
+``pol_rotator`` on arm R, the PBS) and ``lifted_eraser`` (the emission
+lifted through them, restricted onto the setup's registry). The lifted
+write is the reference for the compiled write table of
+``protocol.write_events``: ``write_registry`` (the eraser's modes plus the
+encoder's path modes and the analyzer's bsm, idle and detector modes),
 the encoder (``mz_split``, one per polarization in ``encode_elements``,
 applied by ``encode_spatial``) and the analyzer (``bsm_elements``, with its
 half-wave plates ``hwp``); ``stokes`` labels their modes. The module also
@@ -219,6 +226,83 @@ def stokes(polarization: str, spatial: str):
     return photon_mode("stokes", polarization, spatial)
 
 
+def qwp(in_rcirc, in_lcirc, out_h, out_v):
+    """Quarter-wave plate as a relabeling: Rcirc -> H, Lcirc -> V.
+
+    The reverse routes (H -> Rcirc, V -> Lcirc) complete the permutation and
+    never matter because the linear-polarization ports start empty.
+    """
+    from dfsmem.fock import OpticalElement
+
+    m = np.zeros((4, 4))
+    m[2, 0] = 1.0  # Rcirc -> H
+    m[3, 1] = 1.0  # Lcirc -> V
+    m[0, 2] = 1.0
+    m[1, 3] = 1.0
+    return OpticalElement("qwp", (in_rcirc, in_lcirc, out_h, out_v), m)
+
+
+def pol_rotator(mode_h, mode_v):
+    """90-degree polarization rotator: swaps the H and V amplitudes."""
+    from dfsmem.fock import OpticalElement
+
+    return OpticalElement("pol_rotator", (mode_h, mode_v), np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+# the circular arm modes the emission leaves before the wave plates, which
+# protocol.WriteSetup does not register: it emits where the rotator leaves it
+_CIRCULAR = (("Rcirc", "arm-L"), ("Lcirc", "arm-L"), ("Rcirc", "arm-R"), ("Lcirc", "arm-R"))
+
+
+def eraser_registry(d: int):
+    """The registry of the lifted eraser: ``protocol.WriteSetup(d)``'s two
+    ensembles, the circular modes of both arms, then the setup's photon
+    modes (the ports of the PBS)."""
+    from dfsmem.fock import register_modes
+    from dfsmem.protocol import build_write_setup
+
+    labels = build_write_setup(d).registry.labels
+    return register_modes([*labels[:2], *(stokes(*key) for key in _CIRCULAR), *labels[2:]], d)
+
+
+def circular_emission(pc: float, d: int, max_total: int = 2):
+    """The write's emission on :func:`eraser_registry`, before the eraser:
+    amplitude pc^((m+n)/2) on m pairs of ensemble L with Rcirc@arm-L and n
+    pairs of ensemble R with Rcirc@arm-R, m + n <= max_total, normalized."""
+    from dfsmem.fock import atomic_mode, superposition
+
+    s_l, s_r = atomic_mode("ensemble-L"), atomic_mode("ensemble-R")
+    p_l, p_r = stokes("Rcirc", "arm-L"), stokes("Rcirc", "arm-R")
+    terms = [({s_l: m, p_l: m, s_r: n, p_r: n}, pc ** ((m + n) / 2.0))
+             for m in range(max_total + 1) for n in range(max_total + 1 - m)]
+    return superposition(eraser_registry(d), terms).normalize()
+
+
+def eraser_elements() -> list:
+    """The which-path eraser as lifted elements on :func:`eraser_registry`:
+    a ``qwp`` per arm (Rcirc -> H), the ``pol_rotator`` on arm R (H <-> V),
+    and the PBS from the arms onto the fiber and the dump."""
+    from dfsmem.optics import pbs
+
+    plates = [qwp(stokes("Rcirc", arm), stokes("Lcirc", arm), stokes("H", arm), stokes("V", arm))
+              for arm in ("arm-L", "arm-R")]
+    return [*plates, pol_rotator(stokes("H", "arm-R"), stokes("V", "arm-R")),
+            pbs(*(stokes(pol, spot) for spot in ("arm-L", "arm-R", "fiber", "dump")
+                  for pol in ("H", "V")))]
+
+
+def lifted_eraser(pc: float, d: int):
+    """``protocol.entangled_state`` through the lift: :func:`circular_emission`
+    sent through :func:`eraser_elements` and restricted onto
+    ``protocol.WriteSetup(d)``'s registry, which holds every mode but the
+    circular ones, empty once the wave plates have acted."""
+    from dfsmem.fock import apply_elements
+    from dfsmem.protocol import build_write_setup
+
+    lifted = apply_elements(circular_emission(pc, d), eraser_elements())
+    return restrict_state(lifted, build_write_setup(d).registry)
+
+
 # the encoder's and the analyzer's modes, which protocol.WriteSetup does not
 # register: the write table goes from the fiber straight to the click modes
 _ANALYZER_SPOTS = ("path-a", "path-b", "bsm-1", "bsm-2", "idle-1", "idle-2",
@@ -226,13 +310,12 @@ _ANALYZER_SPOTS = ("path-a", "path-b", "bsm-1", "bsm-2", "idle-1", "idle-2",
 
 
 def write_registry(d: int):
-    """The registry of the lifted write: ``protocol.WriteSetup(d)``'s modes,
+    """The registry of the lifted write: :func:`eraser_registry`'s modes,
     then the H and V modes of path-a, path-b, bsm-1, bsm-2, idle-1, idle-2
     and det-1..det-4. A write state moves onto it by :func:`embed_state`."""
     from dfsmem.fock import register_modes
-    from dfsmem.protocol import build_write_setup
 
-    return register_modes([*build_write_setup(d).registry.labels,
+    return register_modes([*eraser_registry(d).labels,
                            *(stokes(pol, spot) for spot in _ANALYZER_SPOTS
                              for pol in ("H", "V"))], d)
 

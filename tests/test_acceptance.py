@@ -25,7 +25,6 @@ from dfsmem.protocol import (
     apply_logical_pauli,
     build_remote_setup,
     build_write_setup,
-    joint_emission_state,
     remote_transfer,
     write_branches,
 )
@@ -34,8 +33,10 @@ from dfsmem.cli import main
 from dense_oracle import (
     basis_state,
     bsm_elements,
+    circular_emission,
     embed_state,
     encode_elements,
+    eraser_elements,
     loss_coupler,
     phase_shifter,
     read_network,
@@ -207,8 +208,8 @@ def test_criterion_7_oracle_equivalence():
     worst = 0.0
     for _ in range(3):
         alpha, beta = random_qubit(rng)
-        state = embed_state(joint_emission_state(0.05, setup), write_registry(setup.d))
-        elements = setup.entangle_elements() + encode_elements(alpha, beta) + bsm_elements()
+        state = embed_state(circular_emission(0.05, setup.d), write_registry(setup.d))
+        elements = eraser_elements() + encode_elements(alpha, beta) + bsm_elements()
         for el in elements:
             worst = max(worst, sparse_vs_dense(state, el))
             state = apply_unitary(state, el)

@@ -103,6 +103,27 @@ def test_fidelity_vs_T_rejects_bad_inputs():
         fidelity_vs_T(0.0, 10e6, [1e-5])
 
 
+_NOT_POSITIVE_FINITE = [0.0, -1.0, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("bad", _NOT_POSITIVE_FINITE)
+def test_curves_reject_f_p_outside_the_positive_reals(bad):
+    # a negative f_p once read F = 1.0 and delta_F = -99999.99999999999
+    with pytest.raises(ValueError, match=r"f_p=.* must be positive and finite"):
+        fidelity_vs_T(0.5, bad, [1e-5])
+    with pytest.raises(ValueError, match=r"f_p=.* must be positive and finite"):
+        dF_vs_eta(1e-5, bad, [0.5])
+
+
+@pytest.mark.parametrize("bad", _NOT_POSITIVE_FINITE)
+def test_curves_reject_T_outside_the_positive_reals(bad):
+    # a NaN T once read F = NaN, outside the promised [0, 1]
+    with pytest.raises(ValueError, match=r"T=.* must be positive and finite"):
+        fidelity_vs_T(0.5, 10e6, [1e-5, bad])
+    with pytest.raises(ValueError, match=r"T=.* must be positive and finite"):
+        dF_vs_eta(bad, 10e6, [0.5])
+
+
 def test_dF_vs_eta_anchor_points():
     curve = dict(dF_vs_eta(20e-6, 10e6, [0.1, 1.0]))
     assert curve[0.1] == pytest.approx(0.025, abs=1e-12)

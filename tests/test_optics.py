@@ -9,10 +9,10 @@ from dfsmem.fock import (
     register_modes,
     PureState,
 )
-from dfsmem.optics import (
-    bs50, pbs, pol_rotator, qwp,
+from dfsmem.optics import bs50, pbs
+from dense_oracle import (
+    basis_state, hwp, loss_coupler, mz_split, phase_shifter, pol_rotator, qwp, random_state,
 )
-from dense_oracle import basis_state, hwp, loss_coupler, mz_split, phase_shifter, random_state
 
 IN_R = photon_mode("stokes", "Rcirc", "arm")
 IN_L = photon_mode("stokes", "Lcirc", "arm")

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from dense_oracle import (
     basis_state,
     bsm_elements,
+    circular_emission,
     compose,
     embed_state,
     encode_elements,
     encode_spatial,
+    eraser_elements,
+    lifted_eraser,
     lifted_logical_pauli,
     lifted_read,
     lifted_transfer,
@@ -551,16 +554,53 @@ def test_write_setup_builds_its_table_with_no_lift(monkeypatch):
         setup = WriteSetup(d)  # a fresh setup builds its table
         assert lifted == []
         assert [str(m) for m in setup.registry.labels] == [
-            "ensemble-L", "ensemble-R",
-            "stokes[Rcirc@arm-L]", "stokes[Lcirc@arm-L]", "stokes[Rcirc@arm-R]",
-            "stokes[Lcirc@arm-R]", "stokes[H@arm-L]", "stokes[V@arm-L]", "stokes[H@arm-R]",
-            "stokes[V@arm-R]", "stokes[H@fiber]", "stokes[V@fiber]", "stokes[H@dump]",
-            "stokes[V@dump]"]
+            "ensemble-L", "ensemble-R", "stokes[H@arm-L]", "stokes[V@arm-L]",
+            "stokes[H@arm-R]", "stokes[V@arm-R]", "stokes[H@fiber]", "stokes[V@fiber]",
+            "stokes[H@dump]", "stokes[V@dump]"]
         state = entangled_state(0.1, setup)
-        assert lifted == ["qwp", "qwp", "pol_rotator", "pbs"]  # the eraser
+        assert lifted == ["pbs"]  # the eraser
         lifted.clear()
         write_events(state, 0.6, 0.8j, setup)
         assert lifted == []
+
+
+# The emission is written where the wave plates and the rotator leave it;
+# the lifted eraser (tests/dense_oracle.py) emits on the circular modes and
+# lifts both plates, the rotator and the PBS.
+
+
+def _is_lifted_eraser(state, pc, d) -> bool:
+    """``state`` equals :func:`dense_oracle.lifted_eraser`, label for label."""
+    ref = lifted_eraser(pc, d)
+    return state.registry == ref.registry and dict(state.items()) == dict(ref.items())
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.floats(0.0, 0.5, exclude_max=True))
+@example(0.0)
+@example(1e-300)
+@example(0.01)
+@example(0.1)
+@example(0.2)
+@example(0.4999)
+def test_entangled_state_is_the_lifted_eraser(pc):
+    for d in (3, 4, 5):
+        assert _is_lifted_eraser(entangled_state(pc, WriteSetup(d)), pc, d)
+
+
+@pytest.mark.parametrize("pc", [0.01, 0.1, 0.2, 0.4999])
+def test_lifted_eraser_check_fails_without_the_rotator(pc):
+    # the right ensemble emitted on H@arm-R, as if the rotator were left out
+    setup = build_write_setup(3)
+    reg = setup.registry
+    h, v = reg.index(setup.photon("H", "arm-R")), reg.index(setup.photon("V", "arm-R"))
+    moved = {}
+    for pattern, a in joint_emission_state(pc, setup).items():
+        p = list(pattern)
+        p[h], p[v] = p[v], p[h]
+        moved[tuple(p)] = a
+    state = apply_elements(PureState(reg, moved), setup.entangle_elements())
+    assert not _is_lifted_eraser(state, pc, 3)
 
 
 def test_write_events_rejects_an_unnormalized_qubit():
@@ -679,11 +719,11 @@ def test_permanent_oracle_matches_write_events(d, qubit):
     alpha, beta = qubit
     setup = build_write_setup(d)
     registry = write_registry(d)
-    emitted = embed_state(joint_emission_state(0.2, setup), registry)
+    emitted = embed_state(circular_emission(0.2, d), registry)
     events = write_events(entangled_state(0.2, setup), alpha, beta, setup)
 
     def oracle(encode, bsm, conj=False):
-        u = compose(registry, setup.entangle_elements() + encode + bsm)
+        u = compose(registry, eraser_elements() + encode + bsm)
         return permanent_event_table(emitted, u.conj() if conj else u,
                                      setup.detectors, setup.atomic_registry)
 

@@ -44,14 +44,15 @@ def test_pump_rejects_nonpositive():
 
 
 # The write source: both ensembles emit Raman pairs, amplitude pc^((m+n)/2)
-# on m pairs from the left ensemble and n from the right.
+# on m pairs from the left ensemble and n from the right, the Stokes photons
+# written past the wave plates and the rotator: H on arm L, V on arm R.
 
 
 def _pairs(setup, m, n):
     """Occupation pattern with m left pairs and n right pairs."""
     occ = {
-        setup.s_l: m, setup.photon("Rcirc", "arm-L"): m,
-        setup.s_r: n, setup.photon("Rcirc", "arm-R"): n,
+        setup.s_l: m, setup.photon("H", "arm-L"): m,
+        setup.s_r: n, setup.photon("V", "arm-R"): n,
     }
     return basis_state(setup.registry, occ).support()[0]
 
@@ -79,7 +80,7 @@ def test_raman_pair_state_emission_probability():
     pc = 0.03
     setup = build_write_setup(3)
     state = joint_emission_state(pc, setup)
-    stokes = [setup.photon("Rcirc", "arm-L"), setup.photon("Rcirc", "arm-R")]
+    stokes = [setup.photon("H", "arm-L"), setup.photon("V", "arm-R")]
     probs = born_probabilities(state, stokes)
     expected = (2 * pc + 3 * pc**2) / (1 + 2 * pc + 3 * pc**2)
     assert 1.0 - probs[(0, 0)] == pytest.approx(expected, abs=1e-12)
@@ -88,8 +89,8 @@ def test_raman_pair_state_emission_probability():
 def test_raman_pair_state_number_correlation():
     setup = build_write_setup(4)
     state = joint_emission_state(0.2, setup, max_total=3)
-    modes = [setup.s_l, setup.photon("Rcirc", "arm-L"),
-             setup.s_r, setup.photon("Rcirc", "arm-R")]
+    modes = [setup.s_l, setup.photon("H", "arm-L"),
+             setup.s_r, setup.photon("V", "arm-R")]
     probs = born_probabilities(state, modes)
     assert all(a_l == p_l and a_r == p_r for (a_l, p_l, a_r, p_r) in probs)
 

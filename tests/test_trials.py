@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from dense_oracle import (
     bsm_elements,
+    circular_emission,
     compose,
     embed_state,
     encode_elements,
+    eraser_elements,
     permanent_event_table,
     remote_network,
     write_registry,
@@ -39,7 +41,6 @@ from dfsmem.protocol import (
     build_write_setup,
     event_cdf,
     generate_entanglement,
-    joint_emission_state,
     read_memory,
     write_memory,
 )
@@ -200,6 +201,16 @@ def test_oracle_check_flags_wrong_efficiency():
     report = oracle_check(cfg, tolerance_sigmas=3.5, expected_noise=wrong)
     assert not report.passed
     assert any(e.flagged and e.name == "mean_rounds" for e in report.entries)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -3.0])
+def test_oracle_check_rejects_a_tolerance_outside_the_positive_reals(tolerance):
+    # the wrong-efficiency control: at NaN no entry was ever flagged, so this
+    # run read passed=True; a negative tolerance fails a correct run
+    cfg = RunConfig(trial_count=500, master_seed=5, noise=NoiseParams(eta_d=0.5))
+    assert not oracle_check(cfg, 3.0, expected_noise=NoiseParams(eta_d=1.0)).passed
+    with pytest.raises(ValueError, match="tolerance_sigmas=.* must be positive and finite"):
+        oracle_check(cfg, tolerance, expected_noise=NoiseParams(eta_d=1.0))
 
 
 def test_oracle_check_remote_experiment():
@@ -653,9 +664,8 @@ def _permanent_write_fold(pc, d, alpha, beta, det, rule=WRITE_CLICK_RULE):
     ``OUTCOME_OF_DETECTOR``) and the corrected fidelities."""
     setup = build_write_setup(d)
     registry = write_registry(d)
-    u = compose(registry, setup.entangle_elements() + encode_elements(alpha, beta)
-                + bsm_elements())
-    table = permanent_event_table(embed_state(joint_emission_state(pc, setup), registry), u,
+    u = compose(registry, eraser_elements() + encode_elements(alpha, beta) + bsm_elements())
+    table = permanent_event_table(embed_state(circular_emission(pc, d), registry), u,
                                   setup.detectors, setup.atomic_registry)
     probs, index, fids = [], [], []
     for pattern in sorted(table):
@@ -785,8 +795,9 @@ def test_folded_remote_table_oracle_negative_controls():
 
 def test_warm_requests_lift_only_the_eraser(monkeypatch):
     # the marks and the read-out are closed forms and the analyzer and the
-    # transfer are tables, so once the tables are built a read and a remote
-    # table lift nothing, and a write table lifts the eraser's four elements
+    # transfer are tables and the emission is written past the wave plates
+    # and the rotator, so once the tables are built a read and a remote
+    # table lift nothing, and a write table lifts the eraser's PBS alone
     cfg = RunConfig(10, 1, pc=0.1, alpha=0.6, beta=0.8j, noise=NOISY)
     record = write_memory(0.6, 0.8j, 0.1, trial_rng(1, 0))
     trials._write_event_table(cfg)
@@ -800,7 +811,7 @@ def test_warm_requests_lift_only_the_eraser(monkeypatch):
     trials._remote_event_table(dataclasses.replace(cfg))
     assert lifted == []
     trials._write_event_table(dataclasses.replace(cfg))
-    assert lifted == ["qwp", "qwp", "pol_rotator", "pbs"]
+    assert lifted == ["pbs"]
 
 
 # -- the same bytes on every Python version -----------------------------------
