@@ -35,6 +35,11 @@ from .optics import check_amplitude_pair
 WEIGHT_TOL = 1e-12
 
 
+def _check_positive_finite(name: str, v: float) -> None:
+    if not 0.0 < v < math.inf:  # fails on NaN too
+        raise ValueError(f"{name}={v} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """All knobs of the imperfection model.
@@ -66,10 +71,8 @@ class NoiseParams:
         # each test is written to fail on NaN, and the open ends on infinity
         if not 0.0 <= self.L0 < math.inf:
             raise ValueError(f"L0={self.L0} must be nonnegative and finite")
-        if not 0.0 < self.L_att < math.inf:
-            raise ValueError(f"L_att={self.L_att} must be positive and finite")
-        if not 0.0 < self.f_p < math.inf:
-            raise ValueError(f"f_p={self.f_p} must be positive and finite")
+        _check_positive_finite("L_att", self.L_att)
+        _check_positive_finite("f_p", self.f_p)
 
     @property
     def attenuation(self) -> float:
@@ -149,12 +152,6 @@ def preparation_time(p1: float, f_p: float) -> float:
     if p1 <= 0.0 or f_p <= 0.0:
         raise ValueError("p1 and f_p must be positive")
     return 1.0 / (p1 * f_p)
-
-
-def _check_positive_finite(name: str, v: float) -> None:
-    # fails on NaN, as NoiseParams' checks do
-    if not 0.0 < v < math.inf:
-        raise ValueError(f"{name}={v} must be positive and finite")
 
 
 def _pc_at(T: float, eta_prime: float, f_p: float) -> float:

@@ -22,6 +22,7 @@ from dense_oracle import (
     max_amplitude_diff,
     permanent_event_table,
     phase_shifter,
+    pol_rotator,
     random_state,
     remote_input,
     remote_network,
@@ -590,16 +591,10 @@ def test_entangled_state_is_the_lifted_eraser(pc):
 
 @pytest.mark.parametrize("pc", [0.01, 0.1, 0.2, 0.4999])
 def test_lifted_eraser_check_fails_without_the_rotator(pc):
-    # the right ensemble emitted on H@arm-R, as if the rotator were left out
+    # a second rotator undoes the first: the right ensemble emits on H@arm-R
     setup = build_write_setup(3)
-    reg = setup.registry
-    h, v = reg.index(setup.photon("H", "arm-R")), reg.index(setup.photon("V", "arm-R"))
-    moved = {}
-    for pattern, a in joint_emission_state(pc, setup).items():
-        p = list(pattern)
-        p[h], p[v] = p[v], p[h]
-        moved[tuple(p)] = a
-    state = apply_elements(PureState(reg, moved), setup.entangle_elements())
+    undo = pol_rotator(setup.photon("H", "arm-R"), setup.photon("V", "arm-R"))
+    state = apply_elements(joint_emission_state(pc, setup), [undo, *setup.entangle_elements()])
     assert not _is_lifted_eraser(state, pc, 3)
 
 
