@@ -148,9 +148,12 @@ def po_analytic(n: NoiseParams, excitations: int) -> float:
 
 
 def preparation_time(p1: float, f_p: float) -> float:
-    """Expected wall-clock time to herald once: 1 / (p1 f_p) seconds."""
-    if p1 <= 0.0 or f_p <= 0.0:
-        raise ValueError("p1 and f_p must be positive")
+    """Expected wall-clock time to herald once: 1 / (p1 f_p) seconds, for a
+    per-round herald probability ``p1`` in (0, 1] and a positive, finite
+    repetition rate ``f_p``."""
+    if not 0.0 < p1 <= 1.0:  # fails on NaN too
+        raise ValueError(f"p1={p1} outside (0, 1]")
+    _check_positive_finite("f_p", f_p)
     return 1.0 / (p1 * f_p)
 
 
@@ -344,7 +347,8 @@ def end_to_end_fidelity(
         po=po,
         eta_prime=noise.eta_prime,
         herald_probability=herald_prob,
-        T_seconds=preparation_time(herald_prob, noise.f_p),
+        # the sum can round one ulp above 1 when p_dc is next to 1
+        T_seconds=preparation_time(min(herald_prob, 1.0), noise.f_p),
         F=F,
         delta_F=1.0 - F,
         p0_analytic=(

@@ -9,6 +9,13 @@ trial i's row as a tuple ``(u0, u1)``, sliced from a flat block of
 ``_BLOCK`` rows, or of just the run's rows for a run shorter than that;
 the last block drawn is kept in a one-entry memo.
 
+With ``records_csv`` set, a run also writes one CSV line per trial. The
+lines are built as bytes, 4,096 rows at a time: one NUL-padded ``uint8``
+matrix holds each row's trial index digits, its rounds digits and its
+event's precomputed suffix, and dropping the NULs leaves the lines, written
+with one call per chunk. The bytes are those that formatting each line
+with ``f"{i},{rounds}{suffix}"`` gives.
+
 A run reads its rows with one :func:`trial_rng` call per trial into one
 ``(n, 2)`` array, and everything after that is one numpy pass. A write
 inverts every ``u0`` into the number of rounds to the herald with
@@ -304,11 +311,51 @@ def _remote_event_table(cfg: RunConfig) -> _EventTable:
     return _EventTable(float(cond[idx >= 0].sum()), cond, idx, fid)
 
 
-def _write_records(path: str, header: str, lines) -> None:
-    """Write the header and the formatted, newline-terminated record lines."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(lines)
+# rows per write: a chunk's byte matrix stays a few hundred kB, so a long
+# run's records never exist whole in memory
+_CHUNK = 4096
+_POW10 = 10 ** np.arange(19, dtype=np.int64)  # 1 .. 10**18: every int64 below 2**63
+
+
+def _digits(values: np.ndarray) -> np.ndarray:
+    """The ASCII decimal digits of non-negative int64 ``values``, one row
+    each, right-aligned and NUL-padded on the left to the widest value."""
+    width = int(np.searchsorted(_POW10, values.max(initial=0), side="right")) or 1
+    digits = np.empty((len(values), width), dtype=np.uint8)
+    v = values
+    for k in range(width - 1, -1, -1):  # a scalar divisor: numpy divides fast
+        q = v // 10
+        digits[:, k] = v - 10 * q
+        v = q
+    digits += ord("0")
+    digits *= np.maximum(values, 1)[:, None] >= _POW10[width - 1::-1]  # NUL leading zeros
+    return digits
+
+
+def _write_records(path: str, header: str, suffixes: list[str], events: np.ndarray,
+                   rounds: np.ndarray | None = None) -> None:
+    """Write the header line, then for each trial i the line ``i``, then
+    ``,rounds[i]`` if rounds are given, then ``suffixes[events[i]]`` (-1:
+    the last suffix); every value is a non-negative int64.
+
+    Each chunk of up to ``_CHUNK`` rows is one NUL-padded ``uint8`` matrix:
+    the index digits, a comma and the rounds digits (see :func:`_digits`),
+    then the event's suffix bytes, NUL-padded at their end. Dropping every
+    NUL leaves the chunk's lines, which go to the file in one write.
+    """
+    table = np.array([s.encode() for s in suffixes]).view(np.uint8)
+    table = table.reshape(len(suffixes), -1)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, len(events), _CHUNK):
+            stop = min(start + _CHUNK, len(events))
+            parts = [_digits(np.arange(start, stop, dtype=np.int64))]
+            if rounds is not None:
+                parts += [np.full((stop - start, 1), ord(","), dtype=np.uint8),
+                          _digits(rounds[start:stop])]
+            parts.append(np.take(table, events[start:stop], axis=0))
+            block = np.concatenate(parts, axis=1)
+            fh.write(block[block != 0])
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -360,8 +407,7 @@ def run_write_trials(cfg: RunConfig) -> RunStats:
         suffix = [f",{names[k]},{f!r},{int(k < 0)}\n"
                   for k, f in zip(outcome.tolist(), fidelity.tolist())]
         _write_records(cfg.records_csv, "trial,rounds,outcome,fidelity,censored",
-                       (f"{i},{r}{suffix[e]}"
-                        for i, (r, e) in enumerate(zip(rounds.tolist(), events.tolist()))))
+                       suffix, events, rounds)
     outcome = outcome[events]
     fidelity = fidelity[events]
     ok = outcome >= 0
@@ -406,8 +452,7 @@ def run_remote_trials(cfg: RunConfig) -> RunStats:
     if cfg.records_csv is not None:
         suffix = [f",{int(k >= 0)},{f!r}\n"
                   for k, f in zip(table.outcome_index.tolist(), table.fidelity.tolist())]
-        _write_records(cfg.records_csv, "trial,success,fidelity",
-                       (f"{i}{suffix[e]}" for i, e in enumerate(events.tolist())))
+        _write_records(cfg.records_csv, "trial,success,fidelity", suffix, events)
     ok = table.outcome_index[events] >= 0
     fidelity = table.fidelity[events]
     n = cfg.trial_count

@@ -79,6 +79,28 @@ def test_preparation_time():
     assert preparation_time(1.0 / 150.0, 1e7) == pytest.approx(1.5e-5)
     assert preparation_time(2e-3, 1e7) == pytest.approx(preparation_time(1e-3, 1e7) / 2)
     assert preparation_time(1.0, 1.0) == pytest.approx(1.0)
+    assert preparation_time(0.5, 1.5) == pytest.approx(4.0 / 3.0)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, 1.5, math.inf, math.nan])
+def test_preparation_time_rejects_p1_outside_unit_interval(value):
+    # NaN gave NaN, inf gave 0.0 and 2.0 gave 5e-08 seconds
+    with pytest.raises(ValueError, match=r"p1=.* outside \(0, 1\]"):
+        preparation_time(value, 1e7)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+def test_preparation_time_rejects_f_p_outside_positive_reals(value):
+    with pytest.raises(ValueError, match="f_p=.* must be positive and finite"):
+        preparation_time(1e-3, value)
+
+
+def test_end_to_end_fidelity_keeps_a_herald_rounded_above_one():
+    # at the largest p_dc below 1 the herald sums to one ulp above 1
+    noise = NoiseParams(pc=1e-4, p_dc=1.0 - 2.0**-52)
+    report = end_to_end_fidelity(1e-4, noise, 0.6, 0.8)
+    assert report.herald_probability == 1.0 + 2.0**-52
+    assert report.T_seconds == 1.0 / noise.f_p
 
 
 def test_fidelity_vs_T_anchor_points():

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import (
@@ -458,6 +458,84 @@ def test_remote_records_match_numpy_streams(tmp_path):
         e = _numpy_event(table.probabilities, u0)
         lines.append(f"{i},{int(table.outcome_index[e] >= 0)},{float(table.fidelity[e])!r}")
     assert path.read_text().splitlines() == lines
+
+
+def _reference_records(path, header, suffixes, events, rounds=None):
+    """The line-at-a-time records writer that trials._write_records
+    replaced, kept as its byte reference: one f-string per trial, through
+    TextIOWrapper.writelines."""
+    if rounds is None:
+        lines = (f"{i}{suffixes[e]}" for i, e in enumerate(events.tolist()))
+    else:
+        lines = (f"{i},{r}{suffixes[e]}"
+                 for i, (r, e) in enumerate(zip(rounds.tolist(), events.tolist())))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(lines)
+
+
+def _writes_reference_bytes(tmp, suffixes, events, rounds=None) -> bool:
+    new, ref = tmp / "new.csv", tmp / "ref.csv"
+    trials._write_records(str(new), "trial,x", suffixes, events, rounds)
+    _reference_records(str(ref), "trial,x", suffixes, events, rounds)
+    return new.read_bytes() == ref.read_bytes()
+
+
+# every decimal width: 0, 9, 10, 11, 99, 100, 101, ..., 10**18 + 1, 2**62 - 1
+_DIGIT_BOUNDARIES = sorted({0, 2**62 - 1, *(10**k + d for k in range(1, 19) for d in (-1, 0, 1))})
+_CHUNK_EDGES = [0, 1, 4095, 4096, 4097, 3 * 4096 + 5]  # the writer's chunk is 4,096 rows
+
+
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.sampled_from(_CHUNK_EDGES),
+       pool=st.lists(st.sampled_from(_DIGIT_BOUNDARIES) | st.integers(0, 2**62 - 1),
+                     min_size=1, max_size=12),
+       fidelities=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       write_form=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=3 * 4096 + 5, pool=_DIGIT_BOUNDARIES, fidelities=[0.0, 1.0, 0.1, 5e-324],
+         write_form=True, seed=0)
+def test_records_writer_matches_line_writer_bytes(tmp_path_factory, n, pool, fidelities,
+                                                 write_form, seed):
+    rng = np.random.default_rng(seed)
+    if write_form:  # rounds column, outcome suffixes and the censored row at -1
+        names = itertools.cycle(_NAMES)
+        suffixes = [f",{next(names)},{f!r},0\n" for f in fidelities] + [",censored,0.0,1\n"]
+        events = rng.integers(-1, len(fidelities), n)
+        rounds = np.array(pool, dtype=np.int64)[rng.integers(0, len(pool), n)]
+    else:  # no rounds column: success flag and fidelity
+        suffixes = [f",{k % 2},{f!r}\n" for k, f in enumerate(fidelities)]
+        events, rounds = rng.integers(0, len(fidelities), n), None
+    assert _writes_reference_bytes(tmp_path_factory.mktemp("records"), suffixes, events, rounds)
+
+
+def test_records_at_the_round_cap_limit_match_reference_lines(tmp_path):
+    # chi = 0 never heralds: every trial is censored at a 19-digit round cap
+    path = tmp_path / "write.csv"
+    n, cap = 3 * 4096 + 5, 2**62 - 1
+    cfg = RunConfig(trial_count=n, master_seed=5, noise=NoiseParams(pc=0.01, chi=0.0),
+                    round_cap=cap, records_csv=str(path))
+    assert run_write_trials(cfg).censored_count == n
+    assert path.read_text().splitlines() == [
+        "trial,rounds,outcome,fidelity,censored",
+        *(f"{i},{cap},censored,0.0,1" for i in range(n))]
+
+
+def test_records_check_flags_left_aligned_rounds(monkeypatch, tmp_path):
+    # ten trials keep the index one digit wide, so only the rounds can move
+    suffixes, events = [",a\n"], np.zeros(10, dtype=np.int64)
+    rounds = np.array([1, 22, 333, 4, 55, 666, 7777, 8, 9, 10], dtype=np.int64)
+    assert _writes_reference_bytes(tmp_path, suffixes, events, rounds)
+    digits = trials._digits
+
+    def left_aligned(values):  # the digits first, blank-padded on the right
+        d = digits(values)
+        d = np.take_along_axis(d, np.argsort(d == 0, axis=1, kind="stable"), axis=1)
+        d[d == 0] = ord(" ")
+        return d
+
+    monkeypatch.setattr(trials, "_digits", left_aligned)
+    assert not _writes_reference_bytes(tmp_path, suffixes, events, rounds)
 
 
 @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.0, TypeError)])

@@ -23,9 +23,12 @@ writer (cli._emit: the curves-fig4b CSV at the README flags with 100 points,
 and the JSON of a RUN_TRIALS-trial teleport's RunStats). A second table times the sampler:
 run_write_trials and run_remote_trials at SAMPLER_TRIALS noisy trials, with and
 without a records CSV, as the median of SAMPLER_REPEATS runs in microseconds
-per trial (each run's event-table build included), and the row reads alone:
-trial_rng over the same SAMPLER_TRIALS rows, which a run reads one call per
-trial. Every timed call gets a
+per trial (each run's event-table build included), and two of its layers
+alone: the row reads (trial_rng over the same SAMPLER_TRIALS rows, which a
+run reads one call per trial) and the records write (trials._write_records
+on the rounds and events of one such noisy write run, with its suffixes;
+a checkout older than the chunked writer is given the formatted lines it
+took instead). Every timed call gets a
 new RunConfig, because the event-table builders keep the table of the last
 config object they saw. Run it from two checkouts to compare them; the
 script imports src/ next to itself.
@@ -43,11 +46,14 @@ import time
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dfsmem import cli  # noqa: E402
 from dfsmem.noise import NoiseParams, apply_loss, dF_vs_eta, end_to_end_fidelity  # noqa: E402
 from dfsmem.protocol import (  # noqa: E402
+    OUTCOME_OF_DETECTOR,
     RemoteSetup,
     WriteSetup,
     build_read_setup,
@@ -63,6 +69,8 @@ from dfsmem.trials import (  # noqa: E402
     RunConfig,
     _remote_event_table,
     _write_event_table,
+    _write_pass,
+    _write_records,
     run_remote_trials,
     run_write_trials,
     trial_rng,
@@ -110,6 +118,25 @@ def cold_remote(d: int) -> Callable[[], object]:
     """A new remote setup at truncation d and one transfer on it; the setup
     builds its table when constructed or on its first transfer."""
     return lambda: remote_transfer(ALPHA, BETA, RemoteSetup(d))
+
+
+def records_write(noise: NoiseParams, path: str) -> Callable[[], object]:
+    """One _write_records call on the rounds and events of a
+    SAMPLER_TRIALS-trial write run, with the suffixes run_write_trials
+    builds for them."""
+    cfg = RunConfig(SAMPLER_TRIALS, 1, PC, ALPHA, BETA, noise, truncation=D)
+    table = _write_event_table(cfg)
+    rounds, events = _write_pass(cfg, table)
+    names = [o.value for o in OUTCOME_OF_DETECTOR] + ["censored"]
+    outcome = np.append(table.outcome_index, -1).tolist()
+    fidelity = np.append(table.fidelity, 0.0).tolist()
+    suffix = [f",{names[k]},{f!r},{int(k < 0)}\n" for k, f in zip(outcome, fidelity)]
+    header = "trial,rounds,outcome,fidelity,censored"
+    if "lines" in inspect.signature(_write_records).parameters:
+        return lambda: _write_records(path, header, (
+            f"{i},{r}{suffix[e]}" for i, (r, e) in enumerate(zip(rounds.tolist(),
+                                                                   events.tolist()))))
+    return lambda: _write_records(path, header, suffix, events, rounds)
 
 
 def stages(noise: NoiseParams, tmp: str) -> dict[str, Callable[[], object]]:
@@ -182,9 +209,12 @@ def main() -> int:
                                      SAMPLER_REPEATS) / SAMPLER_TRIALS
                 label = f"`{run.__name__}`" + (" + records CSV" if records else "")
                 print(f"| {label} | {us:.3f} |")
-    us = 1e3 * median_ms(lambda: [trial_rng(1, i) for i in range(SAMPLER_TRIALS)],
-                         SAMPLER_REPEATS) / SAMPLER_TRIALS
-    print(f"| `trial_rng`, row reads alone | {us:.3f} |")
+        us = 1e3 * median_ms(lambda: [trial_rng(1, i) for i in range(SAMPLER_TRIALS)],
+                             SAMPLER_REPEATS) / SAMPLER_TRIALS
+        print(f"| `trial_rng`, row reads alone | {us:.3f} |")
+        us = 1e3 * median_ms(records_write(noise, f"{tmp}/records.csv"),
+                             SAMPLER_REPEATS) / SAMPLER_TRIALS
+        print(f"| `_write_records`, records write alone | {us:.3f} |")
     return 0
 
 
