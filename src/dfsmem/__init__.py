@@ -10,7 +10,6 @@ from .fock import (
     TruncationOverflowError,
     apply_unitary,
     atomic_mode,
-    born_probabilities,
     fidelity_mixed,
     fidelity_pure,
     inner,

@@ -415,19 +415,6 @@ def project_total_occupation(
     return PureState._trusted(reg, kept), prob
 
 
-def born_probabilities(
-    state: PureState, modes: Sequence[ModeLabel]
-) -> dict[tuple[int, ...], float]:
-    """Exact marginal probability of each joint occupation pattern on modes."""
-    reg = state.registry
-    idx = [reg.index(m) for m in modes]
-    probs: dict[tuple[int, ...], float] = {}
-    for pattern, a in state.items():
-        key = tuple(pattern[i] for i in idx)
-        probs[key] = probs.get(key, 0.0) + (a.real * a.real + a.imag * a.imag)
-    return probs
-
-
 def _picker(positions: Sequence[int]):
     """The function from a pattern to the tuple of its entries at
     ``positions``; an ``itemgetter`` where it returns a tuple (two or more
@@ -443,14 +430,14 @@ def split_by_pattern(
     """Split a state by its joint occupation pattern on ``modes``.
 
     Returns pattern -> (probability, normalized component restricted to
-    ``keep``) for every pattern :func:`born_probabilities` lists, in the
-    order the patterns first occur. One pass sums each pattern's probability
-    and groups its amplitudes; each group is then divided by the square root
-    of that sum and read at ``keep``'s positions, dropping amplitudes at or
-    below ``PRUNE_TOL`` as :meth:`PureState.normalize` does. Dropping the
-    modes that are neither split on nor kept is valid only when every kept
-    amplitude of a group carries the same occupations there (the component
-    factorizes against them); otherwise ValueError.
+    ``keep``) for every occupation pattern the state has on ``modes``, in
+    the order the patterns first occur. One pass sums each pattern's
+    probability and groups its amplitudes; each group is then divided by
+    the square root of that sum and read at ``keep``'s positions, dropping
+    amplitudes at or below ``PRUNE_TOL`` as :meth:`PureState.normalize`
+    does. Dropping the modes that are neither split on nor kept is valid
+    only when every kept amplitude of a group carries the same occupations
+    there (the component factorizes against them); otherwise ValueError.
     """
     reg = state.registry
     idx = [reg.index(m) for m in modes]

@@ -13,7 +13,10 @@ detector cannot reject (weight po). Closed-form approximations:
     dF  ~ pc,  with pc(T) = 1 / (2 eta' f_p T) on the trade-off curves
 
 where eta' = chi eta_d exp(-L0/L_att) is the overall collection, detection
-and channel efficiency.
+and channel efficiency. :func:`end_to_end_fidelity` gives the exact weights
+from photon counts: sector (k, a), k of the a emitted photons surviving the
+channel and a excitations stored, weighs w_a C(a, k) s^k (1 - s)^(a - k)
+click(k), and F = p1.
 """
 
 from __future__ import annotations
@@ -22,14 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fock import (
-    MixedState,
-    ModeLabel,
-    PureState,
-    born_probabilities,
-    fidelity_mixed,
-    ordered_sum,
-)
+from .fock import MixedState, ModeLabel, PureState, ordered_sum
 from .optics import check_amplitude_pair
 
 WEIGHT_TOL = 1e-12
@@ -298,47 +294,43 @@ def end_to_end_fidelity(
     """Exact heralded-state fidelity under loss, dark counts and detector
     non-resolution.
 
-    Runs the emission and interference stage with the two-excitation source
-    terms kept, pushes the photon modes through the channel loss, then
-    conditions on a click of one non-resolving herald detector. The reported
-    F is the overlap of that mixture with the ideal one-excitation state; it
-    bounds the stored-qubit fidelity for every (alpha, beta), which enter
-    only the downstream analyzer and are validated here for interface parity.
+    Works on photon counts alone. The emission's a-excitation weight w_a
+    (two-excitation source terms kept) carries a photons through the
+    number-conserving eraser onto the fibers; each survives the channel
+    with probability s = ``noise.channel_survival``, so k of them reach the
+    one non-resolving herald detector with probability C(a, k) s^k
+    (1 - s)^(a - k), and sector (k, a) weighs w_a C(a, k) s^k (1 - s)^(a - k)
+    click(k). The reported F is the overlap of the heralded mixture with the
+    ideal one-excitation state; it bounds the stored-qubit fidelity for every
+    (alpha, beta), which enter only the downstream analyzer and are
+    validated here for interface parity.
     """
-    from .protocol import build_write_setup, entangled_state, ideal_entangled_state
+    from .protocol import build_write_setup, joint_emission_state
 
     check_amplitude_pair(alpha, beta)
     if pc != noise.pc:
         raise ValueError(f"pc={pc} differs from noise.pc={noise.pc}")
     setup = build_write_setup()
-    state = entangled_state(pc, setup)
-    fibers = [setup.photon("H", "fiber"), setup.photon("V", "fiber")]
-    mixed = apply_loss(state, fibers, noise.channel_survival)
+    atoms = [setup.registry.index(setup.s_l), setup.registry.index(setup.s_r)]
+    w: dict[int, float] = {}
+    for pattern, amp in joint_emission_state(pc, setup).items():
+        a = pattern[atoms[0]] + pattern[atoms[1]]
+        w[a] = w.get(a, 0.0) + (amp.real * amp.real + amp.imag * amp.imag)
 
-    # one Born table per loss component, keyed by the output photons and the
-    # atomic excitations: weight w p click(n) per (n, a)
+    s = noise.channel_survival
     herald_detector = DetectorSpec(noise.eta_d, noise.p_dc)
-    modes = [*setup.output_modes(), setup.s_l, setup.s_r]
-    weights: dict[tuple[int, int], float] = {}
-    for w, s in mixed.components:
-        atoms_of: dict[int, int] = {}
-        for pattern, prob in born_probabilities(s, modes).items():
-            n, a = sum(pattern[:-2]), sum(pattern[-2:])
-            click = herald_detector.click_probability(n)
-            if click <= 0.0:
-                continue
-            if atoms_of.setdefault(n, a) != a:
-                raise RuntimeError("herald sector mixes excitation numbers")
-            weights[n, a] = weights.get((n, a), 0.0) + w * prob * click
-    herald_prob = ordered_sum(weights.values())
+    weights = {
+        (k, a): wa * math.comb(a, k) * s**k * (1.0 - s) ** (a - k)
+        * herald_detector.click_probability(k)
+        for a, wa in w.items()
+        for k in range(a + 1)
+    }
+    # the sum can round one ulp above 1 when p_dc is next to 1
+    herald_prob = min(ordered_sum(weights.values()), 1.0)
     if herald_prob <= 0.0:
         raise ValueError("herald never fires under these parameters")
 
-    # the ideal state has exactly one output photon, so only the one-photon
-    # sector of each component overlaps it
-    ideal = ideal_entangled_state(setup)
-    F = herald_detector.click_probability(1) * fidelity_mixed(mixed, ideal) / herald_prob
-    p0 = weights.get((0, 0), 0.0) / herald_prob
+    p0 = weights[0, 0] / herald_prob
     p1 = weights.get((1, 1), 0.0) / herald_prob
     po = ordered_sum(wt for (_, a), wt in weights.items() if a >= 2) / herald_prob
     return FidelityReport(
@@ -347,10 +339,13 @@ def end_to_end_fidelity(
         po=po,
         eta_prime=noise.eta_prime,
         herald_probability=herald_prob,
-        # the sum can round one ulp above 1 when p_dc is next to 1
-        T_seconds=preparation_time(min(herald_prob, 1.0), noise.f_p),
-        F=F,
-        delta_F=1.0 - F,
+        T_seconds=preparation_time(herald_prob, noise.f_p),
+        # sector (1, 1) is exactly the ideal state: the (1, 0) and (0, 1)
+        # emission amplitudes are equal and the loss acts alike on both
+        # polarizations; every other sector has another photon or excitation
+        # number, so it is orthogonal to the ideal state and F = p1
+        F=p1,
+        delta_F=1.0 - p1,
         p0_analytic=(
             p0_analytic(noise)
             if noise.p_dc > 0 and noise.pc * noise.eta_prime > 0

@@ -25,7 +25,8 @@ applied by ``encode_spatial``) and the analyzer (``bsm_elements``, with its
 half-wave plates ``hwp``); ``stokes`` labels their modes. The module also
 holds the one-mode references ``apply_creation`` (bosonic raising) and
 ``project_occupation`` (one-mode projection) that the lift and
-``split_by_pattern`` are checked against, ``reference_split`` (the split as
+``split_by_pattern`` are checked against, ``born_probabilities`` (the
+marginal probability of each occupation pattern on a set of modes), ``reference_split`` (the split as
 a normalize, then a ``restrict_state`` onto the kept modes), which
 ``split_by_pattern`` must equal exactly, and the state builders
 ``basis_state`` and ``product_state``; the package itself needs none of
@@ -384,7 +385,7 @@ def encode_spatial(state, alpha: complex, beta: complex):
     spatial paths with amplitudes (alpha, beta) by lifting
     :func:`encode_elements`. The target path modes must start empty: a
     path weight above 1e-9 raises."""
-    from dfsmem.fock import apply_elements, born_probabilities
+    from dfsmem.fock import apply_elements
 
     paths = [stokes(pol, spot) for pol in ("H", "V") for spot in ("path-a", "path-b")]
     weights = born_probabilities(state, paths)
@@ -690,6 +691,17 @@ def project_occupation(state, mode, n: int):
     kept = {p: a for p, a in state.items() if p[i] == n}
     prob = sum(a.real * a.real + a.imag * a.imag for a in kept.values())
     return PureState(reg, kept), prob
+
+
+def born_probabilities(state, modes) -> dict:
+    """Exact marginal probability of each joint occupation pattern on modes."""
+    reg = state.registry
+    idx = [reg.index(m) for m in modes]
+    probs = {}
+    for pattern, a in state.items():
+        key = tuple(pattern[i] for i in idx)
+        probs[key] = probs.get(key, 0.0) + (a.real * a.real + a.imag * a.imag)
+    return probs
 
 
 def max_amplitude_diff(sparse_state, dense_table: dict) -> float:

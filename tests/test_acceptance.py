@@ -12,7 +12,6 @@ from dfsmem.fock import (
     PureState,
     apply_elements,
     apply_unitary,
-    born_probabilities,
     fidelity_pure,
     photon_mode,
     register_modes,
@@ -32,6 +31,7 @@ from dfsmem.trials import RunConfig, oracle_check, run_remote_trials
 from dfsmem.cli import main
 from dense_oracle import (
     basis_state,
+    born_probabilities,
     bsm_elements,
     circular_emission,
     embed_state,

@@ -19,7 +19,6 @@ from dfsmem.fock import (
     apply_elements,
     apply_unitary,
     atomic_mode,
-    born_probabilities,
     fidelity_mixed,
     fidelity_pure,
     inner,
@@ -33,6 +32,7 @@ from dfsmem import optics
 from dense_oracle import (
     apply_creation,
     basis_state,
+    born_probabilities,
     compose,
     dense_apply,
     hwp,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dfsmem import fock, noise
+from dfsmem import fock, noise, protocol
 from dfsmem.fock import (
     MixedState,
     OpticalElement,
@@ -95,12 +95,18 @@ def test_preparation_time_rejects_f_p_outside_positive_reals(value):
         preparation_time(1e-3, value)
 
 
-def test_end_to_end_fidelity_keeps_a_herald_rounded_above_one():
-    # at the largest p_dc below 1 the herald sums to one ulp above 1
-    noise = NoiseParams(pc=1e-4, p_dc=1.0 - 2.0**-52)
-    report = end_to_end_fidelity(1e-4, noise, 0.6, 0.8)
-    assert report.herald_probability == 1.0 + 2.0**-52
-    assert report.T_seconds == 1.0 / noise.f_p
+def test_end_to_end_fidelity_keeps_a_herald_rounded_above_one(monkeypatch):
+    # at the largest p_dc below 1 the sector weights sum to one ulp above 1;
+    # the herald is clamped to 1 where it is summed, so the report and the
+    # preparation time both read 1
+    sums = []
+    monkeypatch.setattr(noise, "ordered_sum",
+                        lambda values: sums.append(fock.ordered_sum(values)) or sums[-1])
+    params = NoiseParams(pc=1e-4, p_dc=1.0 - 2.0**-52)
+    report = end_to_end_fidelity(1e-4, params, 0.6, 0.8)
+    assert sums[0] == 1.0 + 2.0**-52
+    assert report.herald_probability == 1.0
+    assert report.T_seconds == 1.0 / params.f_p
 
 
 def test_fidelity_vs_T_anchor_points():
@@ -427,12 +433,17 @@ def test_clicks_probability_over_every_click_vector(det):
             assert fired == [tuple(n >= 1 for n in photons)]
 
 
-def _sector_reference(pc: float, noise: NoiseParams) -> dict[str, float]:
+def _sector_reference(pc: float, noise: NoiseParams, survival: float | None = None
+                      ) -> dict[str, float]:
     """The heralded mixture built sector by sector: one total-occupation
-    projection per photon number on the outputs of each loss component."""
+    projection per photon number on the outputs of each loss component of
+    the lifted eraser's output, the fibers losing photons at ``survival``
+    (the channel survival of ``noise`` by default)."""
     setup = build_write_setup()
     fibers = [setup.photon("H", "fiber"), setup.photon("V", "fiber")]
-    mixed = apply_loss(entangled_state(pc, setup), fibers, noise.channel_survival)
+    if survival is None:
+        survival = noise.channel_survival
+    mixed = apply_loss(entangled_state(pc, setup), fibers, survival)
     det = DetectorSpec(noise.eta_d, noise.p_dc)
     atomic_idx = (setup.registry.index(setup.s_l), setup.registry.index(setup.s_r))
     kept = []  # weight, normalized sector, photons, excitations
@@ -464,15 +475,52 @@ def _sector_reference(pc: float, noise: NoiseParams) -> dict[str, float]:
     }
 
 
+def _check_sector_reference(params: NoiseParams) -> None:
+    report = dataclasses.asdict(end_to_end_fidelity(params.pc, params))
+    reference = _sector_reference(params.pc, params)
+    assert report.keys() == reference.keys()
+    for name, value in report.items():
+        # relative too, for T_seconds, which grows as the herald falls
+        assert value == pytest.approx(reference[name], abs=1e-14, rel=1e-14), name
+    assert report["F"] == report["p1"]
+
+
 @pytest.mark.parametrize("pc", [0.01, 0.1, 0.2])
 @pytest.mark.parametrize("noisy", [False, True])
 def test_end_to_end_matches_sector_reference(pc, noisy):
-    noise = NoiseParams(pc=pc, **({"chi": 0.7, "eta_d": 0.8, "p_dc": 1e-3} if noisy else {}))
-    report = dataclasses.asdict(end_to_end_fidelity(pc, noise))
-    reference = _sector_reference(pc, noise)
-    assert report.keys() == reference.keys()
-    for name, value in report.items():
-        assert value == pytest.approx(reference[name], abs=1e-12), name
+    _check_sector_reference(
+        NoiseParams(pc=pc, **({"chi": 0.7, "eta_d": 0.8, "p_dc": 1e-3} if noisy else {})))
+
+
+@settings(deadline=None, max_examples=60)
+@given(pc=st.floats(1e-6, 0.49), chi=st.floats(0.01, 1.0), eta_d=st.floats(0.01, 1.0),
+       p_dc=st.one_of(st.just(0.0), st.floats(1e-9, 0.5)), L0=st.floats(0.0, 5.0))
+def test_end_to_end_matches_sector_reference_over_draws(pc, chi, eta_d, p_dc, L0):
+    _check_sector_reference(NoiseParams(pc=pc, chi=chi, eta_d=eta_d, p_dc=p_dc, L0=L0))
+
+
+def test_sector_reference_rejects_the_survival_applied_twice():
+    # negative control: a channel survival applied twice over (s^2, as a
+    # second pass of the loss would give) must move the report past the
+    # tolerance of the comparison above
+    params = NoiseParams(pc=0.1, chi=0.7, eta_d=0.8, p_dc=1e-3)
+    report = dataclasses.asdict(end_to_end_fidelity(params.pc, params))
+    twice = _sector_reference(params.pc, params, params.channel_survival**2)
+    assert max(abs(report[k] - twice[k]) for k in ("p0", "p1", "po", "F")) > 1e-3
+
+
+def test_end_to_end_fidelity_works_on_photon_counts(monkeypatch):
+    # the report reads the emission's amplitudes and nothing else: no eraser
+    # lift, no loss mixture, no Fock lift, no Born table
+    def forbidden(*args, **kwargs):
+        raise AssertionError("end_to_end_fidelity built a state")
+
+    for module, name in ((protocol, "entangled_state"), (noise, "apply_loss"),
+                         (fock, "apply_unitary")):
+        monkeypatch.setattr(module, name, forbidden)
+    params = NoiseParams(pc=0.1, chi=0.7, eta_d=0.8, p_dc=1e-3)
+    assert end_to_end_fidelity(params.pc, params).F > 0.0
+    assert not hasattr(fock, "born_probabilities")
 
 
 def test_end_to_end_perfect_detectors_blame_pair_terms():

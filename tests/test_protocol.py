@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dense_oracle import (
     basis_state,
+    born_probabilities,
     bsm_elements,
     circular_emission,
     compose,
@@ -35,7 +36,6 @@ from dfsmem.fock import (
     atomic_mode,
     apply_elements,
     apply_unitary,
-    born_probabilities,
     fidelity_mixed,
     fidelity_pure,
     project_total_occupation,

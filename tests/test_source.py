@@ -2,12 +2,8 @@ import math
 
 import pytest
 
-from dense_oracle import basis_state
-from dfsmem.fock import (
-    born_probabilities,
-    fidelity_pure,
-    vacuum,
-)
+from dense_oracle import basis_state, born_probabilities
+from dfsmem.fock import fidelity_pure, vacuum
 from dfsmem.protocol import (
     BellOutcome,
     PauliMark,

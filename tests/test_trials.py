@@ -875,11 +875,13 @@ def test_warm_requests_lift_only_the_eraser(monkeypatch):
     # the marks and the read-out are closed forms and the analyzer and the
     # transfer are tables and the emission is written past the wave plates
     # and the rotator, so once the tables are built a read and a remote
-    # table lift nothing, and a write table lifts the eraser's PBS alone
+    # table lift nothing, and a write table lifts the eraser's PBS alone;
+    # end_to_end_fidelity works on photon counts and lifts nothing either
     cfg = RunConfig(10, 1, pc=0.1, alpha=0.6, beta=0.8j, noise=NOISY)
     record = write_memory(0.6, 0.8j, 0.1, trial_rng(1, 0))
     trials._write_event_table(cfg)
     trials._remote_event_table(cfg)
+    end_to_end_fidelity(0.1, cfg.noise, 0.6, 0.8j)
     lifted = []
     lift = fock.apply_unitary
     monkeypatch.setattr(fock, "apply_unitary",
@@ -887,6 +889,8 @@ def test_warm_requests_lift_only_the_eraser(monkeypatch):
     read_memory(record, 0.7)
     assert lifted == []
     trials._remote_event_table(dataclasses.replace(cfg))
+    assert lifted == []
+    end_to_end_fidelity(0.1, cfg.noise, 0.6, 0.8j)
     assert lifted == []
     trials._write_event_table(dataclasses.replace(cfg))
     assert lifted == ["pbs"]

@@ -87,8 +87,12 @@ MISTAKES = {
 
 
 def run_cli(outdir: Path, name: str, argv: list[str]) -> None:
-    """Run one command, then replace its output by output + exit code + stdout."""
+    """Run one command, then replace its output by output + exit code + stdout.
+
+    The output of an earlier run into OUTDIR is removed first, so a command
+    that writes nothing (a configuration mistake) records no stale text."""
     path = outdir / name
+    path.unlink(missing_ok=True)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main([*argv, "--output", str(path)])

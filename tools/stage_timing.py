@@ -17,8 +17,8 @@ included, as a small sampling request runs them. Stages that take no
 detector model (the parse, the emission state, the analyzer split,
 write_branches, the cold write and remote setups and the read) are timed
 once and printed in both columns; so are the loss channel
-(apply_loss on the fibers of end_to_end_fidelity and on the read output, at a
-new survival each call, so no table keyed by it can warm) and the output
+(apply_loss on the read output, its one caller in src/, at a new survival
+each call, so no table keyed by it can warm) and the output
 writer (cli._emit: the curves-fig4b CSV at the README flags with 100 points,
 and the JSON of a RUN_TRIALS-trial teleport's RunStats). A second table times the sampler:
 run_write_trials and run_remote_trials at SAMPLER_TRIALS noisy trials, with and
@@ -144,7 +144,6 @@ def stages(noise: NoiseParams, tmp: str) -> dict[str, Callable[[], object]]:
     cfg = RunConfig(1, 0, PC, ALPHA, BETA, noise, truncation=D)
     state = entangled_state(PC, setup)
     record = write_memory(ALPHA, BETA, PC, trial_rng(0, 0), setup)
-    fibers = [setup.photon("H", "fiber"), setup.photon("V", "fiber")]
     read_state = read_memory(record, 1.0).components[0][1]  # the read output before loss
     read_setup = build_read_setup(D)
     out = [read_setup.out_h, read_setup.out_v]
@@ -171,7 +170,6 @@ def stages(noise: NoiseParams, tmp: str) -> dict[str, Callable[[], object]]:
             dataclasses.replace(run)),
         "end_to_end_fidelity": lambda: end_to_end_fidelity(PC, noise, ALPHA, BETA),
         "read_memory": lambda: read_memory(record, 0.7),
-        "apply_loss, fibers": lambda: apply_loss(state, fibers, 0.7 - 1e-9 * next(fresh)),
         "apply_loss, read output": lambda: apply_loss(read_state, out,
                                                       0.7 - 1e-9 * next(fresh)),
         "_emit, curves-fig4b CSV": emitter(tmp, fig4b, ["eta_prime", "delta_F", "T_seconds"],
@@ -182,8 +180,8 @@ def stages(noise: NoiseParams, tmp: str) -> dict[str, Callable[[], object]]:
 
 def main() -> int:
     detection_free = {"parse_config, teleport argv", "entangled_state", "write_events",
-                      "write_branches", "read_memory", "apply_loss, fibers",
-                      "apply_loss, read output", "_emit, curves-fig4b CSV",
+                      "write_branches", "read_memory", "apply_loss, read output",
+                      "_emit, curves-fig4b CSV",
                       *(f"WriteSetup + write_events, d {d}" for d in (3, 4)),
                       *(f"RemoteSetup + remote_transfer, d {d}" for d in (3, 4))}
     with tempfile.TemporaryDirectory() as tmp:
