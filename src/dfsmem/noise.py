@@ -297,10 +297,9 @@ def end_to_end_fidelity(
     Works on photon counts alone. The emission's a-excitation weight w_a
     (two-excitation source terms kept) carries a photons through the
     number-conserving eraser onto the fibers; each survives the channel
-    with probability s = ``noise.channel_survival``, so k of them reach the
-    one non-resolving herald detector with probability C(a, k) s^k
-    (1 - s)^(a - k), and sector (k, a) weighs w_a C(a, k) s^k (1 - s)^(a - k)
-    click(k). The reported F is the overlap of the heralded mixture with the
+    with probability s = ``noise.channel_survival``, so the sector of k
+    photons at the one non-resolving herald detector and a excitations
+    weighs w_a C(a, k) s^k (1 - s)^(a - k) click(k). The reported F is the overlap of the heralded mixture with the
     ideal one-excitation state; it bounds the stored-qubit fidelity for every
     (alpha, beta), which enter only the downstream analyzer and are
     validated here for interface parity.

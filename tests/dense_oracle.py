@@ -26,9 +26,10 @@ half-wave plates ``hwp``); ``stokes`` labels their modes. The module also
 holds the one-mode references ``apply_creation`` (bosonic raising) and
 ``project_occupation`` (one-mode projection) that the lift and
 ``split_by_pattern`` are checked against, ``born_probabilities`` (the
-marginal probability of each occupation pattern on a set of modes), ``reference_split`` (the split as
-a normalize, then a ``restrict_state`` onto the kept modes), which
-``split_by_pattern`` must equal exactly, and the state builders
+marginal probability of each occupation pattern on a set of modes),
+``reference_split`` (the split as a normalize, then a ``restrict_state``
+onto the kept modes), which ``split_by_pattern`` must equal exactly, and
+the state builders
 ``basis_state`` and ``product_state``; the package itself needs none of
 these. The lifted read-out is the reference for the closed-form marks and
 read-out of ``protocol``: ``phase_shifter`` and ``lifted_logical_pauli``
